@@ -1,8 +1,8 @@
 # Tier-1 gate: everything `make check` runs must stay green.  CI and
 # pre-merge checks use this target; see ROADMAP.md.
-.PHONY: check build vet test race chaos bench prof bench-compare slo
+.PHONY: check build vet test bench-test race chaos bench prof bench-compare slo
 
-check: build vet test race
+check: build vet test bench-test race
 
 build:
 	go build ./...
@@ -14,6 +14,10 @@ vet:
 # goroutine dump instead of wedging it.
 test:
 	go test -timeout 120s ./...
+
+# bench/ is its own module (cucc/bench), so root `go test ./...` skips it.
+bench-test:
+	cd bench && go test -timeout 120s ./...
 
 race:
 	go test -race -timeout 120s ./internal/interp/ ./internal/vm/ ./internal/core/ ./internal/cluster/ ./internal/comm/ ./internal/csched/ ./internal/transport/ ./internal/metrics/ ./internal/trace/ ./internal/prof/ ./internal/recovery/ ./internal/serve/ ./internal/throughput/ ./internal/obs/

@@ -306,15 +306,14 @@ func BenchmarkInterpreter(b *testing.B) {
 // BenchmarkEngines compares the IR execution engines on every
 // evaluation-suite program at reduced scale: 1 node, a single worker,
 // natives disabled, so the measured wall time is pure engine speed.  The
-// register-machine VM is required to beat the tree-walking interpreter by
-// >=3x at W=1, and the lane-batched VM to beat the scalar VM on the
-// non-barrier programs; `make bench` captures the numbers in a
+// lane-batched register machine is required to beat the tree-walking
+// interpreter by >=3x at W=1; `make bench` captures the numbers in a
 // BENCH_<date>.json.
 func BenchmarkEngines(b *testing.B) {
 	engines := []struct {
 		name string
 		eng  cluster.Engine
-	}{{"vm", cluster.EngineVM}, {"vm-lanes", cluster.EngineVMLanes}, {"interp", cluster.EngineInterp}}
+	}{{"vm-lanes", cluster.EngineVMLanes}, {"interp", cluster.EngineInterp}}
 	progs := append([]*suites.Program{suites.VecAdd()}, suites.All()...)
 	for _, p := range progs {
 		for _, e := range engines {

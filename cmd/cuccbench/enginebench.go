@@ -31,7 +31,6 @@ type engineBenchResult struct {
 type engineBenchSpeedup struct {
 	Program      string  `json:"program"`
 	VMOverInterp float64 `json:"vm_over_interp"`
-	LanesOverVM  float64 `json:"vm_lanes_over_vm"`
 }
 
 type engineBenchReport struct {
@@ -70,16 +69,16 @@ type collectiveBenchResult struct {
 }
 
 // writeEngineBench times every evaluation-suite program at Small scale on a
-// 1-node cluster under both IR engines (register-machine vm and reference
-// interpreter) and writes a JSON report.  The IR path is forced with
-// UseInterp so the native backends don't mask engine cost.
+// 1-node cluster under both IR engines (the lane-batched register machine
+// and the reference interpreter) and writes a JSON report.  The IR path is
+// forced with UseInterp so the native backends don't mask engine cost.
 func writeEngineBench(path string, workers int) error {
 	if workers <= 0 {
 		// Engine cost is a per-worker property; W=1 isolates it from
 		// pool scheduling.
 		workers = 1
 	}
-	engines := []cluster.Engine{cluster.EngineVM, cluster.EngineVMLanes, cluster.EngineInterp}
+	engines := []cluster.Engine{cluster.EngineVMLanes, cluster.EngineInterp}
 	progs := suites.Registry()
 
 	rep := engineBenchReport{
@@ -87,7 +86,7 @@ func writeEngineBench(path string, workers int) error {
 		Date:          time.Now().UTC().Format("2006-01-02"),
 		Workers:       workers,
 		Config: prof.BenchConfig{
-			Engines: []string{cluster.EngineVM.String(), cluster.EngineVMLanes.String(), cluster.EngineInterp.String()},
+			Engines: []string{cluster.EngineVMLanes.String(), cluster.EngineInterp.String()},
 			Workers: workers,
 			Nodes:   1, // timeEngine always runs single-node
 			// FaultSeed stays 0: the engine bench never injects faults.
@@ -107,8 +106,7 @@ func writeEngineBench(path string, workers int) error {
 		}
 		rep.Speedups = append(rep.Speedups, engineBenchSpeedup{
 			Program:      p.Name,
-			VMOverInterp: perEngine[cluster.EngineInterp] / perEngine[cluster.EngineVM],
-			LanesOverVM:  perEngine[cluster.EngineVM] / perEngine[cluster.EngineVMLanes],
+			VMOverInterp: perEngine[cluster.EngineInterp] / perEngine[cluster.EngineVMLanes],
 		})
 	}
 	coll, err := collectiveBench(progs)

@@ -30,10 +30,10 @@ func main() {
 	csvDir := flag.String("csv", "", "also write per-figure CSV data files into this directory")
 	workers := flag.Int("workers", 0, "intra-node worker-pool width for really-executed experiments (0 = all CPUs)")
 	recvTimeout := flag.Duration("recv-timeout", 2*time.Minute, "transport receive deadline for really-executed experiments; a hung rank fails the sweep instead of wedging it (0 = no deadline)")
-	engine := flag.String("engine", "vm", "IR execution engine for really-executed experiments: vm (register machine), vm-lanes (lane-batched vm), or interp (reference interpreter)")
+	engine := flag.String("engine", "vm-lanes", "IR execution engine for really-executed experiments: vm-lanes (lane-batched register machine; vm is accepted as another name for it) or interp (reference interpreter)")
 	collective := flag.String("collective", "", "phase-2 collective schedule: auto, ring, recdouble, twolevel, pipeline[:N]; append +overlap to start callbacks while chunks are in flight (default: legacy hand-written ring)")
 	recover := flag.Bool("recover", false, "enable elastic fault recovery for really-executed experiments (checkpoint + re-partition + replay on rank loss)")
-	jsonOut := flag.String("json", "", "instead of figures, run the engine microbenchmark (vm vs interp over the evaluation suite) and write a JSON report to this file")
+	jsonOut := flag.String("json", "", "instead of figures, run the engine microbenchmark (vm-lanes vs interp over the evaluation suite) and write a JSON report to this file")
 	metricsOut := flag.String("metrics-out", "", "enable the metrics registry for the whole run and write its JSON snapshot to this file")
 	flag.Parse()
 

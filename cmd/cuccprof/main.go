@@ -45,7 +45,7 @@ func main() {
 	suite := flag.Bool("suite", false, "run and diagnose every evaluation program")
 	nodes := flag.Int("nodes", 4, "cluster node count for -prog/-suite")
 	workers := flag.Int("workers", 0, "intra-node worker-pool width (0 = all CPUs)")
-	engine := flag.String("engine", "vm", "IR engine for -prog/-suite: vm, vm-lanes, or interp")
+	engine := flag.String("engine", "vm-lanes", "IR engine for -prog/-suite: vm-lanes (vm is accepted as another name for it) or interp")
 	vmProfile := flag.Bool("vmprofile", false, "collect the VM opcode profile during -prog/-suite (forces the IR path)")
 	jsonOut := flag.Bool("json", false, "emit JSON instead of the human table")
 	compare := flag.Bool("compare", false, "compare two report files (cuccbench -json or metrics snapshots): cuccprof -compare old.json new.json")

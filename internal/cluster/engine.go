@@ -3,23 +3,26 @@ package cluster
 import "fmt"
 
 // Engine selects which IR execution engine the runtime uses for kernels
-// without a native implementation.  The register-machine VM (internal/vm)
-// is the production engine; the tree-walking interpreter (internal/interp)
-// is retained as the semantic oracle for differential testing.
+// without a native implementation.  There are two: the lane-batched
+// register machine (internal/vm) is the production engine; the tree-walking
+// interpreter (internal/interp) is retained as the semantic oracle for
+// differential testing.  EngineVM and EngineVMLanes are two accepted names
+// for the register machine (tenants and the benchmark send both) and differ
+// only in which core.blocks.* counter a launch reports under.
 type Engine uint8
 
 const (
 	// EngineDefault defers the choice to the next configuration layer
-	// (session -> cluster -> process default -> EngineVM).
+	// (session -> cluster -> process default -> EngineVMLanes).
 	EngineDefault Engine = iota
-	// EngineVM runs kernels on the compile-once register machine, one
-	// thread at a time.
+	// EngineVM is the register machine under its older name; it runs the
+	// same loop as EngineVMLanes.
 	EngineVM
 	// EngineInterp runs kernels on the reference tree-walking interpreter.
 	EngineInterp
-	// EngineVMLanes runs kernels on the register machine's lane-batched
-	// dispatcher: one opcode dispatch drives a warp-style batch of threads
-	// in lockstep over structure-of-arrays register slabs.
+	// EngineVMLanes runs kernels on the compile-once register machine: one
+	// opcode dispatch drives a warp-style batch of threads in lockstep over
+	// structure-of-arrays register slabs.
 	EngineVMLanes
 )
 

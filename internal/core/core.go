@@ -159,9 +159,9 @@ type ExecConfig struct {
 	Workers int
 	// Engine selects the IR execution engine for kernels without a native
 	// implementation.  EngineDefault falls through to the cluster's
-	// configured engine, then DefaultEngine, then EngineVM.  Both engines
-	// produce bitwise-identical memory and Work counters; the interpreter
-	// is kept as the differential-testing oracle.
+	// configured engine, then DefaultEngine, then the lane-batched register
+	// machine.  Both engines produce bitwise-identical memory and Work
+	// counters; the interpreter is kept as the differential-testing oracle.
 	Engine cluster.Engine
 }
 
@@ -173,7 +173,7 @@ var DefaultWorkers int
 
 // DefaultEngine is the process-wide default IR engine used when neither the
 // session nor the cluster picks one.  CLI tools set it from -engine;
-// unset, the runtime uses the register-machine VM.
+// unset, the runtime uses the lane-batched register machine.
 var DefaultEngine cluster.Engine
 
 // DefaultCollective is the process-wide default phase-2 collective schedule
@@ -279,8 +279,8 @@ func NewSession(c *cluster.Cluster, p *Program) *Session {
 }
 
 // EffectiveEngine resolves the layered engine preference (session, then
-// cluster, then process default) to a concrete engine; the register-machine
-// VM when nothing is configured.
+// cluster, then process default) to a concrete engine; the lane-batched
+// register machine (EngineVMLanes) when nothing is configured.
 func (s *Session) EffectiveEngine() cluster.Engine {
 	if s.Host.Engine != cluster.EngineDefault {
 		return s.Host.Engine
@@ -293,7 +293,7 @@ func (s *Session) EffectiveEngine() cluster.Engine {
 	if DefaultEngine != cluster.EngineDefault {
 		return DefaultEngine
 	}
-	return cluster.EngineVM
+	return cluster.EngineVMLanes
 }
 
 // EffectiveCollective resolves the layered collective-schedule preference
@@ -367,8 +367,13 @@ func (s *Session) resolve(spec LaunchSpec) (*launchState, error) {
 	if len(spec.Args) != len(k.Params) {
 		return nil, fmt.Errorf("core: kernel %s takes %d args, got %d", k.Name, len(k.Params), len(spec.Args))
 	}
-	if spec.Grid.Count() <= 0 || spec.Block.Count() <= 0 {
-		return nil, fmt.Errorf("core: kernel %s: empty grid or block", k.Name)
+	// Per component, not by product: Grid{X: -4, Y: -1} has a positive
+	// block count.  Y == 0 is Dim3's "unset", meaning 1.
+	for _, d := range []interp.Dim3{spec.Grid, spec.Block} {
+		if d.X < 1 || d.Y < 0 {
+			return nil, fmt.Errorf("core: kernel %s: grid %dx%d, block %dx%d: every launch dimension must be >= 1",
+				k.Name, spec.Grid.X, spec.Grid.Y, spec.Block.X, spec.Block.Y)
+		}
 	}
 	md := s.Prog.Meta[spec.Kernel]
 	if spec.BlockSplit > 1 {

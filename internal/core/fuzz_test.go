@@ -164,9 +164,9 @@ func TestFuzzDistributedEquivalence(t *testing.T) {
 			copy(snap, c.Region(0, out))
 			return snap
 		}
-		engines := []cluster.Engine{cluster.EngineInterp, cluster.EngineVM}
+		engines := []cluster.Engine{cluster.EngineInterp, cluster.EngineVMLanes}
 		ref := run(1, RemainderCallback, cluster.EngineInterp)
-		if got := run(1, RemainderCallback, cluster.EngineVM); !bytes.Equal(got, ref) {
+		if got := run(1, RemainderCallback, cluster.EngineVMLanes); !bytes.Equal(got, ref) {
 			t.Fatalf("kernel %d: single-node vm differs from interpreter\n%s", i, g.src)
 		}
 		for _, nodes := range []int{2, 5} {

@@ -619,7 +619,6 @@ func missingNodes(n int, members []int) []int {
 	return out
 }
 
-
 // nodeBytes returns a slice of node r's raw memory as a byte-granular
 // region.
 func nodeBytes(c *cluster.Cluster, r, off, length int) []byte {
@@ -766,14 +765,16 @@ func (s *Session) runBlocks(st *launchState, rank, lo, hi int) (machine.BlockWor
 		}
 		mkExec = func() (func(l int) (machine.BlockWork, error), error) { return exec, nil }
 	} else {
+		// "vm" and "vm-lanes" name the same register machine; the counter
+		// keeps the name the launch resolved to.
 		engine := s.EffectiveEngine()
 		switch engine {
 		case cluster.EngineInterp:
 			blockMetric = MetricBlocksInterp
-		case cluster.EngineVMLanes:
-			blockMetric = MetricBlocksVMLanes
-		default:
+		case cluster.EngineVM:
 			blockMetric = MetricBlocksVM
+		default:
+			blockMetric = MetricBlocksVMLanes
 		}
 		mkExec = func() (func(l int) (machine.BlockWork, error), error) {
 			l := &interp.Launch{
@@ -785,14 +786,11 @@ func (s *Session) runBlocks(st *launchState, rank, lo, hi int) (machine.BlockWor
 			}
 			var r blockRunner
 			var err error
-			switch engine {
-			case cluster.EngineInterp:
+			if engine == cluster.EngineInterp {
 				r, err = interp.NewRunner(l)
-			case cluster.EngineVMLanes:
+			} else {
 				// The profiling decision was latched at resolve time so
 				// every worker's runner agrees (see launchState.vmProfile).
-				r, err = vm.NewLaneRunnerProfiled(l, st.vmProfile)
-			default:
 				r, err = vm.NewRunnerProfiled(l, st.vmProfile)
 			}
 			if err != nil {

@@ -1,0 +1,209 @@
+package core_test
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"cucc/internal/cluster"
+	"cucc/internal/core"
+	"cucc/internal/interp"
+	"cucc/internal/kir"
+	"cucc/internal/machine"
+	"cucc/internal/simnet"
+	"cucc/internal/suites"
+)
+
+// Launch shapes outside the nine suite kernels, chosen as the places a
+// thread-at-a-time loop could have beaten lane batching: blocks narrower
+// than one batch, blocks that leave a tail batch, many barrier rounds, a
+// different trip count in every lane, and atomics.  EXPERIMENTS.md records
+// the timings of both loops on these shapes from before the scalar loop
+// was deleted.
+
+const shapeLoopSrc = `
+__global__ void shape_loop(float* x, float* y, int n, int iters) {
+    int id = blockIdx.x * blockDim.x + threadIdx.x;
+    if (id < n) {
+        float acc = x[id];
+        for (int i = 0; i < iters; i++)
+            acc = acc * 0.5f + x[(id + i) % n];
+        y[id] = acc;
+    }
+}
+`
+
+// Two barriers per round; each thread writes only its own tile cell between
+// them, so the kernel is race-free.
+const shapeBarrierSrc = `
+__global__ void shape_barrier(float* x, float* y, int n, int rounds) {
+    __shared__ float tile[128];
+    int tid = threadIdx.x;
+    int id = blockIdx.x * blockDim.x + tid;
+    tile[tid] = x[id];
+    __syncthreads();
+    for (int r = 0; r < rounds; r++) {
+        float v = tile[(tid + 1) % blockDim.x];
+        __syncthreads();
+        tile[tid] = v * 0.5f + tile[tid] * 0.25f;
+        __syncthreads();
+    }
+    y[id] = tile[tid];
+}
+`
+
+// 37 is coprime to 61, so 61 consecutive ids have 61 distinct trip counts:
+// no two lanes of a 32-wide batch leave the loop together.
+const shapeDivergeSrc = `
+__global__ void shape_diverge(float* x, float* y, int n, int iters) {
+    int id = blockIdx.x * blockDim.x + threadIdx.x;
+    if (id < n) {
+        int trips = (id * 37 + 11) % 61 + 1;
+        float acc = 0.0f;
+        for (int i = 0; i < trips; i++) {
+            if ((i + id) % 3 == 0) continue;
+            acc = acc + x[(id + i) % n] * 0.5f;
+        }
+        y[id] = acc;
+    }
+}
+`
+
+type launchShape struct {
+	name, src, kernel string
+	grid, block       int
+	// build allocates and fills the launch's buffers and returns its args.
+	build func(tb testing.TB, c *cluster.Cluster, n int) []core.Arg
+}
+
+func floatInOut(scalar int64) func(tb testing.TB, c *cluster.Cluster, n int) []core.Arg {
+	return func(tb testing.TB, c *cluster.Cluster, n int) []core.Arg {
+		x := c.Alloc(kir.F32, n)
+		y := c.Alloc(kir.F32, n)
+		data := make([]float32, n)
+		for i := range data {
+			data[i] = float32(i%17) * 0.25
+		}
+		if err := c.WriteAllF32(x, data); err != nil {
+			tb.Fatal(err)
+		}
+		return []core.Arg{core.BufArg(x), core.BufArg(y), core.IntArg(int64(n)), core.IntArg(scalar)}
+	}
+}
+
+func histData(tb testing.TB, c *cluster.Cluster, n int) cluster.Buffer {
+	d := c.Alloc(kir.U8, n)
+	data := make([]byte, n)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	if err := c.WriteAll(d, data); err != nil {
+		tb.Fatal(err)
+	}
+	return d
+}
+
+var launchShapes = []launchShape{
+	{"block1", shapeLoopSrc, "shape_loop", 512, 1, floatInOut(16)},
+	{"block3", shapeLoopSrc, "shape_loop", 256, 3, floatInOut(16)},
+	{"tail33", shapeLoopSrc, "shape_loop", 32, 33, floatInOut(16)},
+	{"tail255", shapeLoopSrc, "shape_loop", 8, 255, floatInOut(16)},
+	{"barrier", shapeBarrierSrc, "shape_barrier", 8, 128, floatInOut(24)},
+	{"diverge", shapeDivergeSrc, "shape_diverge", 16, 64, floatInOut(0)},
+	{"atomic-global", suites.HistogramAtomicSrc, "hist_atomic", 8, 256,
+		func(tb testing.TB, c *cluster.Cluster, n int) []core.Arg {
+			bins := c.Alloc(kir.I32, 64)
+			return []core.Arg{core.BufArg(histData(tb, c, n)), core.BufArg(bins),
+				core.IntArg(int64(n)), core.IntArg(suites.HistRounds)}
+		}},
+	{"atomic-shared", suites.HistogramPortedSrc, "hist_private", 8, 256,
+		func(tb testing.TB, c *cluster.Cluster, n int) []core.Arg {
+			partial := c.Alloc(kir.I32, 8*64)
+			return []core.Arg{core.BufArg(histData(tb, c, n)), core.BufArg(partial),
+				core.IntArg(int64(n)), core.IntArg(64), core.IntArg(suites.HistRounds)}
+		}},
+}
+
+// shapeSession builds a fresh cluster holding the shape's buffers and a
+// session on the given engine, ready to Launch spec.
+func shapeSession(tb testing.TB, sh launchShape, nodes, workers int, eng cluster.Engine) (*core.Session, core.LaunchSpec) {
+	tb.Helper()
+	prog, err := core.Compile(sh.src)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c, err := cluster.New(cluster.Config{Nodes: nodes, Machine: machine.Intel6226(), Net: simnet.IB100()})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(c.Close)
+	sess := core.NewSession(c, prog)
+	sess.Host.Engine = eng
+	sess.Host.Workers = workers
+	return sess, core.LaunchSpec{
+		Kernel: sh.kernel,
+		Grid:   interp.Dim1(sh.grid),
+		Block:  interp.Dim1(sh.block),
+		Args:   sh.build(tb, c, sh.grid*sh.block),
+	}
+}
+
+func nodeHeap(c *cluster.Cluster, node int) []byte {
+	all := cluster.Buffer{Off: 0, Elem: kir.U8, Count: c.BytesPerNode()}
+	return append([]byte(nil), c.Region(node, all)...)
+}
+
+// TestLaunchShapesMatchInterp: on every shape the default engine leaves
+// each node's heap bitwise equal to the interpreter's and reports the same
+// Stats (so the same Work), on one node and across four with a worker pool.
+func TestLaunchShapesMatchInterp(t *testing.T) {
+	for _, sh := range launchShapes {
+		t.Run(sh.name, func(t *testing.T) {
+			for _, nodes := range []int{1, 4} {
+				workers := 1
+				if nodes > 1 {
+					workers = 2
+				}
+				ref, spec := shapeSession(t, sh, nodes, workers, cluster.EngineInterp)
+				ref.Verify = true
+				want, err := ref.Launch(spec)
+				if err != nil {
+					t.Fatalf("%d nodes, interp: %v", nodes, err)
+				}
+				sess, spec := shapeSession(t, sh, nodes, workers, cluster.EngineDefault)
+				sess.Verify = true
+				got, err := sess.Launch(spec)
+				if err != nil {
+					t.Fatalf("%d nodes, %s: %v", nodes, sess.EffectiveEngine(), err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%d nodes: stats differ\n%s %+v\ninterp %+v", nodes, sess.EffectiveEngine(), got, want)
+				}
+				for node := 0; node < nodes; node++ {
+					if !bytes.Equal(nodeHeap(sess.Cluster, node), nodeHeap(ref.Cluster, node)) {
+						t.Errorf("%d nodes: node %d heap differs from interp", nodes, node)
+					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkLaunchShapes times one single-node, single-worker launch of each
+// shape per engine.
+func BenchmarkLaunchShapes(b *testing.B) {
+	for _, sh := range launchShapes {
+		for _, eng := range []cluster.Engine{cluster.EngineVMLanes, cluster.EngineInterp} {
+			b.Run(fmt.Sprintf("%s/%s", sh.name, eng), func(b *testing.B) {
+				sess, spec := shapeSession(b, sh, 1, 1, eng)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := sess.Launch(spec); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -25,6 +25,10 @@ import (
 // (slo_attainment, slo_burn); the columns are optional (omitempty) and the
 // SLO comparison rows are only produced when both sides carry them, so
 // v3-vs-v4 comparisons warn and diff the shared figures.
+// Reports no longer carry "vm" engine rows or the vm_lanes_over_vm column
+// (the register machine has one loop, benchmarked as "vm-lanes"); that
+// needed no version bump: against an older baseline the engine-set warning
+// fires and its vm rows land under only-old.
 const BenchSchemaVersion = 4
 
 // BenchConfig pins the run configuration a benchmark report was produced
@@ -105,7 +109,7 @@ func ParseBenchReport(data []byte) (*BenchReport, error) {
 
 // CompareRow is one matched key across two reports.
 type CompareRow struct {
-	Key string `json:"key"`
+	Key string  `json:"key"`
 	Old float64 `json:"old"`
 	New float64 `json:"new"`
 	// DeltaFrac is (new-old)/old; positive means the figure grew.

@@ -1,6 +1,7 @@
 package prof
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -96,6 +97,55 @@ func TestCompareBenchCrossSchema(t *testing.T) {
 	}
 	if !schemaWarn || !engineWarn {
 		t.Errorf("warnings = %v, want schema-version and engine-set warnings", cmp.Warnings)
+	}
+}
+
+// TestCompareBenchAgainstCheckedInBaselineWithoutVMRows: a report written
+// now has no "vm" engine rows; diffed against the checked-in baseline that
+// has them (what make bench-compare does) it must not fail or flag, only
+// warn and list the baseline's vm rows as missing.
+func TestCompareBenchAgainstCheckedInBaselineWithoutVMRows(t *testing.T) {
+	data, err := os.ReadFile("../../BENCH_2026-08-08.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := ParseBenchReport(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	new := *old
+	new.Config = &BenchConfig{Engines: []string{"vm-lanes", "interp"},
+		Workers: old.Config.Workers, Nodes: old.Config.Nodes, FaultSeed: old.Config.FaultSeed}
+	new.Results = nil
+	vmRows := 0
+	for _, r := range old.Results {
+		if r.Engine == "vm" {
+			vmRows++
+			continue
+		}
+		new.Results = append(new.Results, r)
+	}
+	if vmRows == 0 {
+		t.Fatal("baseline has no vm rows; the test no longer covers anything")
+	}
+	cmp, err := CompareBench(old, &new, 0.10)
+	if err != nil {
+		t.Fatalf("comparison refused: %v", err)
+	}
+	if got := cmp.Regressions(); got != 0 {
+		t.Errorf("regressions = %d, want 0", got)
+	}
+	if len(cmp.OnlyOld) != vmRows {
+		t.Errorf("only_old = %v, want the baseline's %d vm rows", cmp.OnlyOld, vmRows)
+	}
+	for _, k := range cmp.OnlyOld {
+		if !strings.HasSuffix(k, "/vm") {
+			t.Errorf("only_old has %q, want only vm rows", k)
+		}
+	}
+	table := cmp.Table()
+	if !strings.Contains(table, "warning: engine sets differ") || !strings.Contains(table, "only in old: ") {
+		t.Errorf("table lacks the engine-set warning or the missing rows:\n%s", table)
 	}
 }
 

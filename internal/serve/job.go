@@ -337,9 +337,11 @@ func (s *Server) runSourceJob(j *job, c *cluster.Cluster, rec *trace.Recorder, r
 	sess.Verify = true // cross-node consistency is part of the contract
 	spec := core.LaunchSpec{
 		Kernel: j.req.Kernel,
-		Grid:   interp.Dim3{X: j.req.GridX, Y: max(j.req.GridY, 1)},
-		Block:  interp.Dim3{X: j.req.BlockX, Y: max(j.req.BlockY, 1)},
-		Args:   args,
+		// Passed through as sent (an absent Y is Dim3's "unset"); core
+		// rejects non-positive dimensions.
+		Grid:  interp.Dim3{X: j.req.GridX, Y: j.req.GridY},
+		Block: interp.Dim3{X: j.req.BlockX, Y: j.req.BlockY},
+		Args:  args,
 	}
 	stats, err := sess.Launch(spec)
 	if err != nil {

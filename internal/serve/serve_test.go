@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"net"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"cucc/internal/core"
 )
 
 const vecAddSrc = `
@@ -584,4 +587,63 @@ func TestRetryAfterHintFormula(t *testing.T) {
 		}
 	}
 	wg.Wait()
+}
+
+// TestSourceJobDefaultEngine: a source job that names no engine runs on the
+// lane-batched register machine (its blocks count under
+// core.blocks.vm_lanes, none under core.blocks.vm), and the names "vm" and
+// "vm-lanes" are both accepted and select that same loop: identical buffer
+// checksums and identical Stats.
+func TestSourceJobDefaultEngine(t *testing.T) {
+	srv := NewServer(Config{Executors: 1, Nodes: 2, Workers: 1})
+	defer srv.Drain()
+	run := func(engine string) *Response {
+		req := vecAddSourceReq("t1")
+		req.Engine = engine
+		resp := srv.Submit(req)
+		if resp.Status != StatusOK {
+			t.Fatalf("engine %q: status %q err %q", engine, resp.Status, resp.Err)
+		}
+		return resp
+	}
+	def := run("")
+	if def.Counters[core.MetricBlocksVMLanes] == 0 || def.Counters[core.MetricBlocksVM] != 0 {
+		t.Errorf("no engine named: %s = %d, %s = %d; want > 0 and 0",
+			core.MetricBlocksVMLanes, def.Counters[core.MetricBlocksVMLanes],
+			core.MetricBlocksVM, def.Counters[core.MetricBlocksVM])
+	}
+	for _, name := range []string{"vm", "vm-lanes"} {
+		got := run(name)
+		if !reflect.DeepEqual(got.BufCRCs, def.BufCRCs) {
+			t.Errorf("engine %q: buffer CRCs %08x differ from the default's %08x", name, got.BufCRCs, def.BufCRCs)
+		}
+		if !reflect.DeepEqual(got.Stats, def.Stats) {
+			t.Errorf("engine %q: stats differ from the default's:\n%+v\n%+v", name, got.Stats, def.Stats)
+		}
+	}
+}
+
+// TestHostileLaunchDims: non-positive launch dimensions — including the
+// pair of negatives whose product is a plausible block count — fail the job
+// with a per-job error; the executor survives to run the next job.
+func TestHostileLaunchDims(t *testing.T) {
+	srv := NewServer(Config{Executors: 1, Nodes: 2, Workers: 1})
+	defer srv.Drain()
+	for _, d := range [][4]int{
+		{-4, -1, 64, 0}, {4, 0, -64, -1}, {4, -1, 64, 0}, {0, 0, 64, 0}, {4, 0, 0, 0},
+	} {
+		for _, engine := range []string{"", "vm", "interp"} {
+			req := vecAddSourceReq("t1")
+			req.Engine = engine
+			req.GridX, req.GridY, req.BlockX, req.BlockY = d[0], d[1], d[2], d[3]
+			resp := srv.Submit(req)
+			if resp.Status != StatusError || !strings.Contains(resp.Err, "launch dimension") {
+				t.Errorf("dims %v engine %q: status %q err %q, want a launch-dimension error",
+					d, engine, resp.Status, resp.Err)
+			}
+		}
+	}
+	if resp := srv.Submit(vecAddSourceReq("t1")); resp.Status != StatusOK {
+		t.Fatalf("well-formed job after the hostile ones: status %q err %q", resp.Status, resp.Err)
+	}
 }

@@ -12,9 +12,9 @@ import (
 	"cucc/internal/transport"
 )
 
-// The engine equivalence tests pin the ISSUE 3 contract: the register-machine
-// executor (internal/vm) and the reference interpreter must leave node
-// memories bitwise identical on every evaluation program, single- and
+// The engine equivalence tests pin the ISSUE 3 contract: the lane-batched
+// register machine (internal/vm) and the reference interpreter must leave
+// node memories bitwise identical on every evaluation program, single- and
 // multi-node, with and without benign transport faults.  The interpreter is
 // the oracle; any divergence is a vm bug.
 
@@ -48,18 +48,16 @@ func engineRun(t *testing.T, p *Program, eng cluster.Engine, nodes int, fc *tran
 	return heapSnapshot(c)
 }
 
-// TestEngineEquivalence: vm, vm-lanes, and interp heaps must match bitwise
-// on every program, on one node and across four.
+// TestEngineEquivalence: register-machine and interp heaps must match
+// bitwise on every program, on one node and across four.
 func TestEngineEquivalence(t *testing.T) {
 	for _, p := range allWithVecAdd() {
 		t.Run(p.Name, func(t *testing.T) {
 			for _, nodes := range []int{1, 4} {
 				ref := engineRun(t, p, cluster.EngineInterp, nodes, nil)
-				for _, eng := range []cluster.Engine{cluster.EngineVM, cluster.EngineVMLanes} {
-					got := engineRun(t, p, eng, nodes, nil)
-					if !bytes.Equal(ref, got) {
-						t.Errorf("%d nodes: %s heap differs from interp heap", nodes, eng)
-					}
+				got := engineRun(t, p, cluster.EngineVMLanes, nodes, nil)
+				if !bytes.Equal(ref, got) {
+					t.Errorf("%d nodes: vm-lanes heap differs from interp heap", nodes)
 				}
 			}
 		})
@@ -76,11 +74,9 @@ func TestEngineEquivalenceUnderBenignFaults(t *testing.T) {
 	for _, p := range allWithVecAdd() {
 		t.Run(p.Name, func(t *testing.T) {
 			ref := engineRun(t, p, cluster.EngineInterp, 4, benign)
-			for _, eng := range []cluster.Engine{cluster.EngineVM, cluster.EngineVMLanes} {
-				got := engineRun(t, p, eng, 4, benign)
-				if !bytes.Equal(ref, got) {
-					t.Errorf("%s heap differs from interp heap under benign faults", eng)
-				}
+			got := engineRun(t, p, cluster.EngineVMLanes, 4, benign)
+			if !bytes.Equal(ref, got) {
+				t.Error("vm-lanes heap differs from interp heap under benign faults")
 			}
 		})
 	}

@@ -57,7 +57,49 @@ func Compile(k *kir.Kernel) (*CompiledKernel, error) {
 	p.code = fuse(c.code, k.NumSlots, c.tiBase, c.tfBase)
 	p.numI = c.maxTI
 	p.numF = c.maxTF
+	p.mutI, p.mutF = slotWriters(p.code, k.NumSlots)
 	return p, nil
+}
+
+// slotWriters scans a program for the variable slots it writes: int slots
+// are registers [numReservedI, numReservedI+numSlots) of the int file,
+// float slots are registers [0, numSlots) of the float file.
+func slotWriters(code []instr, numSlots int) (mutI, mutF []int) {
+	seenI := make([]bool, numSlots)
+	seenF := make([]bool, numSlots)
+	for _, in := range code {
+		switch in.op {
+		case opMovVar:
+			// Writes int slot d and float slot d directly.
+			seenI[in.d] = true
+			seenF[in.d] = true
+		case opMovI, opNotI, opNotF, opCastFI, opCastU8,
+			opNegI, opAddI, opSubI, opMulI, opMulAddI, opDivI, opRemI,
+			opAndI, opOrI, opXorI, opShlI, opShrI,
+			opLtI, opLeI, opGtI, opGeI, opEqI, opNeI,
+			opLtF, opLeF, opGtF, opGeF, opEqF, opNeF,
+			opMinI, opMaxI, opAbsI, opLdGI, opLdGU8, opLdSI:
+			if s := int(in.d) - numReservedI; s >= 0 && s < numSlots {
+				seenI[s] = true
+			}
+		case opMovF, opCastIF,
+			opNegF, opAddF, opSubF, opMulF, opMulAddF, opDivF,
+			opSqrt, opExp, opLog, opFabs, opFmin, opFmax, opPow,
+			opSin, opCos, opTanh, opLdGF, opLdSF:
+			if int(in.d) < numSlots {
+				seenF[int(in.d)] = true
+			}
+		}
+	}
+	for s := 0; s < numSlots; s++ {
+		if seenI[s] {
+			mutI = append(mutI, s)
+		}
+		if seenF[s] {
+			mutF = append(mutF, s)
+		}
+	}
+	return mutI, mutF
 }
 
 // fuse is the post-compile peephole pass emitting superinstructions for the

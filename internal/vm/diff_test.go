@@ -2,7 +2,7 @@ package vm_test
 
 // Differential tests: the interpreter is the semantic oracle.  Every random
 // kernel must produce bitwise-identical buffers, identical Work counters,
-// and matching error behaviour under both engines.
+// and matching error behaviour on the register machine.
 
 import (
 	"bytes"
@@ -27,7 +27,12 @@ type engineFn func(*interp.Launch) (blockRunner, error)
 
 func interpEngine(l *interp.Launch) (blockRunner, error) { return interp.NewRunner(l) }
 func vmEngine(l *interp.Launch) (blockRunner, error)     { return vm.NewRunner(l) }
-func laneEngine(l *interp.Launch) (blockRunner, error)   { return vm.NewLaneRunner(l) }
+
+// atLaneWidth runs f with the process lane width set to w.
+func atLaneWidth(w int, f func()) {
+	defer vm.SetLaneWidth(vm.SetLaneWidth(w))
+	f()
+}
 
 // runEngine executes every block of the grid in linear order on a fresh copy
 // of the initial buffers, returning the final memory image, the accumulated
@@ -84,43 +89,33 @@ func fuzzInit() ([]*interp.HostBuffer, []interp.Value) {
 	return init, args
 }
 
-// namedEngine pairs an engine constructor with a label for failure output.
-type namedEngine struct {
-	name string
-	fn   engineFn
-}
-
-// diffRun runs src through the interpreter and the listed engines and
-// asserts equivalence against the interpreter oracle.
-func diffRun(t *testing.T, src string, grid, block interp.Dim3, engines ...namedEngine) {
+// diffRun runs src through the interpreter and the register machine (at
+// the current lane width) and asserts equivalence against the interpreter
+// oracle.
+func diffRun(t *testing.T, src string, grid, block interp.Dim3) {
 	t.Helper()
 	mod, err := lang.Parse(src)
 	if err != nil {
 		t.Fatalf("parse: %v\n%s", err, src)
 	}
 	k := mod.Kernels[0]
-	if len(engines) == 0 {
-		engines = []namedEngine{{"vm", vmEngine}}
-	}
 	init, args := fuzzInit()
 	mi, wi, ei := runEngine(interpEngine, k, grid, block, args, init, 0)
-	for _, eng := range engines {
-		mv, wv, ev := runEngine(eng.fn, k, grid, block, args, init, 0)
-		if (ei != nil) != (ev != nil) {
-			t.Fatalf("error divergence: interp=%v %s=%v\n%s", ei, eng.name, ev, src)
-		}
-		if ei != nil {
-			continue // both errored; messages carry engine prefixes, memory undefined
-		}
-		if wi != wv {
-			t.Fatalf("work divergence:\ninterp %+v\n%s %+v\n%s", wi, eng.name, wv, src)
-		}
-		if !bytes.Equal(mi, mv) {
-			for i := range mi {
-				if mi[i] != mv[i] {
-					t.Fatalf("memory divergence at byte %d: interp=%#x %s=%#x\n%s",
-						i, mi[i], eng.name, mv[i], src)
-				}
+	mv, wv, ev := runEngine(vmEngine, k, grid, block, args, init, 0)
+	if (ei != nil) != (ev != nil) {
+		t.Fatalf("error divergence: interp=%v vm=%v\n%s", ei, ev, src)
+	}
+	if ei != nil {
+		return // both errored; messages carry engine prefixes, memory undefined
+	}
+	if wi != wv {
+		t.Fatalf("work divergence:\ninterp %+v\nvm %+v\n%s", wi, wv, src)
+	}
+	if !bytes.Equal(mi, mv) {
+		for i := range mi {
+			if mi[i] != mv[i] {
+				t.Fatalf("memory divergence at byte %d: interp=%#x vm=%#x\n%s",
+					i, mi[i], mv[i], src)
 			}
 		}
 	}
@@ -129,8 +124,8 @@ func diffRun(t *testing.T, src string, grid, block interp.Dim3, engines ...named
 // gen produces random kernel source over the fixed fuzz signature.
 //
 // laneSafe restricts generation to kernels whose result is independent of
-// the thread interleaving, so the lane engine's lockstep schedule must be
-// bitwise-identical to the sequential engines: no reads of buffers other
+// the thread interleaving, so the lockstep schedule of a lane batch must be
+// bitwise-identical to the thread-serial interpreter: no reads of buffers other
 // threads store (ib[...] leaves), and at most one atomic site per buffer
 // (an int atomicMax and a straight-line float atomicAdd both commute under
 // the reordering lockstep introduces; a second non-commuting site on the
@@ -286,15 +281,15 @@ func (g *gen) kernel(mode int) string {
 		}
 		b.WriteString("    }\n")
 		b.WriteString(fmt.Sprintf("    out[%s] = acc;\n", g.idx(1)))
-	case 3: // atomics (no sync: both engines run threads sequentially)
+	case 3: // atomics
 		b.WriteString("    float acc = 0.0f;\n")
 		b.WriteString(fmt.Sprintf("    acc = %s;\n", g.fltExpr(2)))
 		b.WriteString(fmt.Sprintf("    atomicAdd(&out[%s], acc);\n", g.idx(1)))
 		b.WriteString(fmt.Sprintf("    atomicMax(&ib[%s], %s);\n", g.idx(1), g.intExpr(1)))
 		if !g.laneSafe && g.pick(2) == 0 {
 			// A second atomic op on ib does not commute with the atomicMax
-			// above (max∘add != add∘max), so the lane engine's reordering
-			// could legitimately diverge; only the sequential engines may
+			// above (max∘add != add∘max), so a lane batch's reordering could
+			// legitimately diverge; only a thread-serial schedule may
 			// compare it.
 			b.WriteString(fmt.Sprintf("    atomicAdd(&ib[%s], %s);\n", g.idx(1), g.intExpr(1)))
 		}
@@ -320,6 +315,10 @@ func (g *gen) kernel(mode int) string {
 	return b.String()
 }
 
+// TestDiffFuzz fuzzes the unrestricted generator, whose kernels may read
+// what other threads of the block store.  Their result depends on the
+// thread interleaving, so they run at lane width 1, where the schedule is
+// the interpreter's thread-serial one.
 func TestDiffFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260805))
 	for iter := 0; iter < 200; iter++ {
@@ -342,15 +341,15 @@ func TestDiffFuzz(t *testing.T) {
 			grid = interp.Dim1(rng.Intn(2) + 1)
 		}
 		t.Run(fmt.Sprintf("iter%03d_mode%d", iter, mode), func(t *testing.T) {
-			diffRun(t, src, grid, block)
+			atLaneWidth(1, func() { diffRun(t, src, grid, block) })
 		})
 	}
 }
 
-// TestDiffFuzzLanes fuzzes the lane-batched engine against both sequential
-// engines: lane-safe random kernels (divergence, loops, atomics, barriers)
-// across lane widths and deliberately odd block sizes, so partial tail
-// batches, split/reconverge paths, and per-batch barrier suspension all get
+// TestDiffFuzzLanes fuzzes lockstep batches against the interpreter:
+// lane-safe random kernels (divergence, loops, atomics, barriers) across
+// lane widths and deliberately odd block sizes, so partial tail batches,
+// split/reconverge paths, and per-batch barrier suspension all get
 // exercised.
 func TestDiffFuzzLanes(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
@@ -376,10 +375,7 @@ func TestDiffFuzzLanes(t *testing.T) {
 		}
 		w := widths[iter%len(widths)]
 		t.Run(fmt.Sprintf("iter%03d_mode%d_w%d", iter, mode, w), func(t *testing.T) {
-			prev := vm.SetLaneWidth(w)
-			defer vm.SetLaneWidth(prev)
-			diffRun(t, src, grid, block,
-				namedEngine{"vm", vmEngine}, namedEngine{"vm-lanes", laneEngine})
+			atLaneWidth(w, func() { diffRun(t, src, grid, block) })
 		})
 	}
 }
@@ -400,17 +396,14 @@ __global__ void fz(float* out, float* a, int* ib, int n, float s) {
 		{8, 13}, {8, 5}, {16, 17}, {16, 3}, {4, 7}, {32, 33},
 	} {
 		t.Run(fmt.Sprintf("w%d_block%d", tc.w, tc.block), func(t *testing.T) {
-			prev := vm.SetLaneWidth(tc.w)
-			defer vm.SetLaneWidth(prev)
-			diffRun(t, src, interp.Dim1(2), interp.Dim1(tc.block),
-				namedEngine{"vm-lanes", laneEngine})
+			atLaneWidth(tc.w, func() { diffRun(t, src, interp.Dim1(2), interp.Dim1(tc.block)) })
 		})
 	}
 }
 
 // TestLaneAllLanesDead: a batch where every lane dies must report the
-// batch's lowest-thread-id error and not disturb other batches' execution
-// (which never runs, matching the scalar engine's first-error abort).
+// batch's lowest-thread-id error — the one the thread-serial width-1
+// schedule stops at — and never run the later batches.
 func TestLaneAllLanesDead(t *testing.T) {
 	src := `
 __global__ void fz(float* out, float* a, int* ib, int n, float s) {
@@ -423,26 +416,30 @@ __global__ void fz(float* out, float* a, int* ib, int n, float s) {
 		t.Fatal(err)
 	}
 	k := mod.Kernels[0]
-	prev := vm.SetLaneWidth(8)
-	defer vm.SetLaneWidth(prev)
 	init, args := fuzzInit()
-	_, wv, ev := runEngine(vmEngine, k, interp.Dim1(1), interp.Dim1(32), args, init, 0)
-	_, wl, el := runEngine(laneEngine, k, interp.Dim1(1), interp.Dim1(32), args, init, 0)
+	var wv, wl interp.Work
+	var ev, el error
+	atLaneWidth(1, func() {
+		_, wv, ev = runEngine(vmEngine, k, interp.Dim1(1), interp.Dim1(32), args, init, 0)
+	})
+	atLaneWidth(8, func() {
+		_, wl, el = runEngine(vmEngine, k, interp.Dim1(1), interp.Dim1(32), args, init, 0)
+	})
 	if ev == nil || el == nil {
-		t.Fatalf("expected both engines to fail: vm=%v lanes=%v", ev, el)
+		t.Fatalf("expected both widths to fail: w1=%v w8=%v", ev, el)
 	}
 	if ev.Error() != el.Error() {
-		t.Fatalf("error mismatch:\nvm    %v\nlanes %v", ev, el)
+		t.Fatalf("error mismatch:\nw1 %v\nw8 %v", ev, el)
 	}
 	if wv != (interp.Work{}) || wl != (interp.Work{}) {
-		t.Fatalf("failed blocks must report zero work: vm=%+v lanes=%+v", wv, wl)
+		t.Fatalf("failed blocks must report zero work: w1=%+v w8=%+v", wv, wl)
 	}
 }
 
 // TestLaneErrorOrdering: when several lanes die with different errors, the
-// lane engine must report the lowest thread id's error — the interpreter's
-// (and scalar VM's) thread-id-order first-error rule — in both the
-// straight-line and the phased scheduler.
+// block must report the lowest thread id's error — the interpreter's
+// thread-id-order first-error rule, which the width-1 schedule follows by
+// construction — in both the straight-line and the phased scheduler.
 func TestLaneErrorOrdering(t *testing.T) {
 	cases := []struct{ name, src string }{
 		{"straight", `
@@ -470,16 +467,19 @@ __global__ void fz(float* out, float* a, int* ib, int n, float s) {
 				t.Fatal(err)
 			}
 			k := mod.Kernels[0]
-			prev := vm.SetLaneWidth(8)
-			defer vm.SetLaneWidth(prev)
 			init, args := fuzzInit()
-			_, _, ev := runEngine(vmEngine, k, interp.Dim1(1), interp.Dim1(8), args, init, 0)
-			_, _, el := runEngine(laneEngine, k, interp.Dim1(1), interp.Dim1(8), args, init, 0)
+			var ev, el error
+			atLaneWidth(1, func() {
+				_, _, ev = runEngine(vmEngine, k, interp.Dim1(1), interp.Dim1(8), args, init, 0)
+			})
+			atLaneWidth(8, func() {
+				_, _, el = runEngine(vmEngine, k, interp.Dim1(1), interp.Dim1(8), args, init, 0)
+			})
 			if ev == nil || el == nil {
-				t.Fatalf("expected both engines to fail: vm=%v lanes=%v", ev, el)
+				t.Fatalf("expected both widths to fail: w1=%v w8=%v", ev, el)
 			}
 			if ev.Error() != el.Error() {
-				t.Fatalf("first-error mismatch:\nvm    %v\nlanes %v", ev, el)
+				t.Fatalf("first-error mismatch:\nw1 %v\nw8 %v", ev, el)
 			}
 			if !strings.Contains(el.Error(), "out of bounds") {
 				t.Fatalf("expected the lower thread's oob error to win, got %v", el)
@@ -544,12 +544,11 @@ __global__ void fz(float* out, float* a, int* ib, int n, float s) {
 			grid, block := interp.Dim1(1), interp.Dim1(4)
 			_, wi, ei := runEngine(interpEngine, k, grid, block, args, init, 10000)
 			_, wv, ev := runEngine(vmEngine, k, grid, block, args, init, 10000)
-			_, wl, el := runEngine(laneEngine, k, grid, block, args, init, 10000)
-			if ei == nil || ev == nil || el == nil {
-				t.Fatalf("expected all engines to fail: interp=%v vm=%v lanes=%v", ei, ev, el)
+			if ei == nil || ev == nil {
+				t.Fatalf("expected both engines to fail: interp=%v vm=%v", ei, ev)
 			}
-			if wi != (interp.Work{}) || wv != (interp.Work{}) || wl != (interp.Work{}) {
-				t.Fatalf("failed blocks must report zero work: interp=%+v vm=%+v lanes=%+v", wi, wv, wl)
+			if wi != (interp.Work{}) || wv != (interp.Work{}) {
+				t.Fatalf("failed blocks must report zero work: interp=%+v vm=%+v", wi, wv)
 			}
 		})
 	}

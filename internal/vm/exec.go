@@ -1,28 +1,24 @@
 package vm
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"math"
-	"sync"
 
 	"cucc/internal/interp"
 	"cucc/internal/kir"
 )
 
-// Runner executes the blocks of one launch through a compiled program.  It
-// plays the same role as interp.Runner behind core's executor seam: launch
-// validation, compilation (cached per kernel), buffer-length caching, and
-// the float32 rounding of scalar arguments all happen once in NewRunner;
-// register files and shared arenas are scratch reused across blocks.
+// Runner executes the blocks of one launch through a compiled program on
+// the lane-batched dispatcher (lanes.go).  It plays the same role as
+// interp.Runner behind core's executor seam: launch validation, compilation
+// (cached per kernel), buffer-length caching, and the float32 rounding of
+// scalar arguments all happen once in NewRunner; lane register slabs and
+// shared arenas are scratch reused across blocks.
 //
 // A Runner is not safe for concurrent use; the intra-node worker pool gives
 // each worker its own Runner over the shared Launch.  Cross-runner safety
 // for global atomics comes from the memory's interp.AtomicMemory shards.
 type Runner struct {
 	p   *CompiledKernel
-	l   *interp.Launch
 	mem interp.Memory
 	am  interp.AtomicMemory
 
@@ -36,25 +32,21 @@ type Runner struct {
 	maxIters int64
 
 	// baseI/baseF are the launch-level register images: builtins (bx, by
-	// filled per block; tx, ty per thread), constant pools, and rounded
-	// scalar arguments.  Threads start by copying them.
+	// filled per block; tx, ty per lane), constant pools, and rounded
+	// scalar arguments.  Batches start as replicas of them.
 	baseI []int64
 	baseF []float64
 
 	sharedI []int64
 	sharedF []float64
 
-	// Sequential-path register files, reused across threads and blocks.
-	seqI []int64
-	seqF []float64
+	w int // lane width
 
-	// Phased-path per-thread state (allocated on first barrier block).
-	thI   []int64
-	thF   []float64
-	pcs   []int32
-	iters []int64
-	alive []bool
-	errs  []error
+	// batches are the batch contexts, allocated on demand and reused across
+	// blocks.  A barrier-free block runs its batches one after another
+	// through batches[0]; a barrier block needs one context per batch, so
+	// every lane's state survives across rounds.
+	batches []*laneBatch
 }
 
 // NewRunner compiles (or fetches the cached program for) the launch's
@@ -77,7 +69,7 @@ func NewRunnerProfiled(l *interp.Launch, profiled bool) (*Runner, error) {
 	if err := checkLaunch(l); err != nil {
 		return nil, err
 	}
-	r := &Runner{p: p, l: l, mem: l.Mem}
+	r := &Runner{p: p, mem: l.Mem, w: LaneWidth()}
 	if profiled {
 		r.p, r.prof = instrumentCached(l.Kernel, p)
 	}
@@ -115,14 +107,6 @@ func NewRunnerProfiled(l *interp.Launch, profiled bool) (*Runner, error) {
 	}
 	r.sharedI = make([]int64, p.sharedLen)
 	r.sharedF = make([]float64, p.sharedLen)
-	r.seqI = make([]int64, p.numI)
-	r.seqF = make([]float64, p.numF)
-	// Seed the sequential register file once: builtins and the const pool
-	// never change across threads, and the compiler guarantees temporaries
-	// are written before read on every path, so per-thread reset only needs
-	// the variable-slot regions (plus tx/ty/bx/by).
-	copy(r.seqI, r.baseI)
-	copy(r.seqF, r.baseF)
 	return r, nil
 }
 
@@ -145,13 +129,12 @@ func checkLaunch(l *interp.Launch) error {
 // the interpreter.
 func (r *Runner) ExecBlock(bx, by int) (interp.Work, error) {
 	r.baseI[regBx], r.baseI[regBy] = int64(bx), int64(by)
-	r.seqI[regBx], r.seqI[regBy] = int64(bx), int64(by)
 	clear(r.sharedI)
 	clear(r.sharedF)
 	if r.p.hasSync {
-		return r.execPhased()
+		return r.lanesPhased()
 	}
-	return r.execSequential()
+	return r.lanesStraight()
 }
 
 // ExecBlock is the one-shot form of NewRunner + Runner.ExecBlock, mirroring
@@ -164,87 +147,6 @@ func ExecBlock(l *interp.Launch, bx, by int) (interp.Work, error) {
 	return r.ExecBlock(bx, by)
 }
 
-// execSequential runs all threads of the block one after another in the
-// interpreter's order (ty outer, tx inner).
-func (r *Runner) execSequential() (interp.Work, error) {
-	var w interp.Work
-	bdx := int(r.baseI[regBdx])
-	ydim := int(r.baseI[regBdy])
-	ns := r.p.Kernel.NumSlots
-	for ty := 0; ty < ydim; ty++ {
-		for tx := 0; tx < bdx; tx++ {
-			copy(r.seqI[numReservedI:numReservedI+ns], r.baseI[numReservedI:])
-			copy(r.seqF[:ns], r.baseF[:ns])
-			r.seqI[regTx], r.seqI[regTy] = int64(tx), int64(ty)
-			var iters int64
-			if _, _, err := r.run(r.seqI, r.seqF, 0, &iters, &w); err != nil {
-				return interp.Work{}, err
-			}
-		}
-	}
-	return w, nil
-}
-
-// execPhased runs a barrier kernel by cooperative scheduling: each round
-// resumes every live thread until it suspends at a __syncthreads (opSync),
-// finishes, or errors.  A round ends when all live threads have arrived,
-// which is exactly the interpreter's cyclic barrier with early departure —
-// threads that return (or fail) leave the barrier and the rest continue.
-func (r *Runner) execPhased() (interp.Work, error) {
-	p := r.p
-	bdx := int(r.baseI[regBdx])
-	n := bdx * int(r.baseI[regBdy])
-	if r.pcs == nil {
-		r.thI = make([]int64, n*p.numI)
-		r.thF = make([]float64, n*p.numF)
-		r.pcs = make([]int32, n)
-		r.iters = make([]int64, n)
-		r.alive = make([]bool, n)
-		r.errs = make([]error, n)
-	}
-	for id := 0; id < n; id++ {
-		ri := r.thI[id*p.numI : (id+1)*p.numI]
-		rf := r.thF[id*p.numF : (id+1)*p.numF]
-		copy(ri, r.baseI)
-		copy(rf, r.baseF)
-		ri[regTx] = int64(id % bdx)
-		ri[regTy] = int64(id / bdx)
-		r.pcs[id] = 0
-		r.iters[id] = 0
-		r.alive[id] = true
-		r.errs[id] = nil
-	}
-	var w interp.Work
-	live := n
-	for live > 0 {
-		for id := 0; id < n; id++ {
-			if !r.alive[id] {
-				continue
-			}
-			ri := r.thI[id*p.numI : (id+1)*p.numI]
-			rf := r.thF[id*p.numF : (id+1)*p.numF]
-			pc, done, err := r.run(ri, rf, r.pcs[id], &r.iters[id], &w)
-			r.pcs[id] = pc
-			if err != nil {
-				r.errs[id] = err
-				r.alive[id] = false
-				live--
-			} else if done {
-				r.alive[id] = false
-				live--
-			}
-		}
-	}
-	// Like the interpreter, every thread runs to completion (or its own
-	// error) before the first error — in thread-id order — is reported.
-	for id := 0; id < n; id++ {
-		if r.errs[id] != nil {
-			return interp.Work{}, fmt.Errorf("vm: phased execution: %w", r.errs[id])
-		}
-	}
-	return w, nil
-}
-
 func (r *Runner) oobGlobal(what string, prm, idx int) error {
 	return fmt.Errorf("vm: %s: global %s out of bounds: %s[%d] (len %d)",
 		r.p.Kernel.Name, what, r.p.Kernel.Params[prm].Name, idx, r.lens[prm])
@@ -253,448 +155,6 @@ func (r *Runner) oobGlobal(what string, prm, idx int) error {
 func (r *Runner) oobShared(what string, m *sharedMeta, idx int) error {
 	return fmt.Errorf("vm: %s: shared %s out of bounds: %s[%d] (len %d)",
 		r.p.Kernel.Name, what, m.name, idx, m.n)
-}
-
-// run dispatches instructions for one thread starting at pc until the
-// thread completes (done=true), suspends at a barrier (done=false, resume
-// at the returned pc), or fails.  Work and the loop-iteration budget are
-// accumulated locally and flushed on every non-error exit; on error the
-// block's work is discarded by the callers, as in the interpreter.
-func (r *Runner) run(ri []int64, rf []float64, pc int32, itersp *int64, w *interp.Work) (int32, bool, error) {
-	code := r.p.code
-	mem := r.mem
-	lens := r.lens
-	raws := r.raw
-	var flops, intops, glb, gsb, shb int64
-	iters := *itersp
-	flush := func() {
-		w.Flops += flops
-		w.IntOps += intops
-		w.GlobalLoadBytes += glb
-		w.GlobalStoreBytes += gsb
-		w.SharedBytes += shb
-		*itersp = iters
-	}
-	for {
-		in := &code[pc]
-		pc++
-		switch in.op {
-		case opNop:
-		case opProf:
-			// Present only in instrumented programs: count the basic-block
-			// entry.  Uninstrumented (profiling-off) code never reaches this.
-			r.prof.counts[in.imm].Add(1)
-		case opJmp:
-			pc = in.imm
-		case opJzI:
-			if ri[in.a] == 0 {
-				pc = in.imm
-			}
-		case opJnzI:
-			if ri[in.a] != 0 {
-				pc = in.imm
-			}
-		case opJzF:
-			if rf[in.a] == 0 {
-				pc = in.imm
-			}
-		case opJnzF:
-			if rf[in.a] != 0 {
-				pc = in.imm
-			}
-		case opTick:
-			iters++
-			if iters > r.maxIters {
-				return pc, true, fmt.Errorf("vm: kernel %s: thread exceeded %d loop iterations (runaway loop?)",
-					r.p.Kernel.Name, r.maxIters)
-			}
-		case opSync:
-			flush()
-			return pc, false, nil
-		case opRet:
-			flush()
-			return pc, true, nil
-		case opErr:
-			return pc, true, errors.New(r.p.errs[in.imm])
-
-		case opMovI:
-			ri[in.d] = ri[in.a]
-		case opMovF:
-			rf[in.d] = rf[in.a]
-		case opMovVar:
-			ri[numReservedI+int(in.d)] = ri[in.a]
-			rf[in.d] = rf[in.b]
-		case opMulAddF:
-			prod := float32(rf[in.a]) * float32(rf[in.b])
-			c := float32(rf[in.imm&0xffff])
-			if in.imm&mulAddSwapBit != 0 {
-				rf[in.d] = float64(prod + c)
-			} else {
-				rf[in.d] = float64(c + prod)
-			}
-			flops += 2
-		case opMulAddI:
-			ri[in.d] = ri[in.imm] + ri[in.a]*ri[in.b]
-			intops += 2
-		case opCJmpI:
-			t := cmpI(in.d&^cjmpSenseBit, ri[in.a], ri[in.b])
-			intops++
-			if t == (in.d&cjmpSenseBit != 0) {
-				pc = in.imm
-			}
-		case opCJmpF:
-			t := cmpF(in.d&^cjmpSenseBit, rf[in.a], rf[in.b])
-			flops++
-			if t == (in.d&cjmpSenseBit != 0) {
-				pc = in.imm
-			}
-		case opNotI:
-			if ri[in.a] == 0 {
-				ri[in.d] = 1
-			} else {
-				ri[in.d] = 0
-			}
-		case opNotF:
-			if rf[in.a] == 0 {
-				ri[in.d] = 1
-			} else {
-				ri[in.d] = 0
-			}
-		case opCastIF:
-			rf[in.d] = float64(float32(ri[in.a]))
-		case opCastFI:
-			ri[in.d] = int64(rf[in.a])
-		case opCastU8:
-			ri[in.d] = int64(byte(ri[in.a]))
-
-		case opNegI:
-			ri[in.d] = -ri[in.a]
-			intops++
-		case opAddI:
-			ri[in.d] = ri[in.a] + ri[in.b]
-			intops++
-		case opSubI:
-			ri[in.d] = ri[in.a] - ri[in.b]
-			intops++
-		case opMulI:
-			ri[in.d] = ri[in.a] * ri[in.b]
-			intops++
-		case opDivI:
-			if ri[in.b] == 0 {
-				return pc, true, fmt.Errorf("vm: %s: integer division by zero", r.p.Kernel.Name)
-			}
-			ri[in.d] = ri[in.a] / ri[in.b]
-			intops++
-		case opRemI:
-			if ri[in.b] == 0 {
-				return pc, true, fmt.Errorf("vm: %s: integer modulo by zero", r.p.Kernel.Name)
-			}
-			ri[in.d] = ri[in.a] % ri[in.b]
-			intops++
-		case opAndI:
-			ri[in.d] = ri[in.a] & ri[in.b]
-			intops++
-		case opOrI:
-			ri[in.d] = ri[in.a] | ri[in.b]
-			intops++
-		case opXorI:
-			ri[in.d] = ri[in.a] ^ ri[in.b]
-			intops++
-		case opShlI:
-			ri[in.d] = ri[in.a] << uint(ri[in.b])
-			intops++
-		case opShrI:
-			ri[in.d] = ri[in.a] >> uint(ri[in.b])
-			intops++
-		case opLtI:
-			ri[in.d] = b2i(ri[in.a] < ri[in.b])
-			intops++
-		case opLeI:
-			ri[in.d] = b2i(ri[in.a] <= ri[in.b])
-			intops++
-		case opGtI:
-			ri[in.d] = b2i(ri[in.a] > ri[in.b])
-			intops++
-		case opGeI:
-			ri[in.d] = b2i(ri[in.a] >= ri[in.b])
-			intops++
-		case opEqI:
-			ri[in.d] = b2i(ri[in.a] == ri[in.b])
-			intops++
-		case opNeI:
-			ri[in.d] = b2i(ri[in.a] != ri[in.b])
-			intops++
-
-		case opNegF:
-			rf[in.d] = -rf[in.a]
-			flops++
-		case opAddF:
-			rf[in.d] = float64(float32(rf[in.a]) + float32(rf[in.b]))
-			flops++
-		case opSubF:
-			rf[in.d] = float64(float32(rf[in.a]) - float32(rf[in.b]))
-			flops++
-		case opMulF:
-			rf[in.d] = float64(float32(rf[in.a]) * float32(rf[in.b]))
-			flops++
-		case opDivF:
-			rf[in.d] = float64(float32(rf[in.a]) / float32(rf[in.b]))
-			flops++
-		case opLtF:
-			ri[in.d] = b2i(rf[in.a] < rf[in.b])
-			flops++
-		case opLeF:
-			ri[in.d] = b2i(rf[in.a] <= rf[in.b])
-			flops++
-		case opGtF:
-			ri[in.d] = b2i(rf[in.a] > rf[in.b])
-			flops++
-		case opGeF:
-			ri[in.d] = b2i(rf[in.a] >= rf[in.b])
-			flops++
-		case opEqF:
-			ri[in.d] = b2i(rf[in.a] == rf[in.b])
-			flops++
-		case opNeF:
-			ri[in.d] = b2i(rf[in.a] != rf[in.b])
-			flops++
-
-		case opSqrt:
-			rf[in.d] = float64(float32(math.Sqrt(rf[in.a])))
-			flops += int64(in.imm)
-		case opExp:
-			rf[in.d] = float64(float32(math.Exp(rf[in.a])))
-			flops += int64(in.imm)
-		case opLog:
-			rf[in.d] = float64(float32(math.Log(rf[in.a])))
-			flops += int64(in.imm)
-		case opFabs:
-			rf[in.d] = float64(float32(math.Abs(rf[in.a])))
-			flops += int64(in.imm)
-		case opFmin:
-			rf[in.d] = float64(float32(math.Min(rf[in.a], rf[in.b])))
-			flops += int64(in.imm)
-		case opFmax:
-			rf[in.d] = float64(float32(math.Max(rf[in.a], rf[in.b])))
-			flops += int64(in.imm)
-		case opPow:
-			rf[in.d] = float64(float32(math.Pow(rf[in.a], rf[in.b])))
-			flops += int64(in.imm)
-		case opSin:
-			rf[in.d] = float64(float32(math.Sin(rf[in.a])))
-			flops += int64(in.imm)
-		case opCos:
-			rf[in.d] = float64(float32(math.Cos(rf[in.a])))
-			flops += int64(in.imm)
-		case opTanh:
-			rf[in.d] = float64(float32(math.Tanh(rf[in.a])))
-			flops += int64(in.imm)
-		case opMinI:
-			ri[in.d] = min(ri[in.a], ri[in.b])
-			flops += int64(in.imm)
-		case opMaxI:
-			ri[in.d] = max(ri[in.a], ri[in.b])
-			flops += int64(in.imm)
-		case opAbsI:
-			v := ri[in.a]
-			if v < 0 {
-				v = -v
-			}
-			ri[in.d] = v
-			flops += int64(in.imm)
-
-		case opLdGF:
-			idx := int(ri[in.a])
-			prm := int(in.b)
-			if uint(idx) >= uint(lens[prm]) {
-				return pc, true, r.oobGlobal("load", prm, idx)
-			}
-			if raw := raws[prm]; raw != nil {
-				rf[in.d] = float64(math.Float32frombits(binary.LittleEndian.Uint32(raw[4*idx:])))
-			} else {
-				rf[in.d] = float64(mem.LoadF32(prm, idx))
-			}
-			glb += 4
-		case opLdGI:
-			idx := int(ri[in.a])
-			prm := int(in.b)
-			if uint(idx) >= uint(lens[prm]) {
-				return pc, true, r.oobGlobal("load", prm, idx)
-			}
-			if raw := raws[prm]; raw != nil {
-				ri[in.d] = int64(int32(binary.LittleEndian.Uint32(raw[4*idx:])))
-			} else {
-				ri[in.d] = int64(mem.LoadI32(prm, idx))
-			}
-			glb += 4
-		case opLdGU8:
-			idx := int(ri[in.a])
-			prm := int(in.b)
-			if uint(idx) >= uint(lens[prm]) {
-				return pc, true, r.oobGlobal("load", prm, idx)
-			}
-			if raw := raws[prm]; raw != nil {
-				ri[in.d] = int64(raw[idx])
-			} else {
-				ri[in.d] = int64(mem.LoadU8(prm, idx))
-			}
-			glb++
-		case opStGF:
-			idx := int(ri[in.a])
-			prm := int(in.b)
-			if uint(idx) >= uint(lens[prm]) {
-				return pc, true, r.oobGlobal("store", prm, idx)
-			}
-			if raw := raws[prm]; raw != nil {
-				binary.LittleEndian.PutUint32(raw[4*idx:], math.Float32bits(float32(rf[in.d])))
-			} else {
-				mem.StoreF32(prm, idx, float32(rf[in.d]))
-			}
-			gsb += 4
-		case opStGI:
-			idx := int(ri[in.a])
-			prm := int(in.b)
-			if uint(idx) >= uint(lens[prm]) {
-				return pc, true, r.oobGlobal("store", prm, idx)
-			}
-			if raw := raws[prm]; raw != nil {
-				binary.LittleEndian.PutUint32(raw[4*idx:], uint32(int32(ri[in.d])))
-			} else {
-				mem.StoreI32(prm, idx, int32(ri[in.d]))
-			}
-			gsb += 4
-		case opStGU8:
-			idx := int(ri[in.a])
-			prm := int(in.b)
-			if uint(idx) >= uint(lens[prm]) {
-				return pc, true, r.oobGlobal("store", prm, idx)
-			}
-			if raw := raws[prm]; raw != nil {
-				raw[idx] = byte(ri[in.d])
-			} else {
-				mem.StoreU8(prm, idx, byte(ri[in.d]))
-			}
-			gsb++
-
-		case opLdSI:
-			m := &r.p.shared[in.b]
-			idx := int(ri[in.a])
-			if uint(idx) >= uint(m.n) {
-				return pc, true, r.oobShared("load", m, idx)
-			}
-			ri[in.d] = r.sharedI[m.base+idx]
-			shb += int64(in.imm)
-		case opLdSF:
-			m := &r.p.shared[in.b]
-			idx := int(ri[in.a])
-			if uint(idx) >= uint(m.n) {
-				return pc, true, r.oobShared("load", m, idx)
-			}
-			rf[in.d] = r.sharedF[m.base+idx]
-			shb += int64(in.imm)
-		case opStS:
-			m := &r.p.shared[in.imm]
-			idx := int(ri[in.a])
-			if uint(idx) >= uint(m.n) {
-				return pc, true, r.oobShared("store", m, idx)
-			}
-			r.sharedI[m.base+idx] = ri[in.d]
-			r.sharedF[m.base+idx] = rf[in.b]
-			shb += int64(m.elem.Size())
-
-		case opAtGAdd, opAtGMax:
-			idx := int(ri[in.a])
-			prm := int(in.imm)
-			var mu *sync.Mutex
-			if r.am != nil {
-				// Serialize against other runners' blocks touching the
-				// same element, exactly like the interpreter's shards.
-				mu = r.am.AtomicShard(prm, idx)
-				mu.Lock()
-			}
-			if uint(idx) >= uint(lens[prm]) {
-				if mu != nil {
-					mu.Unlock()
-				}
-				return pc, true, r.oobGlobal("load", prm, idx)
-			}
-			elem := r.p.Kernel.Params[prm].Elem
-			sz := int64(elem.Size())
-			var oldI int64
-			var oldF float64
-			switch elem {
-			case kir.F32:
-				oldF = float64(mem.LoadF32(prm, idx))
-			case kir.I32:
-				oldI = int64(mem.LoadI32(prm, idx))
-			case kir.U8:
-				oldI = int64(mem.LoadU8(prm, idx))
-			}
-			glb += sz
-			nvI, nvF := oldI, oldF
-			if in.op == opAtGAdd {
-				if elem == kir.F32 {
-					nvF = float64(float32(oldF) + float32(rf[in.b]))
-					nvI = 0
-					flops++
-				} else {
-					nvI = oldI + ri[in.d]
-					nvF = 0
-					intops++
-				}
-			} else { // atomicMax compares the I fields, whatever the element
-				if oldI < ri[in.d] {
-					nvI, nvF = ri[in.d], rf[in.b]
-				}
-				intops++
-			}
-			switch elem {
-			case kir.F32:
-				mem.StoreF32(prm, idx, float32(nvF))
-			case kir.I32:
-				mem.StoreI32(prm, idx, int32(nvI))
-			case kir.U8:
-				mem.StoreU8(prm, idx, byte(nvI))
-			}
-			gsb += sz
-			if mu != nil {
-				mu.Unlock()
-			}
-
-		case opAtSAdd, opAtSMax:
-			m := &r.p.shared[in.imm]
-			idx := int(ri[in.a])
-			if uint(idx) >= uint(m.n) {
-				return pc, true, r.oobShared("load", m, idx)
-			}
-			cell := m.base + idx
-			sz := int64(m.elem.Size())
-			oldI, oldF := r.sharedI[cell], r.sharedF[cell]
-			nvI, nvF := oldI, oldF
-			if in.op == opAtSAdd {
-				if m.elem == kir.F32 {
-					nvF = float64(float32(oldF) + float32(rf[in.b]))
-					nvI = 0
-					flops++
-				} else {
-					nvI = oldI + ri[in.d]
-					nvF = 0
-					intops++
-				}
-			} else {
-				if oldI < ri[in.d] {
-					nvI, nvF = ri[in.d], rf[in.b]
-				}
-				intops++
-			}
-			r.sharedI[cell] = nvI
-			r.sharedF[cell] = nvF
-			shb += 2 * sz
-
-		default:
-			return pc, true, fmt.Errorf("vm: kernel %s: bad opcode %d at pc %d", r.p.Kernel.Name, in.op, pc-1)
-		}
-	}
 }
 
 func b2i(b bool) int64 {

@@ -14,40 +14,42 @@ import (
 
 // Lane-batched execution.
 //
-// LaneRunner executes a block's threads in warp-style batches of W lanes in
+// A Runner executes a block's threads in warp-style batches of W lanes in
 // lockstep: one opcode dispatch drives a tight per-opcode loop over all
-// active lanes, amortizing the dispatch cost that dominates the scalar
-// Runner.  Registers live in structure-of-arrays slabs — slab[reg*W + lane]
-// — so the per-lane loops walk contiguous memory.
+// active lanes, amortizing the dispatch cost that dominates a
+// thread-at-a-time loop.  Registers live in structure-of-arrays slabs —
+// slab[reg*W + lane] — so the per-lane loops walk contiguous memory.
 //
 // Divergence is handled by an active-lane set plus a min-pc scheduler: the
 // lanes at the smallest program counter always run first, so groups split
 // by a conditional jump naturally reconverge at the compiler's jump-lowered
 // merge points (an if/else joins where the forward jumps land; a loop's
 // back edge brings its lanes behind the exited ones, which wait at the
-// loop's end label).  Each lane individually executes exactly the scalar
+// loop's end label).  Each lane individually executes exactly its thread's
 // instruction sequence; the scheduler only chooses the interleaving, which
-// for race-free kernels cannot change memory, Work, or errors.
+// for race-free kernels cannot change memory, Work, or errors.  A kernel
+// with an intra-block data race (undefined in CUDA) may differ from the
+// thread-serial interpreter; at lane width 1 the schedule is thread-serial
+// too.
 //
 // Barrier kernels keep one batch context per batch so every lane's state
 // survives across rounds: a batch runs until all its lanes are waiting at
 // opSync (or done/dead), and when every batch has arrived the barrier
 // releases all of them — the same block-wide cyclic barrier with early
-// departure the interpreter and the scalar phased scheduler implement.
+// departure the interpreter implements.
 //
-// Error semantics match the scalar engine: a dying lane (out-of-bounds,
+// Error semantics match the interpreter: a dying lane (out-of-bounds,
 // div-by-zero, loop budget, opErr) stops executing while the others
 // continue, and the block reports the erroring lane with the smallest
-// thread id, with zero Work — exactly the interpreter's thread-id-order
-// first-error rule.
+// thread id, with zero Work — the thread-id-order first-error rule.
 
-// laneWidth is the process-default batch width for new LaneRunners.
+// laneWidth is the process-default batch width for new Runners.
 var laneWidth atomic.Int32
 
 func init() { laneWidth.Store(32) }
 
-// SetLaneWidth sets the default lane-batch width for LaneRunners created
-// from now on, clamped to [1, 64], and returns the previous width.  It
+// SetLaneWidth sets the default lane-batch width for Runners created from
+// now on, clamped to [1, 64], and returns the previous width.  It
 // exists for tests that exercise partial tail batches and divergence at
 // odd widths; the default of 32 balances dispatch amortization against
 // divergence cost.
@@ -88,91 +90,12 @@ type laneBatch struct {
 	tkn []bool // per-lane taken mask scratch for conditional jumps
 }
 
-// LaneRunner executes the blocks of one launch through the lane-batched
-// dispatcher.  Like Runner it is not safe for concurrent use; the worker
-// pool gives each worker its own LaneRunner over the shared Launch.
-type LaneRunner struct {
-	r *Runner
-	w int // lane width
-
-	// mutI / mutF list the variable slots the kernel writes (int and float
-	// register files respectively).  Only these rows go stale between
-	// batches; resetBatch skips the rest, which for read-only-argument
-	// kernels is all of them.
-	mutI, mutF []int
-
-	batch   *laneBatch   // straight-line path: one batch, reused
-	batches []*laneBatch // phased path: one per batch, states live across rounds
-}
-
-// NewLaneRunner builds a lane-batched runner for the launch, sampling the
-// global profiling switch like NewRunner.
-func NewLaneRunner(l *interp.Launch) (*LaneRunner, error) {
-	return NewLaneRunnerProfiled(l, profilingEnabled.Load())
-}
-
-// NewLaneRunnerProfiled is NewLaneRunner with the profiling decision
-// supplied by the caller (see NewRunnerProfiled).
-func NewLaneRunnerProfiled(l *interp.Launch, profiled bool) (*LaneRunner, error) {
-	r, err := NewRunnerProfiled(l, profiled)
-	if err != nil {
-		return nil, err
-	}
-	lr := &LaneRunner{r: r, w: LaneWidth()}
-	lr.mutI, lr.mutF = slotWriters(r.p)
-	return lr, nil
-}
-
-// slotWriters scans a compiled program for variable slots it writes: int
-// slots are registers [numReservedI, numReservedI+NumSlots) of the int file,
-// float slots are registers [0, NumSlots) of the float file.  resetBatch
-// uses the result to refresh only the rows a previous batch can have
-// clobbered.
-func slotWriters(p *CompiledKernel) (mutI, mutF []int) {
-	ns := p.Kernel.NumSlots
-	seenI := make([]bool, ns)
-	seenF := make([]bool, ns)
-	for _, in := range p.code {
-		switch in.op {
-		case opMovVar:
-			// Writes int slot d and float slot d directly.
-			seenI[in.d] = true
-			seenF[in.d] = true
-		case opMovI, opNotI, opNotF, opCastFI, opCastU8,
-			opNegI, opAddI, opSubI, opMulI, opMulAddI, opDivI, opRemI,
-			opAndI, opOrI, opXorI, opShlI, opShrI,
-			opLtI, opLeI, opGtI, opGeI, opEqI, opNeI,
-			opLtF, opLeF, opGtF, opGeF, opEqF, opNeF,
-			opMinI, opMaxI, opAbsI, opLdGI, opLdGU8, opLdSI:
-			if s := int(in.d) - numReservedI; s >= 0 && s < ns {
-				seenI[s] = true
-			}
-		case opMovF, opCastIF,
-			opNegF, opAddF, opSubF, opMulF, opMulAddF, opDivF,
-			opSqrt, opExp, opLog, opFabs, opFmin, opFmax, opPow,
-			opSin, opCos, opTanh, opLdGF, opLdSF:
-			if int(in.d) < ns {
-				seenF[int(in.d)] = true
-			}
-		}
-	}
-	for s := 0; s < ns; s++ {
-		if seenI[s] {
-			mutI = append(mutI, s)
-		}
-		if seenF[s] {
-			mutF = append(mutF, s)
-		}
-	}
-	return mutI, mutF
-}
-
 // newBatch allocates a batch context and replicates the launch-level
 // register images across all lanes.  Constants, scalar arguments, and the
 // grid/block-dim builtins never change after this; resetBatch refreshes
 // only the per-block and per-thread rows.
-func (lr *LaneRunner) newBatch() *laneBatch {
-	p, W := lr.r.p, lr.w
+func (r *Runner) newBatch() *laneBatch {
+	p, W := r.p, r.w
 	b := &laneBatch{
 		li:    make([]int64, p.numI*W),
 		lf:    make([]float64, p.numF*W),
@@ -183,13 +106,13 @@ func (lr *LaneRunner) newBatch() *laneBatch {
 		act:   make([]int, 0, W),
 		tkn:   make([]bool, W),
 	}
-	for reg, v := range lr.r.baseI {
+	for reg, v := range r.baseI {
 		row := b.li[reg*W : (reg+1)*W]
 		for i := range row {
 			row[i] = v
 		}
 	}
-	for reg, v := range lr.r.baseF {
+	for reg, v := range r.baseF {
 		row := b.lf[reg*W : (reg+1)*W]
 		for i := range row {
 			row[i] = v
@@ -204,8 +127,8 @@ func (lr *LaneRunner) newBatch() *laneBatch {
 // rest keep their newBatch image), and per-lane control state.  Temporary
 // rows need no reset — the compiler guarantees every temporary is written
 // before read on all paths.
-func (lr *LaneRunner) resetBatch(b *laneBatch, base, cnt int) {
-	r, W := lr.r, lr.w
+func (r *Runner) resetBatch(b *laneBatch, base, cnt int) {
+	W := r.w
 	bdx := r.baseI[regBdx]
 	bx, by := r.baseI[regBx], r.baseI[regBy]
 	tx, ty := b.li[regTx*W:regTx*W+cnt], b.li[regTy*W:regTy*W+cnt]
@@ -234,14 +157,14 @@ func (lr *LaneRunner) resetBatch(b *laneBatch, base, cnt int) {
 	for ln := cnt; ln < W; ln++ {
 		b.stat[ln] = stDone
 	}
-	for _, s := range lr.mutI {
+	for _, s := range r.p.mutI {
 		vi := r.baseI[numReservedI+s]
 		row := b.li[(numReservedI+s)*W : (numReservedI+s)*W+cnt]
 		for i := range row {
 			row[i] = vi
 		}
 	}
-	for _, s := range lr.mutF {
+	for _, s := range r.p.mutF {
 		vf := r.baseF[s]
 		rowF := b.lf[s*W : s*W+cnt]
 		for i := range rowF {
@@ -251,35 +174,26 @@ func (lr *LaneRunner) resetBatch(b *laneBatch, base, cnt int) {
 	b.base, b.cnt = base, cnt
 }
 
-// ExecBlock executes one GPU block (bx, by) through the lane dispatcher
-// and returns the work of all its threads.  On error the returned Work is
-// zero, matching the scalar engine and the interpreter.
-func (lr *LaneRunner) ExecBlock(bx, by int) (interp.Work, error) {
-	r := lr.r
-	r.baseI[regBx], r.baseI[regBy] = int64(bx), int64(by)
-	clear(r.sharedI)
-	clear(r.sharedF)
-	if r.p.hasSync {
-		return lr.lanesPhased()
+// batch returns the i-th batch context, allocating contexts up to it.
+func (r *Runner) batch(i int) *laneBatch {
+	for len(r.batches) <= i {
+		r.batches = append(r.batches, r.newBatch())
 	}
-	return lr.lanesStraight()
+	return r.batches[i]
 }
 
 // lanesStraight runs a barrier-free block batch by batch.  A batch with an
-// erroring lane aborts the block with the lowest-thread-id error, like the
-// scalar engine's first-error abort.
-func (lr *LaneRunner) lanesStraight() (interp.Work, error) {
-	r, W := lr.r, lr.w
+// erroring lane aborts the block with the lowest-thread-id error: threads
+// of later batches would run after it in the interpreter's order too.
+func (r *Runner) lanesStraight() (interp.Work, error) {
+	W := r.w
 	n := int(r.baseI[regBdx]) * int(r.baseI[regBdy])
-	if lr.batch == nil {
-		lr.batch = lr.newBatch()
-	}
-	b := lr.batch
+	b := r.batch(0)
 	var w interp.Work
 	for base := 0; base < n; base += W {
 		cnt := min(W, n-base)
-		lr.resetBatch(b, base, cnt)
-		lr.runBatch(b, &w, true)
+		r.resetBatch(b, base, cnt)
+		r.runBatch(b, &w, true)
 		for ln := 0; ln < cnt; ln++ {
 			if b.errs[ln] != nil {
 				return interp.Work{}, b.errs[ln]
@@ -293,29 +207,26 @@ func (lr *LaneRunner) lanesStraight() (interp.Work, error) {
 // each round runs every batch until all its live lanes are waiting at the
 // barrier (or finished), and then the barrier releases all of them — the
 // interpreter's block-wide cyclic barrier with early departure.  Like the
-// scalar phased scheduler, every thread runs to completion before the
-// first error in thread-id order is reported.
-func (lr *LaneRunner) lanesPhased() (interp.Work, error) {
-	r, W := lr.r, lr.w
+// interpreter, every thread runs to completion before the first error in
+// thread-id order is reported.
+func (r *Runner) lanesPhased() (interp.Work, error) {
+	W := r.w
 	n := int(r.baseI[regBdx]) * int(r.baseI[regBdy])
 	nb := (n + W - 1) / W
-	for len(lr.batches) < nb {
-		lr.batches = append(lr.batches, lr.newBatch())
-	}
 	for i := 0; i < nb; i++ {
 		base := i * W
-		lr.resetBatch(lr.batches[i], base, min(W, n-base))
+		r.resetBatch(r.batch(i), base, min(W, n-base))
 	}
 	var w interp.Work
 	fresh := true
 	for {
 		for i := 0; i < nb; i++ {
-			lr.runBatch(lr.batches[i], &w, fresh)
+			r.runBatch(r.batches[i], &w, fresh)
 		}
 		fresh = false
 		woke := false
 		for i := 0; i < nb; i++ {
-			b := lr.batches[i]
+			b := r.batches[i]
 			for ln := 0; ln < b.cnt; ln++ {
 				if b.stat[ln] == stWait {
 					b.stat[ln] = stRun
@@ -328,7 +239,7 @@ func (lr *LaneRunner) lanesPhased() (interp.Work, error) {
 		}
 	}
 	for i := 0; i < nb; i++ {
-		b := lr.batches[i]
+		b := r.batches[i]
 		for ln := 0; ln < b.cnt; ln++ {
 			if b.errs[ln] != nil {
 				return interp.Work{}, fmt.Errorf("vm: phased execution: %w", b.errs[ln])
@@ -343,36 +254,34 @@ func (lr *LaneRunner) lanesPhased() (interp.Work, error) {
 // the set, its pc, the next-merge pc (smallest parked runnable pc, -1 if
 // none), and whether any runnable lane remains.
 func (b *laneBatch) gather(act []int) ([]int, int32, int32, bool) {
-	minpc := int32(-1)
-	for ln := 0; ln < b.cnt; ln++ {
-		if b.stat[ln] == stRun && (minpc < 0 || b.pcs[ln] < minpc) {
-			minpc = b.pcs[ln]
-		}
-	}
-	if minpc < 0 {
-		return act[:0], 0, -1, false
-	}
 	act = act[:0]
-	nm := int32(-1)
+	minpc, nm := int32(-1), int32(-1)
 	for ln := 0; ln < b.cnt; ln++ {
 		if b.stat[ln] != stRun {
 			continue
 		}
-		if b.pcs[ln] == minpc {
+		switch pc := b.pcs[ln]; {
+		case pc == minpc:
 			act = append(act, ln)
-		} else if nm < 0 || b.pcs[ln] < nm {
-			nm = b.pcs[ln]
+		case minpc < 0 || pc < minpc:
+			// A new minimum: the old one was below every other pc seen,
+			// so it is now the next merge point.
+			nm, minpc = minpc, pc
+			act = append(act[:0], ln)
+		case nm < 0 || pc < nm:
+			nm = pc
 		}
 	}
-	return act, minpc, nm, true
+	return act, max(minpc, 0), nm, minpc >= 0
 }
 
 // splitJump resolves a conditional jump for the active set.  taken is
-// indexed by lane.  Uniform outcomes keep the set intact (the dispatch
-// loop's merge check handles a forward jump past parked lanes); a split
-// parks both halves at their respective pcs, folds the newly parked pcs
-// into nm (so "no parked lanes" stays synonymous with nm < 0), and empties
-// the set so the dispatcher re-gathers at the minimum.
+// indexed by lane.  Uniform outcomes keep the set intact; a split keeps the
+// half with the lower pc running and parks the other at its pc, folding it
+// into nm (so "no parked lanes" stays synonymous with nm < 0).  Lanes
+// parked earlier sit at or above the fall-through pc, so the kept half is
+// still at the batch minimum; in every case the dispatch loop's merge
+// check handles arriving at, or jumping past, parked lanes.
 func splitJump(b *laneBatch, act []int, taken []bool, pc, target, nm int32) ([]int, int32, int32) {
 	nt := 0
 	for _, ln := range act {
@@ -386,20 +295,22 @@ func splitJump(b *laneBatch, act []int, taken []bool, pc, target, nm int32) ([]i
 	case len(act):
 		return act, target, nm
 	}
+	lo, hi, loTaken := pc, target, false
+	if target < pc {
+		lo, hi, loTaken = target, pc, true
+	}
+	keep := act[:0]
 	for _, ln := range act {
-		if taken[ln] {
-			b.pcs[ln] = target
+		if taken[ln] == loTaken {
+			keep = append(keep, ln)
 		} else {
-			b.pcs[ln] = pc
+			b.pcs[ln] = hi
 		}
 	}
-	if nm < 0 || pc < nm {
-		nm = pc
+	if nm < 0 || hi < nm {
+		nm = hi
 	}
-	if target < nm {
-		nm = target
-	}
-	return act[:0], pc, nm
+	return keep, lo, nm
 }
 
 // filterRun drops non-runnable lanes from the active set in place.  Only
@@ -418,7 +329,7 @@ func filterRun(b *laneBatch, act []int) []int {
 // runBatch drives one batch until no lane is runnable: all lanes have
 // returned, died, or suspended at a barrier.  Work for the batch is
 // accumulated locally and flushed once at the end; charges are per
-// surviving lane, which matches the scalar engine exactly because a block
+// surviving lane, which matches the interpreter exactly because a block
 // with any dead lane reports zero Work anyway.
 //
 // Every per-opcode loop comes in two shapes.  The dense shape fires when
@@ -431,8 +342,8 @@ func filterRun(b *laneBatch, act []int) []int {
 //
 // fresh asserts that every lane in [0, cnt) is runnable at pc 0 (the state
 // resetBatch leaves), letting the entry skip the gather scan.
-func (lr *LaneRunner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
-	r, W := lr.r, lr.w
+func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
+	W := r.w
 	code := r.p.code
 	li, lf := b.li, b.lf
 	mem := r.mem
@@ -1437,8 +1348,8 @@ func (lr *LaneRunner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 			isAdd := in.op == opAtGAdd
 			keep := act[:0]
 			// Ascending lane order is ascending thread order, so lanes
-			// arriving together apply their updates exactly like the scalar
-			// engine's thread loop.
+			// arriving together apply their updates in the interpreter's
+			// thread order.
 			for _, ln := range act {
 				idx := int(li[ia+ln])
 				var mu *sync.Mutex

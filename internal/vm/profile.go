@@ -125,7 +125,7 @@ func instrument(kernelName string, p *CompiledKernel) (*CompiledKernel, *Profile
 	}
 	prof.counts = make([]atomic.Int64, len(prof.blocks))
 
-	q := *p // shallow copy: pools, shared metadata, and errs are immutable
+	q := *p // shallow copy: pools, shared metadata, errs, and written-slot lists are immutable (opProf writes no slot)
 	q.code = newCode
 	return &q, prof
 }
@@ -344,7 +344,7 @@ var opNames = [numOps]string{
 	opLdSI: "ld_si", opLdSF: "ld_sf", opStS: "st_s",
 	opAtGAdd: "at_gadd", opAtGMax: "at_gmax",
 	opAtSAdd: "at_sadd", opAtSMax: "at_smax",
-	opProf: "prof",
+	opProf:   "prof",
 	opMovVar: "mov_var", opMulAddF: "muladd_f", opMulAddI: "muladd_i",
 	opCJmpI: "cjmp_i", opCJmpF: "cjmp_f",
 }

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"reflect"
 	"testing"
 
 	"cucc/internal/interp"
@@ -295,5 +296,15 @@ func TestInstrumentJumpRemap(t *testing.T) {
 	}
 	if plain != len(p.code) {
 		t.Errorf("instrumented program has %d non-prof instructions, original %d", plain, len(p.code))
+	}
+	// The written-slot lists are computed once, in Compile; the
+	// instrumented copy carries them, and they still describe its code.
+	mutI, mutF := slotWriters(ip.code, p.Kernel.NumSlots)
+	if len(p.mutI) == 0 || len(p.mutF) == 0 {
+		t.Errorf("compiled kernel records no written slots: int %v float %v", p.mutI, p.mutF)
+	}
+	if !reflect.DeepEqual(ip.mutI, mutI) || !reflect.DeepEqual(ip.mutF, mutF) {
+		t.Errorf("instrumented copy has written slots int %v float %v, its code writes int %v float %v",
+			ip.mutI, ip.mutF, mutI, mutF)
 	}
 }

@@ -4,10 +4,11 @@
 // dispatch and an (Value, error) return per node, this package lowers a
 // kernel once into a flat instruction slice over two preallocated register
 // files (int64 and float64, mirroring the two fields of interp.Value) and
-// then dispatches it in a tight loop.  Structured control flow becomes
-// jumps; literals become registers preloaded from a constant pool; barrier
-// kernels run as cooperatively scheduled threads that suspend at opSync
-// instead of one goroutine per GPU thread.
+// then dispatches it in a tight loop over warp-style lane batches (see
+// lanes.go).  Structured control flow becomes jumps; literals become
+// registers preloaded from a constant pool; barrier kernels run as
+// cooperatively scheduled batches that suspend at opSync instead of one
+// goroutine per GPU thread.
 //
 // The interpreter remains the semantic oracle: for every kernel the VM must
 // produce bitwise-identical memory, identical Work counters, and the same
@@ -229,13 +230,19 @@ type CompiledKernel struct {
 	sharedLen int // total elements across all shared arrays
 
 	hasSync bool
+
+	// mutI / mutF list the variable slots the program writes (int and float
+	// register files respectively).  Only these rows go stale between lane
+	// batches; Runner.resetBatch skips the rest, which for
+	// read-only-argument kernels is all of them.
+	mutI, mutF []int
 }
 
 // NumInstructions returns the length of the compiled instruction stream.
 func (p *CompiledKernel) NumInstructions() int { return len(p.code) }
 
 // HasSync reports whether the program contains a __syncthreads barrier (and
-// therefore runs on the cooperative phased scheduler).
+// therefore keeps one batch context per batch across barrier rounds).
 func (p *CompiledKernel) HasSync() bool { return p.hasSync }
 
 // The compile cache memoizes compilation per kernel identity: every launch
