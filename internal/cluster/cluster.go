@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cucc/internal/comm"
@@ -101,7 +102,14 @@ type Cluster struct {
 	cfg     Config
 	nodes   []*Node
 	metrics *metrics.Registry
+
+	// heapEnd is the per-node address space Alloc has reserved; backed is
+	// how much of it every node's memory currently covers (len(Node.mem)),
+	// or -1 once the cluster is closed.  heapMu serialises commit and
+	// Close; see heap.go.
 	heapEnd int
+	backed  atomic.Int64
+	heapMu  sync.Mutex
 
 	// netMu guards the swappable transport state below: recovery replaces
 	// networks (subgroup adoption, full-width rejoin) while metrics gauges
@@ -116,7 +124,10 @@ type Cluster struct {
 // Node is one cluster node.
 type Node struct {
 	Rank int
+	// mem is the node's heap, len == the committed heapEnd; slab is the
+	// pooled allocation backing it (nil until the first commit).
 	mem  []byte
+	slab *[]byte
 	// Clock is the node's simulated time in seconds.
 	Clock float64
 	// Comm accumulates the node's collective traffic (sent and received).
@@ -306,8 +317,15 @@ func (c *Cluster) registerGauges() {
 	}
 }
 
-// Close releases the cluster's transport (and any live recovery subgroup's).
+// Close releases the cluster's transport (and any live recovery subgroup's)
+// and returns every node's memory to the process-wide free list, from which
+// a later cluster may take it: results must be read before Close, and slices
+// obtained from Region or HeapBytes must not be used after it.  Closing
+// twice is harmless; Alloc, Region, Mem and HeapBytes panic afterwards.
 func (c *Cluster) Close() {
+	if !c.releaseHeaps() {
+		return
+	}
 	c.netMu.Lock()
 	net, sub := c.network, c.sub
 	c.netMu.Unlock()
@@ -319,56 +337,67 @@ func (c *Cluster) Close() {
 
 // Alloc reserves a buffer of count elements at the same offset on every
 // node (zero-initialized), the analogue of cudaMalloc in the CuCC host API.
+// It only advances the heap end; memory is committed by the first access
+// (see heap.go).  Like every host-API call it must not run concurrently
+// with accesses to the cluster's memory.
 func (c *Cluster) Alloc(elem kir.ScalarType, count int) Buffer {
+	if c.backed.Load() < 0 {
+		panic(errUseAfterClose)
+	}
+	if size := elem.Size(); size == 0 || count < 0 || count > (math.MaxInt-c.heapEnd)/size {
+		panic(fmt.Sprintf("cluster: invalid allocation of %d %v elements at heap end %d", count, elem, c.heapEnd))
+	}
 	b := Buffer{Off: c.heapEnd, Elem: elem, Count: count}
-	c.heapEnd += b.Bytes()
-	if c.cfg.MaxBytesPerNode > 0 && c.heapEnd > c.cfg.MaxBytesPerNode {
+	if end := c.heapEnd + b.Bytes(); c.cfg.MaxBytesPerNode > 0 && end > c.cfg.MaxBytesPerNode {
 		panic(fmt.Sprintf("cluster: allocation exceeds %d bytes per node (%d requested); use virtual buffers with Session.Estimate for paper-scale sweeps",
-			c.cfg.MaxBytesPerNode, c.heapEnd))
+			c.cfg.MaxBytesPerNode, end))
 	}
-	for _, n := range c.nodes {
-		if len(n.mem) < c.heapEnd {
-			grown := make([]byte, c.heapEnd)
-			copy(grown, n.mem)
-			n.mem = grown
-		}
-	}
+	c.heapEnd += b.Bytes()
 	return b
 }
 
 // Region returns node r's bytes for the buffer (aliasing the node memory).
 func (c *Cluster) Region(r int, b Buffer) []byte {
-	return c.nodes[r].mem[b.Off : b.Off+b.Bytes()]
+	return c.heap(r)[b.Off : b.Off+b.Bytes()]
 }
 
 // WriteAll copies identical bytes into the buffer on every node (the H2D
 // broadcast before kernel launch; all nodes start with identical copies).
 func (c *Cluster) WriteAll(b Buffer, data []byte) error {
-	if len(data) > b.Bytes() {
-		return fmt.Errorf("cluster: writing %d bytes into %d-byte buffer", len(data), b.Bytes())
-	}
-	for r := range c.nodes {
-		copy(c.Region(r, b), data)
-	}
-	return nil
+	return c.broadcast(b, len(data), func(dst []byte) { copy(dst, data) })
 }
 
 // WriteAllF32 broadcasts float32 data into the buffer on every node.
 func (c *Cluster) WriteAllF32(b Buffer, data []float32) error {
-	raw := make([]byte, 4*len(data))
-	for i, v := range data {
-		binary.LittleEndian.PutUint32(raw[4*i:], math.Float32bits(v))
-	}
-	return c.WriteAll(b, raw)
+	return c.broadcast(b, 4*len(data), func(dst []byte) {
+		for i, v := range data {
+			binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(v))
+		}
+	})
 }
 
 // WriteAllI32 broadcasts int32 data into the buffer on every node.
 func (c *Cluster) WriteAllI32(b Buffer, data []int32) error {
-	raw := make([]byte, 4*len(data))
-	for i, v := range data {
-		binary.LittleEndian.PutUint32(raw[4*i:], uint32(v))
+	return c.broadcast(b, 4*len(data), func(dst []byte) {
+		for i, v := range data {
+			binary.LittleEndian.PutUint32(dst[4*i:], uint32(v))
+		}
+	})
+}
+
+// broadcast has encode fill the first n bytes of the buffer on node 0 and
+// copies them from there to every other node: host data is encoded once, in
+// place, with no temporary.
+func (c *Cluster) broadcast(b Buffer, n int, encode func(dst []byte)) error {
+	if n > b.Bytes() {
+		return fmt.Errorf("cluster: writing %d bytes into %d-byte buffer", n, b.Bytes())
 	}
-	return c.WriteAll(b, raw)
+	src := c.Region(0, b)[:n]
+	encode(src)
+	for r := 1; r < len(c.nodes); r++ {
+		copy(c.Region(r, b), src)
+	}
+	return nil
 }
 
 // ReadF32 decodes the buffer from node r (the D2H copy).
@@ -460,24 +489,45 @@ func (c *Cluster) ResetClocks() {
 // Mem builds an interp.Memory view of node r with the given buffers bound
 // to the kernel's pointer parameters (index = parameter position).
 func (c *Cluster) Mem(r int, binds map[int]Buffer) *NodeMem {
-	return &NodeMem{node: c.nodes[r], binds: binds}
+	c.heap(r) // commit, so the accessors below can index node.mem directly
+	size := 0
+	for p := range binds {
+		size = max(size, p+1)
+	}
+	m := &NodeMem{node: c.nodes[r], binds: make([]Buffer, size)}
+	for p, b := range binds {
+		m.binds[p] = b
+	}
+	return m
 }
 
 // NodeMem adapts one node's private memory to the interpreter's Memory
 // interface.
 type NodeMem struct {
-	node  *Node
-	binds map[int]Buffer
+	node *Node
+	// binds is indexed by parameter position; a slot whose Elem is
+	// kir.Invalid has no buffer bound.  The natives and the interpreter
+	// come through here once per element, so the lookup is a bounds check,
+	// not a map probe.
+	binds []Buffer
 }
 
 var _ interp.AtomicMemory = (*NodeMem)(nil)
 
 func (m *NodeMem) buf(param int) Buffer {
-	b, ok := m.binds[param]
-	if !ok {
-		panic(fmt.Sprintf("cluster: no buffer bound to param %d", param))
+	if uint(param) >= uint(len(m.binds)) || m.binds[param].Elem == kir.Invalid {
+		panic(unboundParam(param))
 	}
-	return b
+	return m.binds[param]
+}
+
+// unboundParam is the panic value for an access through a parameter no
+// buffer is bound to; a typed value rather than a formatted string keeps
+// buf within the inliner's budget, so the accessors pay no call for it.
+type unboundParam int
+
+func (p unboundParam) Error() string {
+	return fmt.Sprintf("cluster: no buffer bound to param %d", int(p))
 }
 
 // Len implements interp.Memory.

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -437,4 +438,167 @@ func TestSubgroupRunsAfterAbort(t *testing.T) {
 	if _, err := c.AdoptSubgroup([]int{0, 1}); err == nil {
 		t.Fatal("AdoptSubgroup after a cluster-level abort must refuse")
 	}
+}
+
+// heapOf returns a copy of node r's whole heap.
+func heapOf(c *Cluster, r int) []byte {
+	return append([]byte(nil), c.HeapBytes(r, 0, c.BytesPerNode())...)
+}
+
+func mustPanic(t *testing.T, what, want string, fn func()) {
+	t.Helper()
+	defer func() {
+		if got := fmt.Sprint(recover()); !strings.Contains(got, want) {
+			t.Errorf("%s: panic %q, want one containing %q", what, got, want)
+		}
+	}()
+	fn()
+}
+
+// TestRecycledHeapsReadZero: node memory outlives a cluster on the free
+// list, so whatever a closed cluster left in it must be invisible to the
+// next one — at the same size, a smaller one, a larger one, and in the tail
+// a heap exposes when it grows inside a slab that was already large enough.
+func TestRecycledHeapsReadZero(t *testing.T) {
+	const size = 1 << 16
+	dirty := func() {
+		c := newTestCluster(t, 8)
+		b := c.Alloc(kir.U8, size)
+		if err := c.WriteAll(b, bytes.Repeat([]byte{0xFF}, size)); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+	}
+	assertZero := func(c *Cluster, b Buffer, what string) {
+		t.Helper()
+		for r := 0; r < c.N(); r++ {
+			if i := bytes.IndexFunc(c.Region(r, b), func(x rune) bool { return x != 0 }); i >= 0 {
+				t.Fatalf("%s: node %d byte %d of a fresh buffer is not zero", what, r, i)
+			}
+		}
+	}
+	for _, n := range []int{size, size/2 + 3, 2 * size} {
+		dirty()
+		c := newTestCluster(t, 8)
+		assertZero(c, c.Alloc(kir.U8, n), fmt.Sprintf("%d bytes after a %d-byte tenant", n, size))
+		c.Close()
+	}
+	dirty()
+	c := newTestCluster(t, 8)
+	head := c.Alloc(kir.U8, size/2+3) // same size class as the dirty slabs
+	assertZero(c, head, "head")
+	if err := c.WriteAll(head, bytes.Repeat([]byte{0xEE}, head.Count)); err != nil {
+		t.Fatal(err)
+	}
+	tail := c.Alloc(kir.U8, size/4) // grows in place, re-exposing old bytes
+	assertZero(c, tail, "tail exposed by growth inside the slab")
+	if got := c.Region(3, head); got[0] != 0xEE || got[len(got)-1] != 0xEE {
+		t.Error("growth inside the slab lost earlier contents")
+	}
+}
+
+// TestLazyCommitPreservesContents: allocate-all-then-write and
+// allocate-write-allocate-write leave identical heaps, whether the second
+// allocation fits the slab the first commit took or outgrows it.
+func TestLazyCommitPreservesContents(t *testing.T) {
+	one := []float32{1, 2, 3, 4, 5, 6, 7, 8}
+	for _, second := range []int{5, 4096} {
+		two := make([]int32, second)
+		for i := range two {
+			two[i] = int32(-i - 1)
+		}
+		upfront := newTestCluster(t, 3)
+		a, b := upfront.Alloc(kir.F32, len(one)), upfront.Alloc(kir.I32, second)
+		if err := errors.Join(upfront.WriteAllF32(a, one), upfront.WriteAllI32(b, two)); err != nil {
+			t.Fatal(err)
+		}
+		stepwise := newTestCluster(t, 3)
+		a = stepwise.Alloc(kir.F32, len(one))
+		if err := stepwise.WriteAllF32(a, one); err != nil {
+			t.Fatal(err)
+		}
+		b = stepwise.Alloc(kir.I32, second)
+		if err := stepwise.WriteAllI32(b, two); err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < 3; r++ {
+			if !bytes.Equal(heapOf(upfront, r), heapOf(stepwise, r)) {
+				t.Errorf("second buffer of %d: node %d heap differs between the two orders", second, r)
+			}
+		}
+		if got := stepwise.ReadF32(2, a); got[7] != 8 {
+			t.Errorf("second buffer of %d: first buffer lost across growth: %v", second, got)
+		}
+	}
+}
+
+// TestConcurrentFirstRegion: ranks reach Region concurrently on a cluster
+// nothing has touched yet (core's launch and the benchmark's collective
+// probes both do); exactly one of them commits.  Run under -race.
+func TestConcurrentFirstRegion(t *testing.T) {
+	c := newTestCluster(t, 8)
+	b := c.Alloc(kir.I32, 1024)
+	var wg sync.WaitGroup
+	for r := 0; r < c.N(); r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			reg := c.Region(r, b)
+			if len(reg) != b.Bytes() {
+				t.Errorf("node %d: region of %d bytes, want %d", r, len(reg), b.Bytes())
+			}
+			reg[0] = byte(r + 1)
+		}(r)
+	}
+	wg.Wait()
+	for r := 0; r < c.N(); r++ {
+		if got := c.Region(r, b)[0]; got != byte(r+1) {
+			t.Errorf("node %d: first byte %d, want %d (heaps shared or re-committed)", r, got, r+1)
+		}
+	}
+}
+
+// TestHeapLengthIsExact: a slab is larger than the heap it backs, but the
+// node's memory is not: an access past the last allocation still panics.
+func TestHeapLengthIsExact(t *testing.T) {
+	c := newTestCluster(t, 1)
+	b := c.Alloc(kir.U8, 100) // backed by a 128-byte slab
+	mustPanic(t, "HeapBytes past the heap end", "out of range", func() { c.HeapBytes(0, 0, 101) })
+	mustPanic(t, "store past the heap end", "out of range", func() {
+		c.Mem(0, map[int]Buffer{0: b}).StoreU8(0, 100, 1)
+	})
+	mustPanic(t, "unbound param", "no buffer bound to param 1", func() {
+		c.Mem(0, map[int]Buffer{0: b, 2: b}).LoadU8(1, 0)
+	})
+}
+
+// TestCloseIdempotentAndFinal: a second Close must not put the same slabs
+// on the free list twice (two later clusters would share memory), and a
+// closed cluster panics instead of reading bytes it no longer owns.
+func TestCloseIdempotentAndFinal(t *testing.T) {
+	c := newTestCluster(t, 1)
+	b := c.Alloc(kir.U8, 4096)
+	c.Region(0, b)[0] = 1
+	c.Close()
+	c.Close()
+
+	x, y := newTestCluster(t, 1), newTestCluster(t, 1)
+	bx, by := x.Alloc(kir.U8, 4096), y.Alloc(kir.U8, 4096)
+	x.Region(0, bx)[7] = 0xAB
+	if y.Region(0, by)[7] != 0 {
+		t.Error("two live clusters share a slab after a double Close")
+	}
+
+	for what, fn := range map[string]func(){
+		"Region":    func() { c.Region(0, b) },
+		"Mem":       func() { c.Mem(0, map[int]Buffer{0: b}) },
+		"HeapBytes": func() { c.HeapBytes(0, 0, 1) },
+		"Alloc":     func() { c.Alloc(kir.U8, 1) },
+		"WriteAll":  func() { _ = c.WriteAll(b, []byte{1}) },
+	} {
+		mustPanic(t, what+" after Close", "cluster: use after Close", fn)
+	}
+	empty := newTestCluster(t, 2) // never allocated: nothing to release
+	empty.Close()
+	mustPanic(t, "Region on a closed empty cluster", "cluster: use after Close", func() { empty.Region(0, Buffer{}) })
 }

@@ -194,5 +194,5 @@ func (g *Group) SyncClocksMax(dt float64) {
 // node memory: the access path checkpoint capture/restore and crashed-node
 // repair use.
 func (c *Cluster) HeapBytes(r, off, n int) []byte {
-	return c.nodes[r].mem[off : off+n]
+	return c.heap(r)[off : off+n]
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"cucc/internal/cluster"
@@ -11,6 +12,7 @@ import (
 	"cucc/internal/interp"
 	"cucc/internal/kir"
 	"cucc/internal/machine"
+	"cucc/internal/recovery"
 	"cucc/internal/simnet"
 	"cucc/internal/suites"
 )
@@ -205,5 +207,65 @@ func BenchmarkLaunchShapes(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// gatherJob runs what cuccd runs for one suite-mode Transpose job: a fresh
+// cluster with recovery on, build (allocate + broadcast the input), launch,
+// output check, close.
+func gatherJob(tb testing.TB, nodes int) {
+	tb.Helper()
+	p, _ := suites.ByName("Transpose")
+	c, err := cluster.New(cluster.Config{Nodes: nodes, Machine: machine.Intel6226(), Net: simnet.IB100(),
+		Recovery: recovery.Policy{Enabled: true}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer c.Close()
+	inst, err := p.Build(c, p.Small)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := core.NewSession(c, p.Compiled).Launch(inst.Spec); err != nil {
+		tb.Fatal(err)
+	}
+	if err := inst.Check(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkGatherJob times the whole per-job path of the benchmark's gather
+// workload (1 MiB in, 1 MiB out) at its two node counts.
+func BenchmarkGatherJob(b *testing.B) {
+	for _, nodes := range []int{8, 2} {
+		b.Run(fmt.Sprintf("n%d", nodes), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				gatherJob(b, nodes)
+			}
+		})
+	}
+}
+
+// TestGatherJobAllocBudget: once the node-heap free list is warm, a gather
+// job at 8 nodes allocates its own data (the input, the expected output,
+// launch bookkeeping), not 8 node heaps: under 12 MB where the
+// allocate-per-Alloc heaps took 36.7 MB.
+func TestGatherJobAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
+	const runs = 5
+	gatherJob(t, 8)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		gatherJob(t, 8)
+	}
+	runtime.ReadMemStats(&after)
+	if perJob := (after.TotalAlloc - before.TotalAlloc) / runs; perJob >= 12<<20 {
+		t.Errorf("warm gather job at 8 nodes allocated %d bytes, budget is %d", perJob, 12<<20)
+	} else {
+		t.Logf("warm gather job at 8 nodes: %d bytes allocated", perJob)
 	}
 }

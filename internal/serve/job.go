@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -66,11 +67,16 @@ func (s *Server) compileSource(src string) (*core.Program, bool, error) {
 // runJob executes one admitted job on a fresh cluster with an isolated
 // metrics registry and trace capture, and classifies the outcome.
 //
-// The cluster is per-job by design: the registry must be wired at cluster
-// construction (the metered transport wraps at New), the node heap grows
-// monotonically (no free), and Abort is sticky — so "warm" state shared
-// across jobs is the compiled-program state (suite registry, source cache,
-// VM compile cache), not cluster sessions.
+// The cluster is per-job by design, for isolation and because Abort is
+// sticky: each job gets its own registry (wired at construction — the
+// metered transport wraps at New), its own transport that a deadline or a
+// failed rank can kill without touching a neighbour, and node heaps no
+// other tenant has a handle on.  What is warm across jobs is the
+// compiled-program state (suite registry, source cache, VM compile cache)
+// and the node memory itself: Close returns the heaps to cluster's free
+// list and the next job's cluster gets them back cleared, so everything
+// read from the cluster (output check, buffer CRCs) happens before the
+// deferred Close below.
 func (s *Server) runJob(j *job) *Response {
 	start := time.Now()
 	queueMs := start.Sub(j.enqueued).Seconds() * 1e3
@@ -293,37 +299,64 @@ func (s *Server) runSourceJob(j *job, c *cluster.Cluster, rec *trace.Recorder, r
 		return nil, fmt.Errorf("serve: source has no kernel %q", j.req.Kernel)
 	}
 
-	var args []core.Arg
-	var bufs []cluster.Buffer
+	// Every argument is validated before the first Alloc: cluster.Alloc
+	// panics past the per-node cap, and a tenant's count must fail its own
+	// job, not the daemon.  The running sum is compared by division so that
+	// count x element size cannot overflow on the way to the check.
+	limit := s.cfg.MaxBytesPerNode
+	if limit <= 0 {
+		limit = math.MaxInt
+	}
+	elems := make([]kir.ScalarType, len(j.req.Args))
+	total := 0
 	for i, as := range j.req.Args {
 		switch as.Kind {
 		case "buf":
-			var elem kir.ScalarType
 			switch as.Elem {
 			case "f32":
-				elem = kir.F32
+				elems[i] = kir.F32
 			case "i32":
-				elem = kir.I32
+				elems[i] = kir.I32
 			case "u8":
-				elem = kir.U8
+				elems[i] = kir.U8
 			default:
 				return nil, fmt.Errorf("serve: arg %d: unknown buffer elem %q", i, as.Elem)
 			}
 			if as.Count <= 0 {
 				return nil, fmt.Errorf("serve: arg %d: buffer needs a positive count", i)
 			}
-			b := c.Alloc(elem, as.Count)
-			if err := fillBuffer(c, b, as); err != nil {
-				return nil, fmt.Errorf("serve: arg %d: %w", i, err)
+			size := elems[i].Size()
+			if as.Count > (limit-total)/size {
+				return nil, fmt.Errorf("serve: arg %d: %d %s elements on top of %d bytes exceed the per-node limit of %d bytes",
+					i, as.Count, as.Elem, total, limit)
 			}
-			bufs = append(bufs, b)
+			total += as.Count * size
+		case "int", "float":
+		default:
+			return nil, fmt.Errorf("serve: arg %d: unknown kind %q", i, as.Kind)
+		}
+	}
+
+	// Allocate every buffer, then fill: the first fill commits the node
+	// heaps once, at their final size.
+	var args []core.Arg
+	var bufs []cluster.Buffer
+	var bufAt []int // bufs[k] is argument bufAt[k]
+	for i, as := range j.req.Args {
+		switch as.Kind {
+		case "buf":
+			b := c.Alloc(elems[i], as.Count)
+			bufs, bufAt = append(bufs, b), append(bufAt, i)
 			args = append(args, core.BufArg(b))
 		case "int":
 			args = append(args, core.IntArg(as.Int))
 		case "float":
 			args = append(args, core.FloatArg(as.Float))
-		default:
-			return nil, fmt.Errorf("serve: arg %d: unknown kind %q", i, as.Kind)
+		}
+	}
+	for k, b := range bufs {
+		if err := fillBuffer(c, b, j.req.Args[bufAt[k]]); err != nil {
+			return nil, fmt.Errorf("serve: arg %d: %w", bufAt[k], err)
 		}
 	}
 

@@ -424,6 +424,9 @@ func (s *Server) executor() {
 		s.finishLocked(j, resp)
 		s.mu.Unlock()
 		j.done <- resp
+		// Between jobs is where an executor can afford to let a thread
+		// the kernel has queued behind this one run (see osYield).
+		osYield()
 	}
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"net/http/httptest"
 	"reflect"
@@ -641,6 +642,34 @@ func TestHostileLaunchDims(t *testing.T) {
 				t.Errorf("dims %v engine %q: status %q err %q, want a launch-dimension error",
 					d, engine, resp.Status, resp.Err)
 			}
+		}
+	}
+	if resp := srv.Submit(vecAddSourceReq("t1")); resp.Status != StatusOK {
+		t.Fatalf("well-formed job after the hostile ones: status %q err %q", resp.Status, resp.Err)
+	}
+}
+
+// TestHostileBufferCounts: a buffer count whose byte size exceeds the
+// per-node cap, one whose byte size overflows int, and a set of buffers
+// that only exceeds the cap in sum each fail their own job before any
+// allocation; the executor survives to run the next job.
+func TestHostileBufferCounts(t *testing.T) {
+	const maxBytes = 1 << 20
+	srv := NewServer(Config{Executors: 1, Nodes: 2, Workers: 1, MaxBytesPerNode: maxBytes})
+	defer srv.Drain()
+	for _, counts := range [][3]int{
+		{maxBytes, 256, 256},                       // 4 x the cap in one f32 buffer
+		{math.MaxInt - 3, 256, 256},                // count x 4 overflows
+		{math.MaxInt / 4, math.MaxInt / 4, 256},    // each product fits, the sum overflows
+		{maxBytes / 8, maxBytes / 8, maxBytes / 8}, // 1.5 x the cap in sum
+	} {
+		req := vecAddSourceReq("t1")
+		for i, n := range counts {
+			req.Args[i].Count = n
+		}
+		resp := srv.Submit(req)
+		if resp.Status != StatusError || !strings.Contains(resp.Err, "per-node limit") {
+			t.Errorf("counts %v: status %q err %q, want a per-node-limit error", counts, resp.Status, resp.Err)
 		}
 	}
 	if resp := srv.Submit(vecAddSourceReq("t1")); resp.Status != StatusOK {

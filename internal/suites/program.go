@@ -15,7 +15,9 @@
 package suites
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 
@@ -173,16 +175,17 @@ func trafficOwner0(blocks, nodes int, wpb, tailW, elemSize int64) pgas.RankTraff
 	return tr
 }
 
-// checkF32 compares node 0's buffer against expected values exactly.
+// checkF32 compares node 0's buffer against expected values exactly,
+// decoding the node's bytes in place.
 func checkF32(c *cluster.Cluster, buf cluster.Buffer, want []float32, name string) func() error {
 	return func() error {
-		got := c.ReadF32(0, buf)
-		if len(got) != len(want) {
-			return fmt.Errorf("%s: output length %d, want %d", name, len(got), len(want))
+		if buf.Count != len(want) {
+			return fmt.Errorf("%s: output length %d, want %d", name, buf.Count, len(want))
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				return fmt.Errorf("%s: out[%d] = %g, want %g", name, i, got[i], want[i])
+		raw := c.Region(0, buf)
+		for i, w := range want {
+			if got := math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:])); got != w {
+				return fmt.Errorf("%s: out[%d] = %g, want %g", name, i, got, w)
 			}
 		}
 		return nil
@@ -192,13 +195,13 @@ func checkF32(c *cluster.Cluster, buf cluster.Buffer, want []float32, name strin
 // checkI32 compares node 0's int buffer against expected values.
 func checkI32(c *cluster.Cluster, buf cluster.Buffer, want []int32, name string) func() error {
 	return func() error {
-		got := c.ReadI32(0, buf)
-		if len(got) != len(want) {
-			return fmt.Errorf("%s: output length %d, want %d", name, len(got), len(want))
+		if buf.Count != len(want) {
+			return fmt.Errorf("%s: output length %d, want %d", name, buf.Count, len(want))
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				return fmt.Errorf("%s: out[%d] = %d, want %d", name, i, got[i], want[i])
+		raw := c.Region(0, buf)
+		for i, w := range want {
+			if got := int32(binary.LittleEndian.Uint32(raw[4*i:])); got != w {
+				return fmt.Errorf("%s: out[%d] = %d, want %d", name, i, got, w)
 			}
 		}
 		return nil

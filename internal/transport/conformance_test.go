@@ -256,14 +256,13 @@ func TestInprocSendToClosedPeer(t *testing.T) {
 // not cause the allocation; it poisons the endpoint with a descriptive
 // error instead.
 func TestTCPFrameCap(t *testing.T) {
-	net, err := NewTCP(2)
+	// The cap belongs to the network under test: rewriting a package-level
+	// cap here raced with read loops earlier tests left running.
+	net, err := newTCP(2, 1<<16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer net.Close()
-	old := MaxFrameBytes
-	MaxFrameBytes = 1 << 16
-	defer func() { MaxFrameBytes = old }()
 
 	// An in-range frame passes.
 	if err := net.Conn(0).Send(1, 1, make([]byte, 1024)); err != nil {

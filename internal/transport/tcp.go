@@ -13,9 +13,8 @@ import (
 // MaxFrameBytes caps the payload length of one TCP frame.  The 4-byte wire
 // length is attacker/bug-controlled input: without a cap a single corrupt
 // frame makes the reader allocate up to 4 GiB.  Oversized frames poison the
-// endpoint (all receives fail) and close the offending connection.  A
-// variable rather than a constant so tests can shrink it.
-var MaxFrameBytes uint32 = 64 << 20
+// endpoint (all receives fail) and close the offending connection.
+const MaxFrameBytes uint32 = 64 << 20
 
 // abortTag is the reserved wire tag of the cluster-abort control frame; its
 // payload is the abort cause.  User tags are non-negative ints, so the tag
@@ -26,11 +25,16 @@ const abortTag = ^uint32(0)
 // lazily-established connections.  Wire format per message:
 // [from:4][tag:4][len:4][payload].
 type TCPNetwork struct {
-	conns []*tcpConn
+	conns    []*tcpConn
+	maxFrame uint32 // frame cap; fixed before the first goroutine starts
 }
 
 // NewTCP builds an n-rank network over 127.0.0.1 listeners.
-func NewTCP(n int) (*TCPNetwork, error) {
+func NewTCP(n int) (*TCPNetwork, error) { return newTCP(n, MaxFrameBytes) }
+
+// newTCP is NewTCP with an explicit frame cap, so a test can shrink the cap
+// of the one network it exercises.
+func newTCP(n int, maxFrame uint32) (*TCPNetwork, error) {
 	listeners := make([]net.Listener, n)
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
@@ -44,7 +48,7 @@ func NewTCP(n int) (*TCPNetwork, error) {
 		listeners[i] = l
 		addrs[i] = l.Addr().String()
 	}
-	tn := &TCPNetwork{conns: make([]*tcpConn, n)}
+	tn := &TCPNetwork{conns: make([]*tcpConn, n), maxFrame: maxFrame}
 	for i := 0; i < n; i++ {
 		c := &tcpConn{
 			net:      tn,
@@ -135,8 +139,8 @@ func (c *tcpConn) readLoop(conn net.Conn) {
 		// that would allocate unboundedly or misattribute a sender, and
 		// poison the endpoint so the corruption is visible instead of
 		// silently hanging a later receive.
-		if length > MaxFrameBytes {
-			c.box.abortWith(fmt.Errorf("transport: rank %d: frame of %d bytes exceeds %d-byte cap", c.rank, length, MaxFrameBytes))
+		if length > c.net.maxFrame {
+			c.box.abortWith(fmt.Errorf("transport: rank %d: frame of %d bytes exceeds %d-byte cap", c.rank, length, c.net.maxFrame))
 			return
 		}
 		if from < 0 || from >= c.size {
@@ -160,8 +164,8 @@ func (c *tcpConn) readLoop(conn net.Conn) {
 // target peer's mutex is held, so concurrent sends to distinct ranks do not
 // serialize behind each other.
 func (c *tcpConn) writeFrame(to int, tag uint32, data []byte) error {
-	if len(data) > int(MaxFrameBytes) {
-		return fmt.Errorf("transport: send of %d bytes exceeds %d-byte frame cap", len(data), MaxFrameBytes)
+	if len(data) > int(c.net.maxFrame) {
+		return fmt.Errorf("transport: send of %d bytes exceeds %d-byte frame cap", len(data), c.net.maxFrame)
 	}
 	p := &c.peers[to]
 	p.mu.Lock()
