@@ -1,8 +1,8 @@
 # Tier-1 gate: everything `make check` runs must stay green.  CI and
 # pre-merge checks use this target; see ROADMAP.md.
-.PHONY: check build vet test bench-test race chaos bench prof bench-compare slo
+.PHONY: check build vet test bench-test bench-smoke race chaos bench prof bench-compare slo
 
-check: build vet test bench-test race
+check: build vet test bench-test race bench-smoke
 
 build:
 	go build ./...
@@ -19,8 +19,28 @@ test:
 bench-test:
 	cd bench && go test -timeout 120s ./...
 
+# The repository benchmark as the driver runs it, briefly (about a minute):
+# bench/ compiles against cucc/internal/... from outside the root module, so
+# only building and running it shows that an API it uses still has the shape
+# it expects.  Every workload untraced, and traced for the two workloads the
+# driver traces; each run must exit 0, correct, with no failed op.  Then
+# nothing under bench/ or BENCHMARK.json may differ from HEAD: a change that
+# claims a gain does not edit what measures it.
+bench-smoke:
+	@for run in "serve-small 0" "source-ir 0" "gather 0" "paper-sim 0" "gather 1" "paper-sim 1"; do \
+		set -- $$run; \
+		echo "bench-smoke: $$1 --trace $$2"; \
+		out=$$(bash bench/run.sh --workload $$1 --seed 1 --seconds 2 --trace $$2) || { echo "$$out"; exit 1; }; \
+		echo "$$out" | tail -1 | grep -q '"correct":true,"attempted":[0-9]*,"failed":0,' || { echo "$$out"; exit 1; }; \
+	done
+	git diff --quiet HEAD -- bench BENCHMARK.json
+
+# internal/suites takes 80+ s whole under the race detector, so the gate runs
+# the two tests of what this package shares between goroutines: the data set
+# concurrent Builds copy from, and the natives over node memory.
 race:
 	go test -race -timeout 120s ./internal/interp/ ./internal/vm/ ./internal/core/ ./internal/cluster/ ./internal/comm/ ./internal/csched/ ./internal/transport/ ./internal/metrics/ ./internal/trace/ ./internal/prof/ ./internal/recovery/ ./internal/serve/ ./internal/throughput/ ./internal/obs/
+	go test -race -timeout 120s -run 'TestBuildMatchesFreshGeneration|TestInterpMatchesNative' ./internal/suites/
 
 # Fault-injection suite under the race detector: seeded transport faults
 # (benign, lossy, and the deterministic rank kill) across the cluster chaos

@@ -387,11 +387,14 @@ func (c *Cluster) WriteAllI32(b Buffer, data []int32) error {
 
 // broadcast has encode fill the first n bytes of the buffer on node 0 and
 // copies them from there to every other node: host data is encoded once, in
-// place, with no temporary.
+// place, with no temporary.  When this is the access that commits the heaps,
+// those n bytes are not cleared first: every node's copy is overwritten
+// below, before broadcast returns.
 func (c *Cluster) broadcast(b Buffer, n int, encode func(dst []byte)) error {
 	if n > b.Bytes() {
 		return fmt.Errorf("cluster: writing %d bytes into %d-byte buffer", n, b.Bytes())
 	}
+	c.commit(b.Off, b.Off+n)
 	src := c.Region(0, b)[:n]
 	encode(src)
 	for r := 1; r < len(c.nodes); r++ {

@@ -455,20 +455,25 @@ func mustPanic(t *testing.T, what, want string, fn func()) {
 	fn()
 }
 
+// dirtySlabs leaves the free list holding nodes slabs of size bytes, every
+// byte 0xFF: what a departed tenant's data looks like to the next cluster.
+func dirtySlabs(t *testing.T, nodes, size int) {
+	t.Helper()
+	c := newTestCluster(t, nodes)
+	b := c.Alloc(kir.U8, size)
+	if err := c.WriteAll(b, bytes.Repeat([]byte{0xFF}, size)); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+}
+
 // TestRecycledHeapsReadZero: node memory outlives a cluster on the free
 // list, so whatever a closed cluster left in it must be invisible to the
 // next one — at the same size, a smaller one, a larger one, and in the tail
 // a heap exposes when it grows inside a slab that was already large enough.
 func TestRecycledHeapsReadZero(t *testing.T) {
 	const size = 1 << 16
-	dirty := func() {
-		c := newTestCluster(t, 8)
-		b := c.Alloc(kir.U8, size)
-		if err := c.WriteAll(b, bytes.Repeat([]byte{0xFF}, size)); err != nil {
-			t.Fatal(err)
-		}
-		c.Close()
-	}
+	dirty := func() { dirtySlabs(t, 8, size) }
 	assertZero := func(c *Cluster, b Buffer, what string) {
 		t.Helper()
 		for r := 0; r < c.N(); r++ {
@@ -495,6 +500,69 @@ func TestRecycledHeapsReadZero(t *testing.T) {
 	if got := c.Region(3, head); got[0] != 0xEE || got[len(got)-1] != 0xEE {
 		t.Error("growth inside the slab lost earlier contents")
 	}
+}
+
+// TestCommittingWriteClearsAllItDoesNotFill: when a WriteAll* is the access
+// that commits recycled slabs, only the bytes it then overwrites on every
+// node are spared the clearing.  The rest of its buffer, and every other
+// buffer, must still read zero; a write that is refused commits nothing; and
+// a commit that grows the heap keeps what earlier writes put there.
+func TestCommittingWriteClearsAllItDoesNotFill(t *testing.T) {
+	const size = 1 << 15
+	zeroFrom := func(c *Cluster, b Buffer, from int, what string) {
+		t.Helper()
+		for r := 0; r < c.N(); r++ {
+			if i := bytes.IndexFunc(c.Region(r, b)[from:], func(x rune) bool { return x != 0 }); i >= 0 {
+				t.Fatalf("%s: node %d byte %d is not zero", what, r, from+i)
+			}
+		}
+	}
+	short := bytes.Repeat([]byte{0xAB}, size/3)
+
+	dirtySlabs(t, 8, 2*size)
+	c := newTestCluster(t, 8)
+	a, b := c.Alloc(kir.U8, size), c.Alloc(kir.U8, size)
+	if err := c.WriteAll(a, short); err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < c.N(); r++ {
+		if !bytes.Equal(c.Region(r, a)[:len(short)], short) {
+			t.Fatalf("node %d does not hold the written prefix", r)
+		}
+	}
+	zeroFrom(c, a, len(short), "first buffer past the written prefix")
+	zeroFrom(c, b, 0, "second buffer")
+	c.Close()
+
+	dirtySlabs(t, 8, 2*size)
+	c = newTestCluster(t, 8)
+	a = c.Alloc(kir.U8, size)
+	if err := c.WriteAll(a, make([]byte, size+1)); err == nil {
+		t.Fatal("oversize WriteAll must fail")
+	}
+	if got := c.backed.Load(); got != 0 {
+		t.Fatalf("refused WriteAll committed %d bytes", got)
+	}
+	zeroFrom(c, a, 0, "buffer after a refused write")
+	c.Close()
+
+	dirtySlabs(t, 8, 2*size)
+	c = newTestCluster(t, 8)
+	a = c.Alloc(kir.U8, size)
+	if err := c.WriteAll(a, short); err != nil {
+		t.Fatal(err)
+	}
+	b = c.Alloc(kir.U8, size) // grows inside the recycled slab
+	if err := c.WriteAll(b, short); err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < c.N(); r++ {
+		if !bytes.Equal(c.Region(r, a)[:len(short)], short) || !bytes.Equal(c.Region(r, b)[:len(short)], short) {
+			t.Fatalf("node %d lost a written prefix across the second commit", r)
+		}
+	}
+	zeroFrom(c, a, len(short), "first buffer past its prefix, after growth")
+	zeroFrom(c, b, len(short), "second buffer past its prefix")
 }
 
 // TestLazyCommitPreservesContents: allocate-all-then-write and

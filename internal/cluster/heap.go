@@ -42,17 +42,21 @@ func putSlab(slab *[]byte) {
 // (Region from inside RunParallel); the check is one atomic load once the
 // heap is committed.
 func (c *Cluster) heap(r int) []byte {
-	if c.backed.Load() != int64(c.heapEnd) {
-		c.commit()
-	}
+	c.commit(0, 0)
 	return c.nodes[r].mem
 }
 
-// commit backs every node's heap at the current heapEnd.  Bytes a node
-// already holds are preserved; every newly exposed byte reads zero — a
-// recycled slab is cleared over exactly the range being exposed, which is
-// what keeps Alloc's zero-initialisation and tenant isolation intact.
-func (c *Cluster) commit() {
+// commit backs every node's heap at the current heapEnd, if it is not
+// already.  Bytes a node already holds are preserved; every newly exposed
+// byte reads zero — a recycled slab is cleared over exactly the range being
+// exposed, which is what keeps Alloc's zero-initialisation and tenant
+// isolation intact — except those in [skipLo, skipHi), which the caller
+// promises to overwrite on every node before anything can read them.  Only
+// broadcast passes a non-empty range: the bytes a WriteAll* is about to fill.
+func (c *Cluster) commit(skipLo, skipHi int) {
+	if c.backed.Load() == int64(c.heapEnd) {
+		return
+	}
 	c.heapMu.Lock()
 	defer c.heapMu.Unlock()
 	end, backed := c.heapEnd, int(c.backed.Load())
@@ -75,7 +79,10 @@ func (c *Cluster) commit() {
 		}
 		n.slab, n.mem = slab, (*slab)[:end:end]
 		if dirty {
-			clear(n.mem[old:])
+			if skipLo > old {
+				clear(n.mem[old:skipLo])
+			}
+			clear(n.mem[max(skipHi, old):])
 		}
 	}
 	c.backed.Store(int64(end))

@@ -150,35 +150,43 @@ func AllgatherRing(c transport.Conn, buf []byte, chunkBytes int) (st Stats, err 
 	if len(buf) != n*chunkBytes {
 		return st, fmt.Errorf("comm: allgather buffer is %d bytes, want %d chunks of %d", len(buf), n, chunkBytes)
 	}
-	r := c.Rank()
+	err = ringSteps(c, &st, func(i int) []byte { return buf[i*chunkBytes : (i+1)*chunkBytes] })
+	return st, err
+}
+
+// ringSteps runs the n-1 steps of the in-place ring over the chunks that
+// chunk(i) slices out of the caller's buffer.  Step 0 sends a copy of the
+// rank's own chunk; every later step forwards the very slice the previous
+// Recv returned.  That slice has already been copied into the buffer and is
+// never written again, and Conn's contract hands ownership to the transport
+// with each Send, so passing it on is safe over every transport — and costs
+// one chunk-sized allocation and one copy per hop where a send arena cost an
+// (n-1)-chunk zero-fill and two.
+func ringSteps(c transport.Conn, st *Stats, chunk func(i int) []byte) error {
+	n, r := c.Size(), c.Rank()
 	right := (r + 1) % n
 	left := (r - 1 + n) % n
-	// One send arena per call instead of one allocation per ring step.  Each
-	// step sends its own arena slot — in-flight messages are owned by the
-	// transport, so slots are never reused, but the n-1 per-step allocations
-	// collapse into one.
-	arena := make([]byte, (n-1)*chunkBytes)
+	out := append([]byte(nil), chunk(r)...)
 	for step := 0; step < n-1; step++ {
-		sendChunk := (r - step + n) % n
-		recvChunk := (r - step - 1 + n) % n
-		out := arena[step*chunkBytes : (step+1)*chunkBytes]
-		copy(out, buf[sendChunk*chunkBytes:(sendChunk+1)*chunkBytes])
 		if err := c.Send(right, tagRing, out); err != nil {
-			return st, err
+			return err
 		}
 		st.Msgs++
-		st.BytesSent += int64(chunkBytes)
+		st.BytesSent += int64(len(out))
 		in, err := c.Recv(left, tagRing)
 		if err != nil {
-			return st, err
+			return err
 		}
 		st.recvd(in)
-		if len(in) != chunkBytes {
-			return st, fmt.Errorf("comm: allgather chunk size mismatch: got %d, want %d", len(in), chunkBytes)
+		recvChunk := (r - step - 1 + n) % n
+		dst := chunk(recvChunk)
+		if len(in) != len(dst) {
+			return fmt.Errorf("comm: allgather chunk %d size mismatch: got %d, want %d", recvChunk, len(in), len(dst))
 		}
-		copy(buf[recvChunk*chunkBytes:], in)
+		copy(dst, in)
+		out = in
 	}
-	return st, nil
+	return nil
 }
 
 // AllgatherVRing is the imbalanced (vector) ring Allgather: offs has
@@ -207,42 +215,8 @@ func AllgatherVRing(c transport.Conn, buf []byte, offs []int) (st Stats, err err
 	if offs[n] > len(buf) {
 		return st, fmt.Errorf("comm: allgatherv offsets exceed buffer (%d > %d)", offs[n], len(buf))
 	}
-	r := c.Rank()
-	right := (r + 1) % n
-	left := (r - 1 + n) % n
-	// Send arena: one allocation sized to the call's total sent bytes (every
-	// chunk except the right neighbor's), sliced per step as in AllgatherRing.
-	arenaLen := 0
-	for step := 0; step < n-1; step++ {
-		sc := (r - step + n) % n
-		arenaLen += offs[sc+1] - offs[sc]
-	}
-	arena := make([]byte, arenaLen)
-	pos := 0
-	for step := 0; step < n-1; step++ {
-		sendChunk := (r - step + n) % n
-		recvChunk := (r - step - 1 + n) % n
-		chunk := buf[offs[sendChunk]:offs[sendChunk+1]]
-		out := arena[pos : pos+len(chunk)]
-		pos += len(chunk)
-		copy(out, chunk)
-		if err := c.Send(right, tagRing, out); err != nil {
-			return st, err
-		}
-		st.Msgs++
-		st.BytesSent += int64(len(out))
-		in, err := c.Recv(left, tagRing)
-		if err != nil {
-			return st, err
-		}
-		st.recvd(in)
-		want := offs[recvChunk+1] - offs[recvChunk]
-		if len(in) != want {
-			return st, fmt.Errorf("comm: allgatherv chunk %d size mismatch: got %d, want %d", recvChunk, len(in), want)
-		}
-		copy(buf[offs[recvChunk]:], in)
-	}
-	return st, nil
+	err = ringSteps(c, &st, func(i int) []byte { return buf[offs[i]:offs[i+1]] })
+	return st, err
 }
 
 // AllgatherOutOfPlace gathers each rank's `in` into `out` (len(in) *

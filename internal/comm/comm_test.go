@@ -3,8 +3,10 @@ package comm
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"cucc/internal/transport"
 )
@@ -14,6 +16,14 @@ func runAll(t *testing.T, n int, fn func(c transport.Conn) error) {
 	t.Helper()
 	net := transport.NewInproc(n)
 	defer net.Close()
+	if err := runOn(net, fn); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// runOn runs fn per rank over net and returns the first error.
+func runOn(net transport.Network, fn func(c transport.Conn) error) error {
+	n := net.Size()
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	for r := 0; r < n; r++ {
@@ -26,9 +36,10 @@ func runAll(t *testing.T, n int, fn func(c transport.Conn) error) {
 	wg.Wait()
 	for r, err := range errs {
 		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
+			return fmt.Errorf("rank %d: %w", r, err)
 		}
 	}
+	return nil
 }
 
 func chunkFor(rank, chunk int) []byte {
@@ -449,5 +460,114 @@ func TestAllgatherRecDoubleBadBuffer(t *testing.T) {
 				return nil
 			})
 		})
+	}
+}
+
+// TestRingAllgathersMatchReference: both ring Allgathers forward received
+// slices instead of copying them out again, so every rank's buffer is
+// compared bitwise against the plain concatenation of the ranks' chunks —
+// balanced and ragged (one rank contributing nothing), over the in-process
+// transport (where a forwarded slice is shared by every rank downstream), TCP,
+// and a fault layer that delays and duplicates frames.
+func TestRingAllgathersMatchReference(t *testing.T) {
+	nets := []struct {
+		name string
+		mk   func(n int) (transport.Network, error)
+	}{
+		{"inproc", func(n int) (transport.Network, error) { return transport.NewInproc(n), nil }},
+		{"tcp", func(n int) (transport.Network, error) { return transport.NewTCP(n) }},
+		{"faulty", func(n int) (transport.Network, error) {
+			return transport.NewFaulty(transport.NewInproc(n), transport.FaultConfig{
+				Seed: 1, Delay: 0.3, Duplicate: 0.3, MaxDelay: 200 * time.Microsecond}), nil
+		}},
+	}
+	for _, nw := range nets {
+		for _, n := range []int{2, 3, 5, 8} {
+			for _, ragged := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/n=%d/ragged=%v", nw.name, n, ragged), func(t *testing.T) {
+					offs := make([]int, n+1)
+					for r := 0; r < n; r++ {
+						size := 96
+						if ragged {
+							size = (r * 37) % 101 // rank 0 contributes nothing
+						}
+						offs[r+1] = offs[r] + size
+					}
+					want := make([]byte, offs[n])
+					for r := 0; r < n; r++ {
+						copy(want[offs[r]:offs[r+1]], chunkFor(r, offs[r+1]-offs[r]))
+					}
+					net, err := nw.mk(n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer net.Close()
+					err = runOn(net, func(c transport.Conn) error {
+						r := c.Rank()
+						buf := make([]byte, offs[n])
+						copy(buf[offs[r]:offs[r+1]], want[offs[r]:offs[r+1]])
+						var st Stats
+						var err error
+						if ragged {
+							st, err = AllgatherVRing(c, buf, offs)
+						} else {
+							st, err = AllgatherRing(c, buf, offs[1])
+						}
+						if err != nil {
+							return err
+						}
+						if !bytes.Equal(buf, want) {
+							return fmt.Errorf("gathered buffer differs from the concatenation of the chunks")
+						}
+						// Every chunk but the right neighbour's leaves this rank once.
+						right := (r + 1) % n
+						sent := int64(offs[n] - (offs[right+1] - offs[right]))
+						if st.Msgs != int64(n-1) || st.BytesSent != sent {
+							return fmt.Errorf("sent %d msgs / %d bytes, want %d / %d", st.Msgs, st.BytesSent, n-1, sent)
+						}
+						return nil
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestRingAllgatherAllocatesOneChunk: a rank allocates the copy of its own
+// chunk and little else per call — not an (n-1)-chunk send arena.
+func TestRingAllgatherAllocatesOneChunk(t *testing.T) {
+	const n, chunk, calls = 8, 64 << 10, 10
+	net := transport.NewInproc(n)
+	defer net.Close()
+	offs := make([]int, n+1)
+	bufs := make([][]byte, n)
+	for r := 0; r < n; r++ {
+		offs[r+1] = offs[r] + chunk
+		bufs[r] = make([]byte, n*chunk)
+	}
+	for _, vring := range []bool{false, true} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			err := runOn(net, func(c transport.Conn) (err error) {
+				if vring {
+					_, err = AllgatherVRing(c, bufs[c.Rank()], offs)
+				} else {
+					_, err = AllgatherRing(c, bufs[c.Rank()], chunk)
+				}
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perRank := (after.TotalAlloc - before.TotalAlloc) / (calls * n)
+		if perRank > chunk+chunk/8 {
+			t.Errorf("vring=%v: %d bytes allocated per rank per call, want one %d-byte chunk and a small constant", vring, perRank, chunk)
+		}
 	}
 }

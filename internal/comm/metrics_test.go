@@ -222,10 +222,10 @@ func TestDelegatingWrappersRecordOnce(t *testing.T) {
 	}
 }
 
-// benchRing exercises one of the ring allgathers across n persistent rank
-// goroutines, reporting allocations: the send path must stay at one arena
-// allocation per call, not one buffer per ring step (the regression this
-// benchmark guards).
+// benchRing exercises one of the ring allgathers across n rank goroutines,
+// reporting allocations: per call a rank allocates the copy of its own chunk
+// and forwards what it receives, so B/op stays near n chunks in all (the
+// bound TestRingAllgatherAllocatesOneChunk asserts).
 func benchRing(b *testing.B, vring bool) {
 	const n, chunk = 8, 4096
 	net := transport.NewInproc(n)

@@ -84,6 +84,12 @@ func (p *Program) RegisterNative(kernel string, n Native) error {
 	return nil
 }
 
+// Native returns the native implementation registered for the kernel.
+func (p *Program) Native(kernel string) (Native, bool) {
+	n, ok := p.natives[kernel]
+	return n, ok
+}
+
 // Kernel returns the named kernel's IR, or nil.
 func (p *Program) Kernel(name string) *kir.Kernel { return p.Module.Kernel(name) }
 
@@ -421,7 +427,7 @@ func (s *Session) resolve(spec LaunchSpec) (*launchState, error) {
 		Gdy:    int64(max(spec.Grid.Y, 1)),
 		Params: params,
 	}
-	if n, ok := s.Prog.natives[spec.Kernel]; ok && !spec.UseInterp {
+	if n, ok := s.Prog.Native(spec.Kernel); ok && !spec.UseInterp {
 		st.native = &n
 	}
 	st.vmProfile = vm.ProfilingEnabled()

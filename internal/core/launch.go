@@ -118,10 +118,7 @@ func (s *Session) Launch(spec LaunchSpec) (stats *Stats, err error) {
 	// one snapshot restores any of them.
 	var cp *recovery.Checkpoint
 	if recEnabled {
-		cp = s.captureCheckpoint(recovery.CursorStart, 0, regions, g)
-		if s.Obs.On() {
-			s.Obs.RecordEvent(recovery.CheckpointEvent(st.kernel.Name, cp))
-		}
+		cp = s.captureCheckpoint(st.kernel.Name, recovery.CursorStart, 0, regions, g)
 	}
 
 	// Attempt loop: each iteration runs the three phases from the current
@@ -214,9 +211,9 @@ func (s *Session) Launch(spec LaunchSpec) (stats *Stats, err error) {
 // straight to the callback range recorded there; otherwise the attempt
 // partitions the grid over the group's members, runs phase 1, the
 // Allgather (advancing the checkpoint to the gathered barrier on the
-// non-overlapped path), and the callbacks.  Transport ranks are member
-// indices; g.NodeOf maps them to cluster nodes for memory, clocks, and
-// trace attribution.
+// non-overlapped path when callback blocks remain), and the callbacks.
+// Transport ranks are member indices; g.NodeOf maps them to cluster nodes for
+// memory, clocks, and trace attribution.
 func (s *Session) runPhases(st *launchState, stats *Stats, g *cluster.Group, totalBlocks, tail int, cp *recovery.Checkpoint, regions []recovery.Region) error {
 	c := s.Cluster
 	n := g.Size()
@@ -420,9 +417,10 @@ func (s *Session) runPhases(st *launchState, stats *Stats, g *cluster.Group, tot
 		// Gathered barrier: every member holds identical written-buffer
 		// contents again.  Advance the checkpoint in place so a failure in
 		// the callback phase replays only the callbacks, not the whole
-		// launch.
-		if cp != nil {
-			*cp = *s.captureCheckpoint(recovery.CursorGathered, part.distEnd, regions, g)
+		// launch.  With no callback blocks nothing runs past this point, so
+		// nothing could restore from the copy and none is taken.
+		if cp != nil && callbacks > 0 {
+			*cp = *s.captureCheckpoint(st.kernel.Name, recovery.CursorGathered, part.distEnd, regions, g)
 		}
 
 		// --- Phase 3: callback block execution on every node ---
@@ -581,14 +579,18 @@ func writtenRegions(st *launchState) ([]recovery.Region, error) {
 
 // captureCheckpoint snapshots the write-set regions from the group's first
 // member — every member holds identical contents at a barrier, so one copy
-// serves all — and counts the capture.
-func (s *Session) captureCheckpoint(cur recovery.Cursor, distEnd int, regions []recovery.Region, g *cluster.Group) *recovery.Checkpoint {
+// serves all — and counts and journals the capture together, so the counter
+// and the event stream cannot disagree about how many were taken.
+func (s *Session) captureCheckpoint(kernel string, cur recovery.Cursor, distEnd int, regions []recovery.Region, g *cluster.Group) *recovery.Checkpoint {
 	c := s.Cluster
 	src := g.NodeOf(0)
 	cp := recovery.Capture(cur, distEnd, regions, func(r recovery.Region) []byte {
 		return c.HeapBytes(src, r.Off, r.Len)
 	})
 	s.registry().Counter(recovery.MetricCheckpoints).Inc()
+	if s.Obs.On() {
+		s.Obs.RecordEvent(recovery.CheckpointEvent(kernel, cp))
+	}
 	return cp
 }
 

@@ -93,32 +93,52 @@ func Execute(c transport.Conn, buf []byte, offs []int, s *Schedule) (st comm.Sta
 	r := c.Rank()
 	prog := s.Steps[r]
 
-	// One send arena per call (the PR-4 allgather fix): in-flight messages
-	// are owned by the transport so slots are never reused, but per-step
-	// allocations collapse into one.
+	// A send of exactly the range the rank last received forwards the slice
+	// that Recv returned instead of copying it out of buf again: it is
+	// already in place, nothing writes to it, and ownership passes on with
+	// the Send as Conn's contract says.  (This is the ring's whole steady
+	// state.)  Once forwarded the slice is gone, so a second send of the same
+	// range copies, as does every other send, out of one arena per call —
+	// in-flight messages are owned by the transport, so slots are never
+	// reused.  An OpCopy may rewrite the received range in buf, after which
+	// the slice no longer stands for it.
+	forward := make([]bool, len(prog))
 	arenaLen := 0
-	for _, step := range prog {
-		if step.Op == OpSend {
-			arenaLen += offs[step.Hi] - offs[step.Lo]
+	last := -1 // the latest Recv whose slice can still be forwarded
+	for i, step := range prog {
+		switch step.Op {
+		case OpRecv:
+			last = i
+		case OpCopy:
+			last = -1
+		case OpSend:
+			if last >= 0 && step.Lo == prog[last].Lo && step.Hi == prog[last].Hi {
+				forward[i], last = true, -1
+			} else {
+				arenaLen += offs[step.Hi] - offs[step.Lo]
+			}
 		}
 	}
 	arena := make([]byte, arenaLen)
 	pos := 0
 
-	for _, step := range prog {
+	var in []byte // what the latest Recv returned
+	for i, step := range prog {
 		switch step.Op {
 		case OpSend:
-			chunk := buf[offs[step.Lo]:offs[step.Hi]]
-			out := arena[pos : pos+len(chunk)]
-			pos += len(chunk)
-			copy(out, chunk)
+			out := in
+			if !forward[i] {
+				chunk := buf[offs[step.Lo]:offs[step.Hi]]
+				out = arena[pos : pos+len(chunk)]
+				pos += len(chunk)
+				copy(out, chunk)
+			}
 			if err = c.Send(step.Peer, tagSched, out); err != nil {
 				return st, err
 			}
 			st.Msgs++
 			st.BytesSent += int64(len(out))
 		case OpRecv:
-			var in []byte
 			in, err = c.Recv(step.Peer, tagSched)
 			if err != nil {
 				return st, err

@@ -3,6 +3,7 @@ package csched
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -213,5 +214,52 @@ func TestExecuteValidation(t *testing.T) {
 	}
 	if _, err := Execute(net.Conn(0), buf, good, GenRing(4, 1)); err == nil {
 		t.Error("rank-count mismatch accepted")
+	}
+}
+
+// TestExecuteForwardsReceivedSlice: a send of exactly the range the rank just
+// received passes on the slice Recv returned; any other send — a second one of
+// the same range included — copies out of the buffer.  The ring's steady state
+// is all forwards, so a rank allocates its own chunk and little else.
+func TestExecuteForwardsReceivedSlice(t *testing.T) {
+	// Rank 0's chunk fans out through rank 1: its first send forwards, its
+	// second must copy, and both receivers get the same bytes.
+	fan := &Schedule{Algo: "fan", NRanks: 4, ChunksPerRank: 1, Steps: [][]Step{
+		{{Op: OpSend, Peer: 1, Lo: 0, Hi: 1}},
+		{{Op: OpRecv, Peer: 0, Lo: 0, Hi: 1}, {Op: OpSend, Peer: 2, Lo: 0, Hi: 1}, {Op: OpSend, Peer: 3, Lo: 0, Hi: 1}},
+		{{Op: OpRecv, Peer: 1, Lo: 0, Hi: 1}},
+		{{Op: OpRecv, Peer: 1, Lo: 0, Hi: 1}},
+	}}
+	rankOffs := UniformOffsets(4, 48)
+	net := transport.NewInproc(4)
+	defer net.Close()
+	bufs, stats := runSchedule(t, net, fan, rankOffs, func(r int) []byte { return fill(rankOffs, r) })
+	want := fill(rankOffs, 0)[:48]
+	for r := 1; r < 4; r++ {
+		if !bytes.Equal(bufs[r][:48], want) {
+			t.Errorf("rank %d did not receive rank 0's chunk", r)
+		}
+	}
+	if stats[1].Msgs != 2 || stats[1].BytesSent != 96 {
+		t.Errorf("rank 1 sent %d msgs / %d bytes, want 2 / 96", stats[1].Msgs, stats[1].BytesSent)
+	}
+
+	const n, chunk, calls = 8, 64 << 10, 10
+	ring := GenRing(n, 1)
+	offs := UniformOffsets(n, chunk)
+	rnet := transport.NewInproc(n)
+	defer rnet.Close()
+	seeds := make([][]byte, n)
+	for r := range seeds {
+		seeds[r] = make([]byte, n*chunk)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		runSchedule(t, rnet, ring, offs, func(r int) []byte { return seeds[r] })
+	}
+	runtime.ReadMemStats(&after)
+	if perRank := (after.TotalAlloc - before.TotalAlloc) / (calls * n); perRank > chunk+chunk/8 {
+		t.Errorf("ring schedule: %d bytes allocated per rank per call, want one %d-byte chunk and a small constant", perRank, chunk)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 
-	"cucc/internal/cluster"
 	"cucc/internal/core"
 	"cucc/internal/interp"
 	"cucc/internal/kir"
@@ -46,8 +45,8 @@ __global__ void binomial(float* s0, float* out, int steps, int rounds, float str
 // a dependence chain that resists vectorization after migration).
 func BinomialOption() *Program {
 	prog := core.MustCompile(binomialSrc)
-	must(prog.RegisterNative("binomial", core.Native{
-		RunBlock: func(mem interp.Memory, args []interp.Value, grid, block interp.Dim3, bx, by int) error {
+	native(prog, "binomial",
+		func(b rows, args []interp.Value, grid, block interp.Dim3, bx, by int) {
 			steps := int(args[2].I)
 			rounds := int(args[3].I)
 			strike := float32(args[4].F)
@@ -55,7 +54,7 @@ func BinomialOption() *Program {
 			pd := float32(args[6].F)
 			up := float32(args[7].F)
 			down := float32(args[8].F)
-			s := mem.LoadF32(0, bx)
+			s := f32(b[0], bx)
 			vals := make([]float32, block.X)
 			var price float32
 			for r := 0; r < rounds; r++ {
@@ -77,10 +76,9 @@ func BinomialOption() *Program {
 				}
 				price = vals[0]
 			}
-			mem.StoreF32(1, bx, price)
-			return nil
+			setF32(b[1], bx, price)
 		},
-		BlockWork: func(args []interp.Value, grid, block interp.Dim3) machine.BlockWork {
+		func(args []interp.Value, grid, block interp.Dim3) machine.BlockWork {
 			steps := float64(args[2].I)
 			rounds := float64(args[3].I)
 			induction := steps * (steps + 1) // 2 flops per node over steps*(steps+1)/2 nodes
@@ -90,8 +88,7 @@ func BinomialOption() *Program {
 				IntOps:      rounds * induction,
 				Bytes:       8, // one scalar read + one scalar write
 			}
-		},
-	}))
+		})
 
 	p := &Program{
 		Name:   "BinomialOption",
@@ -109,11 +106,12 @@ func BinomialOption() *Program {
 		WeakKey:       "blocks",
 		Small:         Params{"blocks": 8, "steps": 31, "rounds": 2},
 	}
-	mkSpec := func(pr Params, s0, out cluster.Buffer) core.LaunchSpec {
-		steps := pr.Get("steps")
+	p.Spec = func(pr Params) core.LaunchSpec {
+		blocks, steps := pr.Get("blocks"), pr.Get("steps")
+		s0, out := virtualBuf(kir.F32, blocks), virtualBuf(kir.F32, blocks)
 		return core.LaunchSpec{
 			Kernel: "binomial",
-			Grid:   interp.Dim1(pr.Get("blocks")),
+			Grid:   interp.Dim1(blocks),
 			Block:  interp.Dim1(steps + 1),
 			Args: []core.Arg{
 				core.BufArg(s0), core.BufArg(out),
@@ -124,11 +122,7 @@ func BinomialOption() *Program {
 			SIMDFraction: p.SIMDFraction,
 		}
 	}
-	p.Spec = func(pr Params) core.LaunchSpec {
-		b := pr.Get("blocks")
-		return mkSpec(pr, virtualBuf(kir.F32, b), virtualBuf(kir.F32, b))
-	}
-	p.Build = func(c *cluster.Cluster, pr Params) (*Instance, error) {
+	p.gen = func(pr Params) dataSet {
 		blocks := pr.Get("blocks")
 		steps := pr.Get("steps")
 		rounds := pr.Get("rounds")
@@ -162,15 +156,7 @@ func BinomialOption() *Program {
 			}
 			want[b] = price
 		}
-		s0 := c.Alloc(kir.F32, blocks)
-		out := c.Alloc(kir.F32, blocks)
-		if err := c.WriteAllF32(s0, s0s); err != nil {
-			return nil, err
-		}
-		return &Instance{
-			Spec:  mkSpec(pr, s0, out),
-			Check: checkF32(c, out, want, "binomial"),
-		}, nil
+		return dataSet{bufs: [][]byte{f32Bytes(s0s), nil}, want: f32Bytes(want)}
 	}
 	p.Traffic = func(pr Params, nodes int) pgas.RankTraffic {
 		// One scalar write per block.

@@ -3,7 +3,6 @@ package suites
 import (
 	"math/rand"
 
-	"cucc/internal/cluster"
 	"cucc/internal/core"
 	"cucc/internal/interp"
 	"cucc/internal/kir"
@@ -37,8 +36,9 @@ const conv2dBlock = 256
 // workloads, with high arithmetic intensity and plenty of blocks.
 func Conv2D() *Program {
 	prog := core.MustCompile(conv2dSrc)
-	must(prog.RegisterNative("conv2d", core.Native{
-		RunBlock: func(mem interp.Memory, args []interp.Value, grid, block interp.Dim3, bx, by int) error {
+	native(prog, "conv2d",
+		func(b rows, args []interp.Value, grid, block interp.Dim3, bx, by int) {
+			in, out, kern := b[0], b[1], b[2]
 			tiles := int(args[3].I)
 			cin := int(args[4].I)
 			w := tiles * block.X
@@ -51,17 +51,16 @@ func Conv2D() *Program {
 					for ci := 0; ci < cin; ci++ {
 						for ky := 0; ky < 5; ky++ {
 							for kx := 0; kx < 5; kx++ {
-								sum += mem.LoadF32(2, ci*25+ky*5+kx) *
-									mem.LoadF32(0, (ci*(h+4)+row+ky)*(w+4)+col+kx)
+								sum += f32(kern, ci*25+ky*5+kx) *
+									f32(in, (ci*(h+4)+row+ky)*(w+4)+col+kx)
 							}
 						}
 					}
-					mem.StoreF32(1, row*w+col, sum)
+					setF32(out, row*w+col, sum)
 				}
 			}
-			return nil
 		},
-		BlockWork: func(args []interp.Value, grid, block interp.Dim3) machine.BlockWork {
+		func(args []interp.Value, grid, block interp.Dim3) machine.BlockWork {
 			w := float64(int(args[3].I) * block.X)
 			cin := float64(args[4].I)
 			return machine.BlockWork{
@@ -72,8 +71,7 @@ func Conv2D() *Program {
 				// channel plus the output row.
 				Bytes: (cin*(w+4) + w) * 4,
 			}
-		},
-	}))
+		})
 
 	p := &Program{
 		Name:          "Conv2D",
@@ -87,25 +85,22 @@ func Conv2D() *Program {
 		WeakKey:       "h",
 		Small:         Params{"tiles": 1, "h": 8, "cin": 2},
 	}
-	mkSpec := func(pr Params, in, out, kern cluster.Buffer) core.LaunchSpec {
+	p.Spec = func(pr Params) core.LaunchSpec {
+		tiles, h, cin := pr.Get("tiles"), pr.Get("h"), pr.Get("cin")
+		w := tiles * conv2dBlock
+		in, out, kern := virtualBuf(kir.F32, cin*(h+4)*(w+4)), virtualBuf(kir.F32, h*w), virtualBuf(kir.F32, cin*25)
 		return core.LaunchSpec{
 			Kernel: "conv2d",
-			Grid:   interp.Dim1(pr.Get("h")),
+			Grid:   interp.Dim1(h),
 			Block:  interp.Dim1(conv2dBlock),
 			Args: []core.Arg{
 				core.BufArg(in), core.BufArg(out), core.BufArg(kern),
-				core.IntArg(int64(pr.Get("tiles"))), core.IntArg(int64(pr.Get("cin"))),
+				core.IntArg(int64(tiles)), core.IntArg(int64(cin)),
 			},
 			SIMDFraction: p.SIMDFraction,
 		}
 	}
-	p.Spec = func(pr Params) core.LaunchSpec {
-		w := pr.Get("tiles") * conv2dBlock
-		h := pr.Get("h")
-		cin := pr.Get("cin")
-		return mkSpec(pr, virtualBuf(kir.F32, cin*(h+4)*(w+4)), virtualBuf(kir.F32, h*w), virtualBuf(kir.F32, cin*25))
-	}
-	p.Build = func(c *cluster.Cluster, pr Params) (*Instance, error) {
+	p.gen = func(pr Params) dataSet {
 		w := pr.Get("tiles") * conv2dBlock
 		h := pr.Get("h")
 		cin := pr.Get("cin")
@@ -132,19 +127,7 @@ func Conv2D() *Program {
 				want[r*w+cc] = sum
 			}
 		}
-		in := c.Alloc(kir.F32, cin*(h+4)*(w+4))
-		out := c.Alloc(kir.F32, h*w)
-		kern := c.Alloc(kir.F32, cin*25)
-		if err := c.WriteAllF32(in, img); err != nil {
-			return nil, err
-		}
-		if err := c.WriteAllF32(kern, kn); err != nil {
-			return nil, err
-		}
-		return &Instance{
-			Spec:  mkSpec(pr, in, out, kern),
-			Check: checkF32(c, out, want, "conv2d"),
-		}, nil
+		return dataSet{bufs: [][]byte{f32Bytes(img), nil, f32Bytes(kn)}, want: f32Bytes(want)}
 	}
 	p.Traffic = func(pr Params, nodes int) pgas.RankTraffic {
 		w := pr.Get("tiles") * conv2dBlock

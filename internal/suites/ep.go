@@ -1,7 +1,6 @@
 package suites
 
 import (
-	"cucc/internal/cluster"
 	"cucc/internal/core"
 	"cucc/internal/interp"
 	"cucc/internal/kir"
@@ -32,8 +31,8 @@ const epBlock = 256
 // paper's example of a GPU-favored program (§7.4.1).
 func EP() *Program {
 	prog := core.MustCompile(epSrc)
-	must(prog.RegisterNative("ep", core.Native{
-		RunBlock: func(mem interp.Memory, args []interp.Value, grid, block interp.Dim3, bx, by int) error {
+	native(prog, "ep",
+		func(b rows, args []interp.Value, grid, block interp.Dim3, bx, by int) {
 			n := int(args[1].I)
 			iters := int(args[2].I)
 			seed := args[3].I
@@ -48,11 +47,10 @@ func EP() *Program {
 					state = (state*1103515245 + 12345) % 2147483648
 					acc += float32(state%1000) * 0.001
 				}
-				mem.StoreF32(0, id, acc)
+				setF32(b[0], id, acc)
 			}
-			return nil
 		},
-		BlockWork: func(args []interp.Value, grid, block interp.Dim3) machine.BlockWork {
+		func(args []interp.Value, grid, block interp.Dim3) machine.BlockWork {
 			t := float64(block.X)
 			iters := float64(args[2].I)
 			return machine.BlockWork{
@@ -60,8 +58,7 @@ func EP() *Program {
 				IntOps:      t * iters * 4,
 				Bytes:       t * 4,
 			}
-		},
-	}))
+		})
 
 	p := &Program{
 		Name:          "EP",
@@ -75,23 +72,20 @@ func EP() *Program {
 		WeakKey:       "n",
 		Small:         Params{"n": 600, "iters": 16},
 	}
-	mkSpec := func(pr Params, fitness cluster.Buffer) core.LaunchSpec {
+	p.Spec = func(pr Params) core.LaunchSpec {
 		n := pr.Get("n")
 		return core.LaunchSpec{
 			Kernel: "ep",
 			Grid:   interp.Dim1(ceilDiv(n, epBlock)),
 			Block:  interp.Dim1(epBlock),
 			Args: []core.Arg{
-				core.BufArg(fitness), core.IntArg(int64(n)),
+				core.BufArg(virtualBuf(kir.F32, n)), core.IntArg(int64(n)),
 				core.IntArg(int64(pr.Get("iters"))), core.IntArg(12345),
 			},
 			SIMDFraction: p.SIMDFraction,
 		}
 	}
-	p.Spec = func(pr Params) core.LaunchSpec {
-		return mkSpec(pr, virtualBuf(kir.F32, pr.Get("n")))
-	}
-	p.Build = func(c *cluster.Cluster, pr Params) (*Instance, error) {
+	p.gen = func(pr Params) dataSet {
 		n, iters := pr.Get("n"), pr.Get("iters")
 		want := make([]float32, n)
 		for id := 0; id < n; id++ {
@@ -103,11 +97,7 @@ func EP() *Program {
 			}
 			want[id] = acc
 		}
-		fitness := c.Alloc(kir.F32, n)
-		return &Instance{
-			Spec:  mkSpec(pr, fitness),
-			Check: checkF32(c, fitness, want, "ep"),
-		}, nil
+		return dataSet{bufs: [][]byte{nil}, want: f32Bytes(want)}
 	}
 	p.Traffic = func(pr Params, nodes int) pgas.RankTraffic {
 		n := pr.Get("n")

@@ -3,7 +3,6 @@ package suites
 import (
 	"math/rand"
 
-	"cucc/internal/cluster"
 	"cucc/internal/core"
 	"cucc/internal/interp"
 	"cucc/internal/kir"
@@ -30,8 +29,9 @@ const firBlock = 256
 // communication relative to compute; §7.2).
 func FIR() *Program {
 	prog := core.MustCompile(firSrc)
-	must(prog.RegisterNative("fir", core.Native{
-		RunBlock: func(mem interp.Memory, args []interp.Value, grid, block interp.Dim3, bx, by int) error {
+	native(prog, "fir",
+		func(b rows, args []interp.Value, grid, block interp.Dim3, bx, by int) {
+			in, out, coeff := b[0], b[1], b[2]
 			n := int(args[3].I)
 			taps := int(args[4].I)
 			for tx := 0; tx < block.X; tx++ {
@@ -41,13 +41,12 @@ func FIR() *Program {
 				}
 				var sum float32
 				for t := 0; t < taps; t++ {
-					sum += mem.LoadF32(2, t) * mem.LoadF32(0, id+t)
+					sum += f32(coeff, t) * f32(in, id+t)
 				}
-				mem.StoreF32(1, id, sum)
+				setF32(out, id, sum)
 			}
-			return nil
 		},
-		BlockWork: func(args []interp.Value, grid, block interp.Dim3) machine.BlockWork {
+		func(args []interp.Value, grid, block interp.Dim3) machine.BlockWork {
 			t := float64(block.X)
 			taps := float64(args[4].I)
 			return machine.BlockWork{
@@ -59,8 +58,7 @@ func FIR() *Program {
 				// stays cached) and blockDim outputs.
 				Bytes: (t + taps + t) * 4,
 			}
-		},
-	}))
+		})
 
 	p := &Program{
 		Name:          "FIR",
@@ -74,24 +72,21 @@ func FIR() *Program {
 		WeakKey:       "n",
 		Small:         Params{"n": 2000, "taps": 32},
 	}
-	spec := func(pr Params, in, out, coeff cluster.Buffer) core.LaunchSpec {
-		n := pr.Get("n")
+	p.Spec = func(pr Params) core.LaunchSpec {
+		n, taps := pr.Get("n"), pr.Get("taps")
+		in, out, coeff := virtualBuf(kir.F32, n+taps), virtualBuf(kir.F32, n), virtualBuf(kir.F32, taps)
 		return core.LaunchSpec{
 			Kernel: "fir",
 			Grid:   interp.Dim1(ceilDiv(n, firBlock)),
 			Block:  interp.Dim1(firBlock),
 			Args: []core.Arg{
 				core.BufArg(in), core.BufArg(out), core.BufArg(coeff),
-				core.IntArg(int64(n)), core.IntArg(int64(pr.Get("taps"))),
+				core.IntArg(int64(n)), core.IntArg(int64(taps)),
 			},
 			SIMDFraction: p.SIMDFraction,
 		}
 	}
-	p.Spec = func(pr Params) core.LaunchSpec {
-		n, taps := pr.Get("n"), pr.Get("taps")
-		return spec(pr, virtualBuf(kir.F32, n+taps), virtualBuf(kir.F32, n), virtualBuf(kir.F32, taps))
-	}
-	p.Build = func(c *cluster.Cluster, pr Params) (*Instance, error) {
+	p.gen = func(pr Params) dataSet {
 		n, taps := pr.Get("n"), pr.Get("taps")
 		rng := rand.New(rand.NewSource(2))
 		ins := make([]float32, n+taps)
@@ -110,19 +105,7 @@ func FIR() *Program {
 			}
 			want[i] = sum
 		}
-		in := c.Alloc(kir.F32, n+taps)
-		out := c.Alloc(kir.F32, n)
-		coeff := c.Alloc(kir.F32, taps)
-		if err := c.WriteAllF32(in, ins); err != nil {
-			return nil, err
-		}
-		if err := c.WriteAllF32(coeff, cf); err != nil {
-			return nil, err
-		}
-		return &Instance{
-			Spec:  spec(pr, in, out, coeff),
-			Check: checkF32(c, out, want, "fir"),
-		}, nil
+		return dataSet{bufs: [][]byte{f32Bytes(ins), nil, f32Bytes(cf)}, want: f32Bytes(want)}
 	}
 	p.Traffic = func(pr Params, nodes int) pgas.RankTraffic {
 		n := pr.Get("n")

@@ -3,7 +3,6 @@ package suites
 import (
 	"math/rand"
 
-	"cucc/internal/cluster"
 	"cucc/internal/core"
 	"cucc/internal/interp"
 	"cucc/internal/kir"
@@ -46,8 +45,9 @@ const gaBlock = 256
 // unvectorized byte loops make GPUs win the runtime comparison (§7.4.1).
 func GA() *Program {
 	prog := core.MustCompile(gaSrc)
-	must(prog.RegisterNative("ga", core.Native{
-		RunBlock: func(mem interp.Memory, args []interp.Value, grid, block interp.Dim3, bx, by int) error {
+	native(prog, "ga",
+		func(b rows, args []interp.Value, grid, block interp.Dim3, bx, by int) {
+			query, target := b[0], b[1]
 			n := int(args[3].I)
 			m := int(args[4].I)
 			var best int32
@@ -58,7 +58,7 @@ func GA() *Program {
 				}
 				var s int32
 				for j := 0; j < m; j++ {
-					if mem.LoadU8(0, id+j) == mem.LoadU8(1, j) {
+					if query[id+j] == target[j] {
 						s++
 					}
 				}
@@ -66,18 +66,16 @@ func GA() *Program {
 					best = s
 				}
 			}
-			mem.StoreI32(2, bx, best)
-			return nil
+			setI32(b[2], bx, best)
 		},
-		BlockWork: func(args []interp.Value, grid, block interp.Dim3) machine.BlockWork {
+		func(args []interp.Value, grid, block interp.Dim3) machine.BlockWork {
 			t := float64(block.X)
 			m := float64(args[4].I)
 			return machine.BlockWork{
 				IntOps: t*m*3 + t*2,
 				Bytes:  t + m + 4, // query window + cached target + one score
 			}
-		},
-	}))
+		})
 
 	p := &Program{
 		Name:          "GA",
@@ -91,25 +89,22 @@ func GA() *Program {
 		WeakKey:       "n",
 		Small:         Params{"n": 700, "m": 16},
 	}
-	mkSpec := func(pr Params, query, target, blockBest cluster.Buffer) core.LaunchSpec {
-		n := pr.Get("n")
+	p.Spec = func(pr Params) core.LaunchSpec {
+		n, m := pr.Get("n"), pr.Get("m")
+		blocks := ceilDiv(n, gaBlock)
+		query, target, blockBest := virtualBuf(kir.U8, n+m), virtualBuf(kir.U8, m), virtualBuf(kir.I32, blocks)
 		return core.LaunchSpec{
 			Kernel: "ga",
-			Grid:   interp.Dim1(ceilDiv(n, gaBlock)),
+			Grid:   interp.Dim1(blocks),
 			Block:  interp.Dim1(gaBlock),
 			Args: []core.Arg{
 				core.BufArg(query), core.BufArg(target), core.BufArg(blockBest),
-				core.IntArg(int64(n)), core.IntArg(int64(pr.Get("m"))),
+				core.IntArg(int64(n)), core.IntArg(int64(m)),
 			},
 			SIMDFraction: p.SIMDFraction,
 		}
 	}
-	p.Spec = func(pr Params) core.LaunchSpec {
-		n, m := pr.Get("n"), pr.Get("m")
-		return mkSpec(pr, virtualBuf(kir.U8, n+m), virtualBuf(kir.U8, m),
-			virtualBuf(kir.I32, ceilDiv(n, gaBlock)))
-	}
-	p.Build = func(c *cluster.Cluster, pr Params) (*Instance, error) {
+	p.gen = func(pr Params) dataSet {
 		n, m := pr.Get("n"), pr.Get("m")
 		blocks := ceilDiv(n, gaBlock)
 		rng := rand.New(rand.NewSource(5))
@@ -142,19 +137,7 @@ func GA() *Program {
 			}
 			want[b] = best
 		}
-		query := c.Alloc(kir.U8, n+m)
-		target := c.Alloc(kir.U8, m)
-		blockBest := c.Alloc(kir.I32, blocks)
-		if err := c.WriteAll(query, q); err != nil {
-			return nil, err
-		}
-		if err := c.WriteAll(target, tg); err != nil {
-			return nil, err
-		}
-		return &Instance{
-			Spec:  mkSpec(pr, query, target, blockBest),
-			Check: checkI32(c, blockBest, want, "ga"),
-		}, nil
+		return dataSet{bufs: [][]byte{q, tg, nil}, want: i32Bytes(want)}
 	}
 	p.Traffic = func(pr Params, nodes int) pgas.RankTraffic {
 		blocks := ceilDiv(pr.Get("n"), gaBlock)

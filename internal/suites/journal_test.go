@@ -3,13 +3,16 @@ package suites
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cucc/internal/cluster"
 	"cucc/internal/core"
 	"cucc/internal/kir"
 	"cucc/internal/machine"
+	"cucc/internal/metrics"
 	"cucc/internal/obs"
+	"cucc/internal/recovery"
 	"cucc/internal/simnet"
 )
 
@@ -74,6 +77,61 @@ func TestJournalNeverMovesFigures(t *testing.T) {
 			for _, ev := range j.Events() {
 				if ev.Tenant != "suite" || ev.Job != 1 {
 					t.Errorf("event not stamped with the scope identity: %+v", ev)
+				}
+			}
+		})
+	}
+}
+
+// TestCheckpointJournalMatchesCounter: every checkpoint capture is counted
+// and journaled in the same place, so recovery.checkpoints and the event
+// stream tell the same story — two captures (@start, @gathered) for a launch
+// with callback blocks, one (@start) for a launch without, where nothing runs
+// after the gather that a second copy could be restored for.
+func TestCheckpointJournalMatchesCounter(t *testing.T) {
+	for _, tc := range []struct {
+		p    *Program
+		want []string
+	}{
+		{VecAdd(), []string{"@start", "@gathered"}}, // 20 blocks: a tail block and a remainder
+		{Transpose(), []string{"@start"}},           // 512 blocks over 4 nodes, none left over
+	} {
+		t.Run(tc.p.Name, func(t *testing.T) {
+			reg := metrics.New()
+			sc := obs.Scope{J: obs.NewJournal(0), Tenant: "suite", Job: 1}
+			c, err := cluster.New(cluster.Config{
+				Nodes: 4, Machine: machine.Intel6226(), Net: simnet.IB100(),
+				Metrics: reg, Journal: sc, Recovery: recovery.Policy{Enabled: true},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			inst, err := tc.p.Build(c, tc.p.Small)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess := core.NewSession(c, tc.p.Compiled)
+			sess.Obs = sc
+			stats, err := sess.Launch(inst.Spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := stats.CallbackBlocks > 0; got != (len(tc.want) == 2) {
+				t.Fatalf("launch has %d callback blocks; the case assumes otherwise", stats.CallbackBlocks)
+			}
+			var details []string
+			for _, ev := range sc.J.Events() {
+				if ev.Type == obs.EvCheckpoint {
+					details = append(details, ev.Detail)
+				}
+			}
+			if n := reg.Snapshot().Counters[recovery.MetricCheckpoints]; n != int64(len(details)) || len(details) != len(tc.want) {
+				t.Fatalf("%s = %d, journal has %d checkpoint events %q, want %d", recovery.MetricCheckpoints, n, len(details), details, len(tc.want))
+			}
+			for i, want := range tc.want {
+				if !strings.Contains(details[i], want) {
+					t.Errorf("checkpoint event %d is %q, want one %s", i, details[i], want)
 				}
 			}
 		})

@@ -3,7 +3,6 @@ package suites
 import (
 	"math/rand"
 
-	"cucc/internal/cluster"
 	"cucc/internal/core"
 	"cucc/internal/interp"
 	"cucc/internal/kir"
@@ -40,8 +39,9 @@ const kmeansBlock = 256
 // anomaly (16 -> 32 node slowdown).
 func Kmeans() *Program {
 	prog := core.MustCompile(kmeansSrc)
-	must(prog.RegisterNative("kmeans", core.Native{
-		RunBlock: func(mem interp.Memory, args []interp.Value, grid, block interp.Dim3, bx, by int) error {
+	native(prog, "kmeans",
+		func(b rows, args []interp.Value, grid, block interp.Dim3, bx, by int) {
+			points, centroids, membership := b[0], b[1], b[2]
 			n := int(args[3].I)
 			k := int(args[4].I)
 			dim := int(args[5].I)
@@ -55,7 +55,7 @@ func Kmeans() *Program {
 				for c := 0; c < k; c++ {
 					var d float32
 					for j := 0; j < dim; j++ {
-						diff := mem.LoadF32(0, id*dim+j) - mem.LoadF32(1, c*dim+j)
+						diff := f32(points, id*dim+j) - f32(centroids, c*dim+j)
 						d += diff * diff
 					}
 					if d < bestDist {
@@ -63,11 +63,10 @@ func Kmeans() *Program {
 						best = int32(c)
 					}
 				}
-				mem.StoreI32(2, id, best)
+				setI32(membership, id, best)
 			}
-			return nil
 		},
-		BlockWork: func(args []interp.Value, grid, block interp.Dim3) machine.BlockWork {
+		func(args []interp.Value, grid, block interp.Dim3) machine.BlockWork {
 			t := float64(block.X)
 			k := float64(args[4].I)
 			dim := float64(args[5].I)
@@ -81,8 +80,7 @@ func Kmeans() *Program {
 				// Points are read once per thread (centroids stay cached).
 				Bytes: t*dim*4 + t*4,
 			}
-		},
-	}))
+		})
 
 	p := &Program{
 		Name:          "Kmeans",
@@ -97,24 +95,21 @@ func Kmeans() *Program {
 		WeakKey: "n",
 		Small:   Params{"n": 500, "k": 4, "dim": 4},
 	}
-	mkSpec := func(pr Params, points, centroids, membership cluster.Buffer) core.LaunchSpec {
-		n := pr.Get("n")
+	p.Spec = func(pr Params) core.LaunchSpec {
+		n, k, dim := pr.Get("n"), pr.Get("k"), pr.Get("dim")
+		points, centroids, membership := virtualBuf(kir.F32, n*dim), virtualBuf(kir.F32, k*dim), virtualBuf(kir.I32, n)
 		return core.LaunchSpec{
 			Kernel: "kmeans",
 			Grid:   interp.Dim1(ceilDiv(n, kmeansBlock)),
 			Block:  interp.Dim1(kmeansBlock),
 			Args: []core.Arg{
 				core.BufArg(points), core.BufArg(centroids), core.BufArg(membership),
-				core.IntArg(int64(n)), core.IntArg(int64(pr.Get("k"))), core.IntArg(int64(pr.Get("dim"))),
+				core.IntArg(int64(n)), core.IntArg(int64(k)), core.IntArg(int64(dim)),
 			},
 			SIMDFraction: p.SIMDFraction,
 		}
 	}
-	p.Spec = func(pr Params) core.LaunchSpec {
-		n, k, dim := pr.Get("n"), pr.Get("k"), pr.Get("dim")
-		return mkSpec(pr, virtualBuf(kir.F32, n*dim), virtualBuf(kir.F32, k*dim), virtualBuf(kir.I32, n))
-	}
-	p.Build = func(c *cluster.Cluster, pr Params) (*Instance, error) {
+	p.gen = func(pr Params) dataSet {
 		n, k, dim := pr.Get("n"), pr.Get("k"), pr.Get("dim")
 		rng := rand.New(rand.NewSource(3))
 		pts := make([]float32, n*dim)
@@ -142,19 +137,7 @@ func Kmeans() *Program {
 			}
 			want[id] = best
 		}
-		points := c.Alloc(kir.F32, n*dim)
-		centroids := c.Alloc(kir.F32, k*dim)
-		membership := c.Alloc(kir.I32, n)
-		if err := c.WriteAllF32(points, pts); err != nil {
-			return nil, err
-		}
-		if err := c.WriteAllF32(centroids, cent); err != nil {
-			return nil, err
-		}
-		return &Instance{
-			Spec:  mkSpec(pr, points, centroids, membership),
-			Check: checkI32(c, membership, want, "kmeans"),
-		}, nil
+		return dataSet{bufs: [][]byte{f32Bytes(pts), f32Bytes(cent), nil}, want: i32Bytes(want)}
 	}
 	p.Traffic = func(pr Params, nodes int) pgas.RankTraffic {
 		n := pr.Get("n")

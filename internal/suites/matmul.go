@@ -3,7 +3,6 @@ package suites
 import (
 	"math/rand"
 
-	"cucc/internal/cluster"
 	"cucc/internal/core"
 	"cucc/internal/interp"
 	"cucc/internal/kir"
@@ -31,8 +30,9 @@ const matmulBlock = 256
 // products with plenty of blocks — a well-scaling compute-heavy program.
 func MatMul() *Program {
 	prog := core.MustCompile(matmulSrc)
-	must(prog.RegisterNative("matmul", core.Native{
-		RunBlock: func(mem interp.Memory, args []interp.Value, grid, block interp.Dim3, bx, by int) error {
+	native(prog, "matmul",
+		func(b rows, args []interp.Value, grid, block interp.Dim3, bx, by int) {
+			x, y, out := b[0], b[1], b[2]
 			tiles := int(args[3].I)
 			k := int(args[4].I)
 			n := tiles * block.X
@@ -42,14 +42,13 @@ func MatMul() *Program {
 					col := t*block.X + tx
 					var sum float32
 					for j := 0; j < k; j++ {
-						sum += mem.LoadF32(0, row*k+j) * mem.LoadF32(1, j*n+col)
+						sum += f32(x, row*k+j) * f32(y, j*n+col)
 					}
-					mem.StoreF32(2, row*n+col, sum)
+					setF32(out, row*n+col, sum)
 				}
 			}
-			return nil
 		},
-		BlockWork: func(args []interp.Value, grid, block interp.Dim3) machine.BlockWork {
+		func(args []interp.Value, grid, block interp.Dim3) machine.BlockWork {
 			tiles := float64(args[3].I)
 			k := float64(args[4].I)
 			n := tiles * float64(block.X)
@@ -60,8 +59,7 @@ func MatMul() *Program {
 				// amortizes to about one compulsory pass per block row.
 				Bytes: (2*k + 2*n) * 4,
 			}
-		},
-	}))
+		})
 
 	p := &Program{
 		Name:          "MatMul",
@@ -74,26 +72,22 @@ func MatMul() *Program {
 		Default:       Params{"tiles": 4, "k": 4096}, // n = 1024, deep k
 		Small:         Params{"tiles": 1, "k": 24},   // with block 16 in tests? block fixed 256 -> n = 256
 	}
-	mkSpec := func(pr Params, a, b, out cluster.Buffer) core.LaunchSpec {
-		tiles := pr.Get("tiles")
+	p.Spec = func(pr Params) core.LaunchSpec {
+		tiles, k := pr.Get("tiles"), pr.Get("k")
 		n := tiles * matmulBlock
+		a, b, out := virtualBuf(kir.F32, n*k), virtualBuf(kir.F32, k*n), virtualBuf(kir.F32, n*n)
 		return core.LaunchSpec{
 			Kernel: "matmul",
 			Grid:   interp.Dim1(n),
 			Block:  interp.Dim1(matmulBlock),
 			Args: []core.Arg{
 				core.BufArg(a), core.BufArg(b), core.BufArg(out),
-				core.IntArg(int64(tiles)), core.IntArg(int64(pr.Get("k"))),
+				core.IntArg(int64(tiles)), core.IntArg(int64(k)),
 			},
 			SIMDFraction: p.SIMDFraction,
 		}
 	}
-	p.Spec = func(pr Params) core.LaunchSpec {
-		n := pr.Get("tiles") * matmulBlock
-		k := pr.Get("k")
-		return mkSpec(pr, virtualBuf(kir.F32, n*k), virtualBuf(kir.F32, k*n), virtualBuf(kir.F32, n*n))
-	}
-	p.Build = func(c *cluster.Cluster, pr Params) (*Instance, error) {
+	p.gen = func(pr Params) dataSet {
 		n := pr.Get("tiles") * matmulBlock
 		k := pr.Get("k")
 		rng := rand.New(rand.NewSource(6))
@@ -115,19 +109,7 @@ func MatMul() *Program {
 				want[r*n+cc] = sum
 			}
 		}
-		a := c.Alloc(kir.F32, n*k)
-		b := c.Alloc(kir.F32, k*n)
-		out := c.Alloc(kir.F32, n*n)
-		if err := c.WriteAllF32(a, as); err != nil {
-			return nil, err
-		}
-		if err := c.WriteAllF32(b, bs); err != nil {
-			return nil, err
-		}
-		return &Instance{
-			Spec:  mkSpec(pr, a, b, out),
-			Check: checkF32(c, out, want, "matmul"),
-		}, nil
+		return dataSet{bufs: [][]byte{f32Bytes(as), f32Bytes(bs), nil}, want: f32Bytes(want)}
 	}
 	p.Traffic = func(pr Params, nodes int) pgas.RankTraffic {
 		n := pr.Get("tiles") * matmulBlock

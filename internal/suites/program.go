@@ -15,14 +15,17 @@
 package suites
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math"
 	"strings"
 	"sync"
 
 	"cucc/internal/cluster"
 	"cucc/internal/core"
+	"cucc/internal/interp"
 	"cucc/internal/kir"
 	"cucc/internal/pgas"
 )
@@ -75,11 +78,9 @@ type Program struct {
 	Default Params
 	Small   Params
 
-	// Spec builds a launch spec with virtual (unallocated) buffers for
-	// cost-model sweeps.
+	// Spec builds a launch spec with virtual (unallocated) buffers: what
+	// cost-model sweeps estimate from, and what Build allocates from.
 	Spec func(p Params) core.LaunchSpec
-	// Build allocates and initializes real buffers on the cluster.
-	Build func(c *cluster.Cluster, p Params) (*Instance, error)
 	// Traffic is the analytic PGAS traffic model (OwnerRank0 policy) for
 	// the pacing rank; nil if the program is not part of the PGAS
 	// comparison.
@@ -88,6 +89,62 @@ type Program struct {
 	// total work, for weak-scaling sweeps ("" = program excluded, e.g.
 	// quadratic-size kernels).
 	WeakKey string
+
+	// gen computes the workload's data at p.  It is pure: the same Params
+	// give the same bytes, which is what lets Build share one result.
+	gen func(p Params) dataSet
+	// small is gen(Small), computed on first use and read-only afterwards.
+	small struct {
+		once sync.Once
+		data dataSet
+	}
+}
+
+// dataSet is a workload's data as little-endian bytes, ready to copy into
+// node memory: the initial contents of each buffer argument, in argument
+// order, and what the output buffer must hold after the launch.  The output
+// is the one argument whose entry in bufs is nil; it starts zeroed.
+type dataSet struct {
+	bufs [][]byte
+	want []byte
+}
+
+// data returns the workload's data at pr.  Every caller in the tree builds
+// at Small, so that one data set is generated once per Program and shared by
+// every Build (concurrent ones included: nothing writes to it afterwards);
+// the nine of them come to about 2.3 MB, which is why nothing bounds or
+// evicts them.  Any other Params generate afresh.
+func (p *Program) data(pr Params) dataSet {
+	if !maps.Equal(pr, p.Small) {
+		return p.gen(pr)
+	}
+	p.small.once.Do(func() { p.small.data = p.gen(p.Small) })
+	return p.small.data
+}
+
+// Build allocates the program's buffers on the cluster in argument order,
+// broadcasts the inputs, and returns the launch spec over the real buffers
+// with a check of node 0's output.
+func (p *Program) Build(c *cluster.Cluster, pr Params) (*Instance, error) {
+	d := p.data(pr)
+	spec := p.Spec(pr)
+	var bufs []cluster.Buffer
+	for i, a := range spec.Args {
+		if a.IsBuf {
+			b := c.Alloc(a.Buf.Elem, a.Buf.Count)
+			spec.Args[i] = core.BufArg(b)
+			bufs = append(bufs, b)
+		}
+	}
+	inst := &Instance{Spec: spec}
+	for i, b := range bufs {
+		if d.bufs[i] == nil {
+			inst.Check = checkOutput(c, b, d.want, p.Kernel)
+		} else if err := c.WriteAll(b, d.bufs[i]); err != nil {
+			return nil, err
+		}
+	}
+	return inst, nil
 }
 
 // WeakParams returns the Default workload scaled by factor via WeakKey.
@@ -175,33 +232,32 @@ func trafficOwner0(blocks, nodes int, wpb, tailW, elemSize int64) pgas.RankTraff
 	return tr
 }
 
-// checkF32 compares node 0's buffer against expected values exactly,
-// decoding the node's bytes in place.
-func checkF32(c *cluster.Cluster, buf cluster.Buffer, want []float32, name string) func() error {
-	return func() error {
-		if buf.Count != len(want) {
-			return fmt.Errorf("%s: output length %d, want %d", name, buf.Count, len(want))
-		}
-		raw := c.Region(0, buf)
-		for i, w := range want {
-			if got := math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:])); got != w {
-				return fmt.Errorf("%s: out[%d] = %g, want %g", name, i, got, w)
-			}
-		}
-		return nil
-	}
-}
+// f32Bytes and i32Bytes are the little-endian encodings cluster.WriteAllF32
+// and WriteAllI32 give vs.
+func f32Bytes(vs []float32) []byte { return interp.NewF32Buffer(vs).Data }
+func i32Bytes(vs []int32) []byte   { return interp.NewI32Buffer(vs).Data }
 
-// checkI32 compares node 0's int buffer against expected values.
-func checkI32(c *cluster.Cluster, buf cluster.Buffer, want []int32, name string) func() error {
+// checkOutput compares node 0's buffer (float32 or int32 elements) against
+// the expected bytes.  Equal bytes pass at once; only a mismatch is decoded
+// element by element, which keeps the verdict numeric (-0 equals +0) and
+// names the first wrong element.
+func checkOutput(c *cluster.Cluster, buf cluster.Buffer, want []byte, name string) func() error {
 	return func() error {
-		if buf.Count != len(want) {
-			return fmt.Errorf("%s: output length %d, want %d", name, buf.Count, len(want))
+		if buf.Count != len(want)/4 {
+			return fmt.Errorf("%s: output length %d, want %d", name, buf.Count, len(want)/4)
 		}
 		raw := c.Region(0, buf)
-		for i, w := range want {
-			if got := int32(binary.LittleEndian.Uint32(raw[4*i:])); got != w {
-				return fmt.Errorf("%s: out[%d] = %d, want %d", name, i, got, w)
+		if bytes.Equal(raw, want) {
+			return nil
+		}
+		for i := 0; i < buf.Count; i++ {
+			g, w := binary.LittleEndian.Uint32(raw[4*i:]), binary.LittleEndian.Uint32(want[4*i:])
+			if buf.Elem == kir.F32 {
+				if gf, wf := math.Float32frombits(g), math.Float32frombits(w); gf != wf {
+					return fmt.Errorf("%s: out[%d] = %g, want %g", name, i, gf, wf)
+				}
+			} else if g != w {
+				return fmt.Errorf("%s: out[%d] = %d, want %d", name, i, int32(g), int32(w))
 			}
 		}
 		return nil

@@ -34,14 +34,20 @@ type recoveryResult struct {
 	kills int64
 }
 
-// recoveryRun launches one program on a fresh 4-node cluster with the given
-// fault config and recovery policy, returning per-node heap snapshots and
-// the run's instrumentation.
+// recoveryRun is recoveryRunN on four nodes.
 func recoveryRun(t *testing.T, p *Program, fc *transport.FaultConfig, pol recovery.Policy) (*recoveryResult, error) {
+	t.Helper()
+	return recoveryRunN(t, p, 4, fc, pol)
+}
+
+// recoveryRunN launches one program on a fresh cluster with the given fault
+// config and recovery policy, returning per-node heap snapshots and the run's
+// instrumentation.
+func recoveryRunN(t *testing.T, p *Program, nodes int, fc *transport.FaultConfig, pol recovery.Policy) (*recoveryResult, error) {
 	t.Helper()
 	reg := metrics.New()
 	c, err := cluster.New(cluster.Config{
-		Nodes: 4, Machine: machine.Intel6226(), Net: simnet.IB100(),
+		Nodes: nodes, Machine: machine.Intel6226(), Net: simnet.IB100(),
 		RecvTimeout: 5 * time.Second,
 		Fault:       fc,
 		Metrics:     reg,
@@ -79,7 +85,7 @@ func recoveryRun(t *testing.T, p *Program, fc *transport.FaultConfig, pol recove
 		if err := inst.Check(); err != nil {
 			t.Fatalf("completed run failed its checker: %v", err)
 		}
-		for r := 0; r < 4; r++ {
+		for r := 0; r < nodes; r++ {
 			all := cluster.Buffer{Off: 0, Elem: kir.U8, Count: c.BytesPerNode()}
 			res.heaps = append(res.heaps, append([]byte(nil), c.Region(r, all)...))
 		}
@@ -157,6 +163,37 @@ func TestChaosRankLossRecoversBitwiseIdentical(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestChaosRankLossStartCheckpointSuffices: Transpose at 8 nodes has no
+// callback blocks, so a fault-free launch takes the start checkpoint only.
+// That one copy must be all recovery needs: rank 1 killed mid-Allgather still
+// recovers to bitwise identity on every node.
+func TestChaosRankLossStartCheckpointSuffices(t *testing.T) {
+	p := Transpose()
+	pol := recovery.Policy{Enabled: true}
+	ref, err := recoveryRunN(t, p, 8, &transport.FaultConfig{Seed: 1}, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.stats.CallbackBlocks != 0 || ref.stats.CommMsgs == 0 {
+		t.Fatalf("want a gathered launch without callbacks, got %d callback blocks, %d msgs", ref.stats.CallbackBlocks, ref.stats.CommMsgs)
+	}
+	if n := ref.snap.Counters[recovery.MetricCheckpoints]; n != 1 {
+		t.Errorf("fault-free launch without callbacks: %s = %d, want 1", recovery.MetricCheckpoints, n)
+	}
+	got, err := recoveryRunN(t, p, 8, killAt(2), pol)
+	if err != nil {
+		t.Fatalf("rank loss must be recovered, got %v", err)
+	}
+	if got.kills == 0 || got.stats.Restores < 1 {
+		t.Fatalf("recovery path not exercised: %d kills, %d restores", got.kills, got.stats.Restores)
+	}
+	for r := range got.heaps {
+		if !bytes.Equal(ref.heaps[r], got.heaps[r]) {
+			t.Errorf("node %d heap differs from fault-free run after recovery", r)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"cucc/internal/cluster"
 	"cucc/internal/core"
+	"cucc/internal/interp"
 	"cucc/internal/machine"
 	"cucc/internal/pgas"
 	"cucc/internal/simnet"
@@ -14,12 +15,18 @@ import (
 
 func newCluster(t *testing.T, n int) *cluster.Cluster {
 	t.Helper()
-	c, err := cluster.New(cluster.Config{Nodes: n, Machine: machine.Intel6226(), Net: simnet.IB100()})
+	c, err := newClusterN(n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
 	return c
+}
+
+// newClusterN is newCluster for callers off the test goroutine, who close it
+// themselves.
+func newClusterN(n int) (*cluster.Cluster, error) {
+	return cluster.New(cluster.Config{Nodes: n, Machine: machine.Intel6226(), Net: simnet.IB100()})
 }
 
 func allWithVecAdd() []*Program {
@@ -78,8 +85,47 @@ func TestDistributedCorrectness(t *testing.T) {
 	}
 }
 
+// elemOnly hides everything but interp.Memory's element accessors — RawBytes
+// in particular — the way a memory that intercepts accesses does.
+type elemOnly struct{ interp.Memory }
+
+// hostRun executes every block of p's native at Small scale against a
+// HostMem holding the generated inputs, seen through wrap, and returns each
+// buffer argument's bytes.
+func hostRun(t *testing.T, p *Program, wrap func(*interp.HostMem) interp.Memory) [][]byte {
+	t.Helper()
+	nat, ok := p.Compiled.Native(p.Kernel)
+	if !ok {
+		t.Fatalf("%s has no native", p.Name)
+	}
+	spec, d := p.Spec(p.Small), p.gen(p.Small)
+	host := interp.NewHostMem()
+	args := make([]interp.Value, len(spec.Args))
+	var snaps [][]byte
+	for i, a := range spec.Args {
+		if !a.IsBuf {
+			args[i] = a.Val
+			continue
+		}
+		data := make([]byte, a.Buf.Bytes())
+		copy(data, d.bufs[len(snaps)])
+		host.Bind(i, &interp.HostBuffer{Elem: a.Buf.Elem, Data: data})
+		snaps = append(snaps, data)
+	}
+	mem := wrap(host)
+	for by := 0; by < spec.Grid.Y; by++ {
+		for bx := 0; bx < spec.Grid.X; bx++ {
+			if err := nat.RunBlock(mem, args, spec.Grid, spec.Block, bx, by); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return snaps
+}
+
 // TestInterpMatchesNative cross-validates the native backend against the
-// IR interpreter on the same workload.
+// IR interpreter on the same workload: through a session on node memory,
+// and block by block on a HostMem, with and without its raw bytes exposed.
 func TestInterpMatchesNative(t *testing.T) {
 	for _, p := range allWithVecAdd() {
 		t.Run(p.Name, func(t *testing.T) {
@@ -109,11 +155,16 @@ func TestInterpMatchesNative(t *testing.T) {
 				}
 				return snaps
 			}
-			nat := run(false)
 			itp := run(true)
-			for i := range nat {
-				if !bytes.Equal(nat[i], itp[i]) {
-					t.Errorf("buffer %d differs between native and interpreter", i)
+			for name, nat := range map[string][][]byte{
+				"node memory":         run(false),
+				"host memory":         hostRun(t, p, func(h *interp.HostMem) interp.Memory { return h }),
+				"element-only memory": hostRun(t, p, func(h *interp.HostMem) interp.Memory { return elemOnly{h} }),
+			} {
+				for i := range itp {
+					if !bytes.Equal(nat[i], itp[i]) {
+						t.Errorf("%s: buffer %d differs between native and interpreter", name, i)
+					}
 				}
 			}
 		})

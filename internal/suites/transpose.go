@@ -1,7 +1,6 @@
 package suites
 
 import (
-	"cucc/internal/cluster"
 	"cucc/internal/core"
 	"cucc/internal/interp"
 	"cucc/internal/kir"
@@ -33,19 +32,20 @@ const stridedReadBytes = 256
 // capacity (§7.4.1).
 func Transpose() *Program {
 	prog := core.MustCompile(transposeSrc)
-	must(prog.RegisterNative("transpose", core.Native{
-		RunBlock: func(mem interp.Memory, args []interp.Value, grid, block interp.Dim3, bx, by int) error {
-			tiles := int(args[2].I)
-			n := tiles * block.X
-			for t := 0; t < tiles; t++ {
-				for tx := 0; tx < block.X; tx++ {
-					col := t*block.X + tx
-					mem.StoreF32(1, bx*n+col, mem.LoadF32(0, col*n+bx))
-				}
+	native(prog, "transpose",
+		func(b rows, args []interp.Value, grid, block interp.Dim3, bx, by int) {
+			// The tiles x threads of the block cover output row bx, column
+			// by column; each element comes from input column bx, one row
+			// (n elements) further down than the last.
+			n := int(args[2].I) * block.X
+			in, row := b[0], b[1][4*bx*n:4*(bx+1)*n]
+			src := bx
+			for col := 0; col < n; col++ {
+				setF32(row, col, f32(in, src))
+				src += n
 			}
-			return nil
 		},
-		BlockWork: func(args []interp.Value, grid, block interp.Dim3) machine.BlockWork {
+		func(args []interp.Value, grid, block interp.Dim3) machine.BlockWork {
 			n := float64(int(args[2].I) * block.X)
 			return machine.BlockWork{
 				IntOps: 6 * n,
@@ -53,8 +53,7 @@ func Transpose() *Program {
 				// amplification.
 				Bytes: n*4 + n*stridedReadBytes,
 			}
-		},
-	}))
+		})
 
 	p := &Program{
 		Name:          "Transpose",
@@ -67,9 +66,10 @@ func Transpose() *Program {
 		Default:       Params{"tiles": 16}, // n = 4096, 64 MB matrix
 		Small:         Params{"tiles": 2},  // n = 512 at block 256
 	}
-	mkSpec := func(pr Params, in, out cluster.Buffer) core.LaunchSpec {
+	p.Spec = func(pr Params) core.LaunchSpec {
 		tiles := pr.Get("tiles")
 		n := tiles * transposeBlock
+		in, out := virtualBuf(kir.F32, n*n), virtualBuf(kir.F32, n*n)
 		return core.LaunchSpec{
 			Kernel:       "transpose",
 			Grid:         interp.Dim1(n),
@@ -78,11 +78,7 @@ func Transpose() *Program {
 			SIMDFraction: p.SIMDFraction,
 		}
 	}
-	p.Spec = func(pr Params) core.LaunchSpec {
-		n := pr.Get("tiles") * transposeBlock
-		return mkSpec(pr, virtualBuf(kir.F32, n*n), virtualBuf(kir.F32, n*n))
-	}
-	p.Build = func(c *cluster.Cluster, pr Params) (*Instance, error) {
+	p.gen = func(pr Params) dataSet {
 		n := pr.Get("tiles") * transposeBlock
 		ins := make([]float32, n*n)
 		want := make([]float32, n*n)
@@ -93,15 +89,7 @@ func Transpose() *Program {
 				want[cc*n+r] = v
 			}
 		}
-		in := c.Alloc(kir.F32, n*n)
-		out := c.Alloc(kir.F32, n*n)
-		if err := c.WriteAllF32(in, ins); err != nil {
-			return nil, err
-		}
-		return &Instance{
-			Spec:  mkSpec(pr, in, out),
-			Check: checkF32(c, out, want, "transpose"),
-		}, nil
+		return dataSet{bufs: [][]byte{f32Bytes(ins), nil}, want: f32Bytes(want)}
 	}
 	p.Traffic = func(pr Params, nodes int) pgas.RankTraffic {
 		n := pr.Get("tiles") * transposeBlock

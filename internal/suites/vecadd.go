@@ -3,7 +3,6 @@ package suites
 import (
 	"math/rand"
 
-	"cucc/internal/cluster"
 	"cucc/internal/core"
 	"cucc/internal/interp"
 	"cucc/internal/kir"
@@ -25,22 +24,21 @@ const vecAddBlock = 256
 // tail-divergent bound check (the paper's Listing 1 shape).
 func VecAdd() *Program {
 	prog := core.MustCompile(vecAddSrc)
-	must(prog.RegisterNative("vecadd", core.Native{
-		RunBlock: func(mem interp.Memory, args []interp.Value, grid, block interp.Dim3, bx, by int) error {
+	native(prog, "vecadd",
+		func(b rows, args []interp.Value, grid, block interp.Dim3, bx, by int) {
+			x, y, out := b[0], b[1], b[2]
 			n := int(args[3].I)
 			for tx := 0; tx < block.X; tx++ {
 				id := block.X*bx + tx
 				if id < n {
-					mem.StoreF32(2, id, mem.LoadF32(0, id)+mem.LoadF32(1, id))
+					setF32(out, id, f32(x, id)+f32(y, id))
 				}
 			}
-			return nil
 		},
-		BlockWork: func(args []interp.Value, grid, block interp.Dim3) machine.BlockWork {
+		func(args []interp.Value, grid, block interp.Dim3) machine.BlockWork {
 			t := float64(block.X)
 			return machine.BlockWork{VecFlops: t, IntOps: 3 * t, Bytes: 12 * t}
-		},
-	}))
+		})
 
 	p := &Program{
 		Name:          "VecAdd",
@@ -54,8 +52,9 @@ func VecAdd() *Program {
 		WeakKey:       "n",
 		Small:         Params{"n": 5000},
 	}
-	spec := func(pr Params, a, b, c cluster.Buffer) core.LaunchSpec {
+	p.Spec = func(pr Params) core.LaunchSpec {
 		n := pr.Get("n")
+		a, b, c := virtualBuf(kir.F32, n), virtualBuf(kir.F32, n), virtualBuf(kir.F32, n)
 		return core.LaunchSpec{
 			Kernel:       "vecadd",
 			Grid:         interp.Dim1(ceilDiv(n, vecAddBlock)),
@@ -64,11 +63,7 @@ func VecAdd() *Program {
 			SIMDFraction: p.SIMDFraction,
 		}
 	}
-	p.Spec = func(pr Params) core.LaunchSpec {
-		n := pr.Get("n")
-		return spec(pr, virtualBuf(kir.F32, n), virtualBuf(kir.F32, n), virtualBuf(kir.F32, n))
-	}
-	p.Build = func(c *cluster.Cluster, pr Params) (*Instance, error) {
+	p.gen = func(pr Params) dataSet {
 		n := pr.Get("n")
 		rng := rand.New(rand.NewSource(1))
 		as := make([]float32, n)
@@ -79,19 +74,7 @@ func VecAdd() *Program {
 			bs[i] = rng.Float32()
 			want[i] = as[i] + bs[i]
 		}
-		a := c.Alloc(kir.F32, n)
-		b := c.Alloc(kir.F32, n)
-		out := c.Alloc(kir.F32, n)
-		if err := c.WriteAllF32(a, as); err != nil {
-			return nil, err
-		}
-		if err := c.WriteAllF32(b, bs); err != nil {
-			return nil, err
-		}
-		return &Instance{
-			Spec:  spec(pr, a, b, out),
-			Check: checkF32(c, out, want, "vecadd"),
-		}, nil
+		return dataSet{bufs: [][]byte{f32Bytes(as), f32Bytes(bs), nil}, want: f32Bytes(want)}
 	}
 	p.Traffic = func(pr Params, nodes int) pgas.RankTraffic {
 		n := pr.Get("n")
