@@ -1,8 +1,8 @@
 # Tier-1 gate: everything `make check` runs must stay green.  CI and
 # pre-merge checks use this target; see ROADMAP.md.
-.PHONY: check build vet test bench-test bench-smoke race chaos bench prof bench-compare slo
+.PHONY: check build vet test bench-test bench-smoke race fuzz-smoke chaos bench prof bench-compare slo
 
-check: build vet test bench-test race bench-smoke
+check: build vet test bench-test race fuzz-smoke bench-smoke
 
 build:
 	go build ./...
@@ -41,6 +41,13 @@ bench-smoke:
 race:
 	go test -race -timeout 120s ./internal/interp/ ./internal/vm/ ./internal/core/ ./internal/cluster/ ./internal/comm/ ./internal/csched/ ./internal/transport/ ./internal/metrics/ ./internal/trace/ ./internal/prof/ ./internal/recovery/ ./internal/serve/ ./internal/throughput/ ./internal/obs/
 	go test -race -timeout 120s -run 'TestBuildMatchesFreshGeneration|TestInterpMatchesNative' ./internal/suites/
+
+# Ten seconds of the one fuzz target: mutated mini-CUDA source compiled for
+# the register machine and run against the interpreter (memory, Work, error),
+# starting from the value-class shapes in internal/vm/testdata/fuzz.  A
+# failing input is written there too; `go test ./internal/vm` re-runs it.
+fuzz-smoke:
+	go test -run '^$$' -fuzz FuzzCompileMatchesInterp -fuzztime=10s ./internal/vm/
 
 # Fault-injection suite under the race detector: seeded transport faults
 # (benign, lossy, and the deterministic rank kill) across the cluster chaos

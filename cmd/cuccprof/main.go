@@ -278,14 +278,16 @@ func statsIfSingle(progs []*suites.Program, stats *core.Stats) *core.Stats {
 	return nil
 }
 
-// vmProfileTable renders the opcode profiler's findings: dynamic instruction
-// mix and the hottest back edges (loops) per kernel.
+// vmProfileTable renders the opcode profiler's findings per kernel: dynamic
+// instruction mix, the share that ran once per lane batch, the hottest back
+// edges (loops), and the opcodes whose batch-scalar operands still had to be
+// broadcast into rows.
 func vmProfileTable(profiles []vm.KernelProfile) string {
 	var b strings.Builder
 	b.WriteString("\nvm opcode profile:\n")
 	for _, kp := range profiles {
-		fmt.Fprintf(&b, "  kernel %s: %d instructions over %d basic blocks\n",
-			kp.Kernel, kp.Instructions, kp.Blocks)
+		fmt.Fprintf(&b, "  kernel %s: %d instructions over %d basic blocks, %.1f%% scalar-executed\n",
+			kp.Kernel, kp.Instructions, kp.Blocks, 100*float64(kp.ScalarInstructions)/float64(kp.Instructions))
 		top := kp.Opcodes
 		if len(top) > 8 {
 			top = top[:8]
@@ -299,6 +301,13 @@ func vmProfileTable(profiles []vm.KernelProfile) string {
 				break
 			}
 			fmt.Fprintf(&b, "    back edge pc %d -> %d: %d iterations\n", be.PC, be.Target, be.Count)
+		}
+		if kp.Broadcasts > 0 {
+			fmt.Fprintf(&b, "    broadcasts %d (%.1f%%) for:", kp.Broadcasts, 100*float64(kp.Broadcasts)/float64(kp.Instructions))
+			for _, oc := range kp.BroadcastFor {
+				fmt.Fprintf(&b, " %s %d", oc.Op, oc.Count)
+			}
+			b.WriteByte('\n')
 		}
 	}
 	return b.String()

@@ -15,6 +15,7 @@ import (
 	"cucc/internal/recovery"
 	"cucc/internal/simnet"
 	"cucc/internal/suites"
+	"cucc/internal/vm"
 )
 
 // Launch shapes outside the nine suite kernels, chosen as the places a
@@ -72,6 +73,85 @@ __global__ void shape_diverge(float* x, float* y, int n, int iters) {
 }
 `
 
+// The value-class shapes: what the lane loop's compiler treats as
+// thread-invariant, and each place that treatment could go wrong (the same
+// rules internal/vm's differential tests pin one kernel at a time, here
+// through a whole launch).  Blocks of 50 leave a tail batch at lane widths 4
+// and 32.
+
+// MatMul's inner loop: the counter, its bound, the row base and the x[...]
+// row element are the same in every thread; only the column term is not.
+const shapeUniformSrc = `
+__global__ void shape_uniform(float* x, float* y, int n, int iters) {
+    int row = blockIdx.x;
+    int col = threadIdx.x;
+    float sum = 0.0f;
+    for (int j = 0; j < iters; j++)
+        sum += x[row * iters + j] * x[j * blockDim.x + col];
+    y[row * blockDim.x + col] = sum;
+}
+`
+
+// VecAdd: every value hangs off the thread's id; nothing to hoist.
+const shapeVariantSrc = `
+__global__ void shape_variant(float* x, float* y, int n, int iters) {
+    int id = blockIdx.x * blockDim.x + threadIdx.x;
+    if (id < n)
+        y[id] = x[id] * 0.5f + x[n - 1 - id];
+}
+`
+
+// A uniform slot assigned under a per-thread if and read after the join; a
+// per-thread break out of a uniform-bound loop whose counter is read
+// afterwards; a ternary with uniform arms and a per-thread condition.
+const shapeJoinSrc = `
+__global__ void shape_join(float* x, float* y, int n, int iters) {
+    int id = blockIdx.x * blockDim.x + threadIdx.x;
+    int u = iters % 7;
+    if (id % 3 == 1) { u = u + 5; }
+    int j = 0;
+    while (j < iters) {
+        if (x[id] * (float)(j + 1) > 6.0f) break;
+        j = j + 1;
+    }
+    int v = (id % 2 == 0) ? iters * 2 : iters * 3;
+    y[id] = x[(id + u) % n] + (float)(j * 100 + v);
+}
+`
+
+// A uniform loop inside a loop threads leave at different times, entered
+// only by threads other than each batch's lane 0.
+const shapeNestedSrc = `
+__global__ void shape_nested(float* x, float* y, int n, int iters) {
+    int id = blockIdx.x * blockDim.x + threadIdx.x;
+    float acc = x[id];
+    if (threadIdx.x % 4 != 0) {
+        int i = 0;
+        while (i < id % 5) {
+            for (int j = 0; j < iters; j++)
+                acc = acc * 0.5f + x[(i * iters + j) % n];
+            i = i + 1;
+        }
+    }
+    y[id] = acc;
+}
+`
+
+// Uniform-index shared loads after a barrier, in a block of several batches.
+const shapeSharedSrc = `
+__global__ void shape_shared(float* x, float* y, int n, int rounds) {
+    __shared__ float tile[64];
+    int tid = threadIdx.x;
+    int id = blockIdx.x * blockDim.x + tid;
+    tile[tid] = x[id];
+    __syncthreads();
+    float p = 0.0f;
+    for (int r = 0; r < rounds; r++)
+        p = p + tile[(r * 7 + n) % blockDim.x];
+    y[id] = p + tile[tid];
+}
+`
+
 type launchShape struct {
 	name, src, kernel string
 	grid, block       int
@@ -113,6 +193,11 @@ var launchShapes = []launchShape{
 	{"tail255", shapeLoopSrc, "shape_loop", 8, 255, floatInOut(16)},
 	{"barrier", shapeBarrierSrc, "shape_barrier", 8, 128, floatInOut(24)},
 	{"diverge", shapeDivergeSrc, "shape_diverge", 16, 64, floatInOut(0)},
+	{"uniform-heavy", shapeUniformSrc, "shape_uniform", 32, 64, floatInOut(24)},
+	{"all-variant", shapeVariantSrc, "shape_variant", 32, 64, floatInOut(0)},
+	{"join", shapeJoinSrc, "shape_join", 8, 50, floatInOut(9)},
+	{"nested-uniform", shapeNestedSrc, "shape_nested", 8, 50, floatInOut(3)},
+	{"shared-uniform", shapeSharedSrc, "shape_shared", 8, 50, floatInOut(5)},
 	{"atomic-global", suites.HistogramAtomicSrc, "hist_atomic", 8, 256,
 		func(tb testing.TB, c *cluster.Cluster, n int) []core.Arg {
 			bins := c.Alloc(kir.I32, 64)
@@ -158,7 +243,8 @@ func nodeHeap(c *cluster.Cluster, node int) []byte {
 
 // TestLaunchShapesMatchInterp: on every shape the default engine leaves
 // each node's heap bitwise equal to the interpreter's and reports the same
-// Stats (so the same Work), on one node and across four with a worker pool.
+// Stats (so the same Work), on one node and across four with a worker pool,
+// at lane widths 1, 4 and the default 32.
 func TestLaunchShapesMatchInterp(t *testing.T) {
 	for _, sh := range launchShapes {
 		t.Run(sh.name, func(t *testing.T) {
@@ -173,18 +259,22 @@ func TestLaunchShapesMatchInterp(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%d nodes, interp: %v", nodes, err)
 				}
-				sess, spec := shapeSession(t, sh, nodes, workers, cluster.EngineDefault)
-				sess.Verify = true
-				got, err := sess.Launch(spec)
-				if err != nil {
-					t.Fatalf("%d nodes, %s: %v", nodes, sess.EffectiveEngine(), err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%d nodes: stats differ\n%s %+v\ninterp %+v", nodes, sess.EffectiveEngine(), got, want)
-				}
-				for node := 0; node < nodes; node++ {
-					if !bytes.Equal(nodeHeap(sess.Cluster, node), nodeHeap(ref.Cluster, node)) {
-						t.Errorf("%d nodes: node %d heap differs from interp", nodes, node)
+				for _, width := range []int{1, 4, 32} {
+					sess, spec := shapeSession(t, sh, nodes, workers, cluster.EngineDefault)
+					sess.Verify = true
+					prev := vm.SetLaneWidth(width)
+					got, err := sess.Launch(spec)
+					vm.SetLaneWidth(prev)
+					if err != nil {
+						t.Fatalf("%d nodes, %s, width %d: %v", nodes, sess.EffectiveEngine(), width, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%d nodes, width %d: stats differ\n%s %+v\ninterp %+v", nodes, width, sess.EffectiveEngine(), got, want)
+					}
+					for node := 0; node < nodes; node++ {
+						if !bytes.Equal(nodeHeap(sess.Cluster, node), nodeHeap(ref.Cluster, node)) {
+							t.Errorf("%d nodes, width %d: node %d heap differs from interp", nodes, width, node)
+						}
 					}
 				}
 			}

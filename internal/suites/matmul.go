@@ -70,7 +70,7 @@ func MatMul() *Program {
 		GPUMemEff:     0.8,
 		Compiled:      prog,
 		Default:       Params{"tiles": 4, "k": 4096}, // n = 1024, deep k
-		Small:         Params{"tiles": 1, "k": 24},   // with block 16 in tests? block fixed 256 -> n = 256
+		Small:         Params{"tiles": 1, "k": 24},   // n = 256 (one tile of matmulBlock threads), shallow k
 	}
 	p.Spec = func(pr Params) core.LaunchSpec {
 		tiles, k := pr.Get("tiles"), pr.Get("k")

@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"cucc/internal/interp"
 	"cucc/internal/kir"
@@ -23,6 +24,7 @@ func Compile(k *kir.Kernel) (*CompiledKernel, error) {
 	c := &compiler{
 		k:        k,
 		p:        p,
+		code:     make([]instr, 0, 64),
 		intConst: make(map[int64]uint16),
 		fltConst: make(map[uint64]uint16),
 		arrIDs:   make(map[string]uint16),
@@ -35,6 +37,8 @@ func Compile(k *kir.Kernel) (*CompiledKernel, error) {
 		base += sh.Len
 	}
 	p.sharedLen = base
+
+	c.classify()
 
 	// Pre-scan interns every literal so the constant pools are complete
 	// before the temporary region (which starts right after them) is laid
@@ -57,49 +61,15 @@ func Compile(k *kir.Kernel) (*CompiledKernel, error) {
 	p.code = fuse(c.code, k.NumSlots, c.tiBase, c.tfBase)
 	p.numI = c.maxTI
 	p.numF = c.maxTF
-	p.mutI, p.mutF = slotWriters(p.code, k.NumSlots)
+	// Every slot write is a Decl or an Assign of both fields, and the
+	// classifier moved exactly those slots off clsConst.
+	for s, sl := range c.slots {
+		if sl.cls != clsConst {
+			p.mutI = append(p.mutI, s)
+		}
+	}
+	p.mutF = p.mutI
 	return p, nil
-}
-
-// slotWriters scans a program for the variable slots it writes: int slots
-// are registers [numReservedI, numReservedI+numSlots) of the int file,
-// float slots are registers [0, numSlots) of the float file.
-func slotWriters(code []instr, numSlots int) (mutI, mutF []int) {
-	seenI := make([]bool, numSlots)
-	seenF := make([]bool, numSlots)
-	for _, in := range code {
-		switch in.op {
-		case opMovVar:
-			// Writes int slot d and float slot d directly.
-			seenI[in.d] = true
-			seenF[in.d] = true
-		case opMovI, opNotI, opNotF, opCastFI, opCastU8,
-			opNegI, opAddI, opSubI, opMulI, opMulAddI, opDivI, opRemI,
-			opAndI, opOrI, opXorI, opShlI, opShrI,
-			opLtI, opLeI, opGtI, opGeI, opEqI, opNeI,
-			opLtF, opLeF, opGtF, opGeF, opEqF, opNeF,
-			opMinI, opMaxI, opAbsI, opLdGI, opLdGU8, opLdSI:
-			if s := int(in.d) - numReservedI; s >= 0 && s < numSlots {
-				seenI[s] = true
-			}
-		case opMovF, opCastIF,
-			opNegF, opAddF, opSubF, opMulF, opMulAddF, opDivF,
-			opSqrt, opExp, opLog, opFabs, opFmin, opFmax, opPow,
-			opSin, opCos, opTanh, opLdGF, opLdSF:
-			if int(in.d) < numSlots {
-				seenF[int(in.d)] = true
-			}
-		}
-	}
-	for s := 0; s < numSlots; s++ {
-		if seenI[s] {
-			mutI = append(mutI, s)
-		}
-		if seenF[s] {
-			mutF = append(mutF, s)
-		}
-	}
-	return mutI, mutF
 }
 
 // fuse is the post-compile peephole pass emitting superinstructions for the
@@ -109,8 +79,11 @@ func slotWriters(code []instr, numSlots int) (mutI, mutF []int) {
 // together) and, for the value-forwarding fusions, when the intermediate is
 // a temporary register: the compiler allocates each temporary for exactly
 // one consuming read before the next statement rewrites it, so dropping the
-// intermediate write is safe.  Jump targets are remapped to the shortened
-// instruction stream, exactly like the profiler's instrumentation pass.
+// intermediate write is safe.  The halves must also agree on being
+// scalar-executed, and a per-lane pair fuses only into a scalar-operand form
+// the fused opcode has (see scalarForms); a pair left apart keeps the forms
+// of its halves.  Jump targets are remapped to the shortened instruction
+// stream, exactly like the profiler's instrumentation pass.
 func fuse(code []instr, numSlots, tiBase, tfBase int) []instr {
 	n := len(code)
 	target := make([]bool, n+1)
@@ -147,51 +120,70 @@ func fuse(code []instr, numSlots, tiBase, tfBase int) []instr {
 // instruction pair.
 func fusePair(in, nx instr, numSlots, tiBase, tfBase int) (instr, bool) {
 	switch {
-	case in.op == opMovI && nx.op == opMovF &&
+	case in.op == opMovI && nx.op == opMovF && in.u == nx.u &&
 		int(nx.d) < numSlots && int(in.d) == int(nx.d)+numReservedI:
 		// The two halves of a variable-slot assignment (Decl/Assign always
-		// emit them adjacently).  Combining the independent int/float file
-		// writes is unconditionally safe.
-		return instr{op: opMovVar, d: nx.d, a: in.a, b: nx.a}, true
+		// emit them adjacently, with the same flags).  Combining the
+		// independent int/float file writes is unconditionally safe.
+		return instr{op: opMovVar, u: in.u, d: nx.d, a: in.a, b: nx.a}, true
 
-	case in.op == opMulF && int(in.d) >= tfBase && nx.op == opAddF:
+	case in.op == opMulF && int(in.d) >= tfBase && nx.op == opAddF &&
+		in.u&uExec == nx.u&uExec && nx.u&^uExec == 0:
+		// Both scalar-executed, or a per-lane add with a per-lane addend,
+		// in which case the product's own uA/uB carries over.
 		t := in.d
 		if nx.a == t && nx.b != t {
-			return instr{op: opMulAddF, d: nx.d, a: in.a, b: in.b,
+			return instr{op: opMulAddF, u: in.u, d: nx.d, a: in.a, b: in.b,
 				imm: int32(nx.b) | mulAddSwapBit}, true
 		}
 		if nx.b == t && nx.a != t {
-			return instr{op: opMulAddF, d: nx.d, a: in.a, b: in.b,
+			return instr{op: opMulAddF, u: in.u, d: nx.d, a: in.a, b: in.b,
 				imm: int32(nx.a)}, true
 		}
 
-	case in.op == opMulI && int(in.d) >= tiBase && nx.op == opAddI:
+	case in.op == opMulI && int(in.d) >= tiBase && nx.op == opAddI &&
+		in.u&uExec == nx.u&uExec && (in.u == 0 || nx.u&uB == 0):
+		// binary keeps an integer op's uniform operand in b, so the
+		// product's flag is uB and a uniform addend shows as the add's uB;
+		// the fused form takes one of them, not both.
 		t := in.d
 		if (nx.a == t) != (nx.b == t) {
-			c := nx.a
+			c, u := nx.a, in.u
 			if c == t {
 				c = nx.b
 			}
-			return instr{op: opMulAddI, d: nx.d, a: in.a, b: in.b, imm: int32(c)}, true
+			if nx.u&uB != 0 {
+				u = uC
+			}
+			return instr{op: opMulAddI, u: u, d: nx.d, a: in.a, b: in.b, imm: int32(c)}, true
 		}
 
+	case in.op == opAddI && in.u == uB && int(in.d) >= tiBase &&
+		nx.op == opLdGF && nx.u == 0 && nx.a == in.d:
+		// A float load indexed by a per-lane value plus a batch scalar
+		// (`in[id + t]`, `b[j*n + col]`): the add moves into the load.
+		return instr{op: opLdGF, u: uC, d: nx.d, a: in.a, b: nx.b, imm: int32(in.b)}, true
+
 	case in.op >= opLtI && in.op <= opNeI && int(in.d) >= tiBase &&
-		(nx.op == opJzI || nx.op == opJnzI) && nx.a == in.d:
+		(nx.op == opJzI || nx.op == opJnzI) && nx.a == in.d &&
+		in.u&uExec == nx.u&uExec:
 		d := uint16(in.op - opLtI)
 		if nx.op == opJnzI {
 			d |= cjmpSenseBit
 		}
-		return instr{op: opCJmpI, d: d, a: in.a, b: in.b, imm: nx.imm}, true
+		return instr{op: opCJmpI, u: in.u, d: d, a: in.a, b: in.b, imm: nx.imm}, true
 
 	case in.op >= opLtF && in.op <= opNeF && int(in.d) >= tiBase &&
-		(nx.op == opJzI || nx.op == opJnzI) && nx.a == in.d:
+		(nx.op == opJzI || nx.op == opJnzI) && nx.a == in.d &&
+		in.u == nx.u:
 		// Float compares write their 0/1 result into an int temporary, so
-		// the consuming jump is the integer form.
+		// the consuming jump is the integer form.  opCJmpF has no
+		// scalar-operand form: a flagged compare stays apart.
 		d := uint16(in.op - opLtF)
 		if nx.op == opJnzI {
 			d |= cjmpSenseBit
 		}
-		return instr{op: opCJmpF, d: d, a: in.a, b: in.b, imm: nx.imm}, true
+		return instr{op: opCJmpF, u: in.u, d: d, a: in.a, b: in.b, imm: nx.imm}, true
 	}
 	return instr{}, false
 }
@@ -233,11 +225,52 @@ func cmpF(kind uint16, x, y float64) bool {
 	}
 }
 
+// class sorts a value by how it varies across the threads of a lane batch.
+// The order matters: an instruction's result is as variable as its most
+// variable operand.
+type class uint8
+
+const (
+	// clsConst is a launch constant: the same in every thread of the launch
+	// and held in a row whose every cell is valid (constant pool, unwritten
+	// arguments, blockIdx/blockDim/gridDim).
+	clsConst class = iota
+	// clsScalar is a batch scalar: the same in every thread that can read
+	// it, computed once per batch, kept in the lane-0 cell of its row only.
+	clsScalar
+	// clsRow is a per-lane value.
+	clsRow
+)
+
+// slotInfo is the classifier's state for one variable slot.
+type slotInfo struct {
+	cls   class
+	decl  int32 // region holding the slot's Decl in this pass; 0: none seen yet
+	open  bool  // the walk is inside the Decl's scope
+	loose bool  // referenced outside that scope: the slot lives at the top level
+}
+
+// forceUniform is the mutation-test seam, set only from export_test.go: the
+// classifier stops demoting slots, so every written slot is called a batch
+// scalar and the differential tests must find a counterexample.
+var forceUniform bool
+
 type compiler struct {
 	k    *kir.Kernel
 	p    *CompiledKernel
 	code []instr
 	err  error
+
+	// Classifier state (classify).  slots is also what code generation
+	// reads each VarRef's and each assignment's class from.
+	slots     []slotInfo
+	rgn       int32 // innermost thread-variant-controlled region of the walk
+	nextRgn   int32
+	noScalars bool       // a barrier sits under thread-variant control
+	dirty     bool       // this pass demoted something: walk again
+	loop      kir.Stmt   // innermost enclosing loop of the walk
+	loopRgn   int32      // region of its body
+	varLoops  []kir.Stmt // loops some threads leave early by break/continue
 
 	intConst           map[int64]uint16
 	fltConst           map[uint64]uint16 // keyed by bit pattern so NaN literals intern
@@ -430,6 +463,213 @@ func (c *compiler) scanExpr(e kir.Expr) {
 	}
 }
 
+// --- value classes ---
+
+// topRegion is the region of code every live thread of a batch runs
+// together: the kernel body outside any thread-variant control.
+const topRegion = 1
+
+// classify decides every variable slot's class before code is generated.
+//
+// It starts from "uniform" and only ever demotes, re-walking the kernel
+// while a pass demoted something (a later write can make an earlier read
+// per-lane); each pass is one tree walk, and suite kernels settle in two.
+//
+// One shared cell can stand for a slot's value in every lane only if each
+// write is made by all the threads that may read the slot afterwards.  Lanes
+// run in lockstep and meet again at the join of every branch, so that holds
+// for a write at the top level, and fails for a write inside a region only
+// part of the batch executes: an arm of an if with a per-lane condition, a
+// loop with a per-lane condition, a loop some threads break or continue out
+// of (its every later statement and iteration runs without them).  The
+// threads parked at the join would find the others' value in the cell.
+//
+// One refinement keeps the guarded loops real kernels are made of
+// (`if (id < n) for (t ...)`).  A slot declared inside a region, with every
+// reference inside the Decl's scope, belongs to the threads that entered
+// the region together, and the Decl rewrites it on each entry: it is a batch
+// scalar if its writes sit directly in the Decl's region, not in a deeper
+// one.  Nothing such a slot holds can differ between two iterations of a
+// loop threads leave early (a value carried round the loop is written in the
+// loop and declared outside it), so threads of different iterations that
+// meet after a while loop's continue still agree on it.
+//
+// A thread-variant early return is harmless (a returned thread reads
+// nothing again).  A barrier under thread-variant control is not: the
+// threads that skipped it run on while the others wait, so a kernel with one
+// gets no batch scalars at all.
+func (c *compiler) classify() {
+	c.slots = make([]slotInfo, c.k.NumSlots)
+	for c.dirty = true; c.dirty; {
+		c.dirty = false
+		c.rgn, c.nextRgn = topRegion, topRegion
+		for i := range c.slots {
+			c.slots[i].decl, c.slots[i].open = 0, false
+		}
+		c.classBlock(c.k.Body)
+	}
+}
+
+func (c *compiler) newRegion() int32 {
+	c.nextRgn++
+	return c.nextRgn
+}
+
+// demote makes a slot per-lane.
+func (c *compiler) demote(sl *slotInfo) {
+	if !forceUniform {
+		sl.cls = clsRow
+		c.dirty = true
+	}
+}
+
+// slotRef notes a reference to a slot and returns the slot's class.  A
+// reference outside the scope of the slot's Decl (a parameter, hand-built IR
+// without a Decl) means the value outlives any region instance, so only
+// top-level writes can keep it a scalar.
+func (c *compiler) slotRef(slot int) class {
+	sl := &c.slots[slot]
+	if !sl.open && !sl.loose {
+		sl.loose = true
+		if sl.cls == clsScalar && sl.decl > topRegion {
+			c.demote(sl)
+		}
+	}
+	return sl.cls
+}
+
+// slotWrite notes a write of a value of class v.
+func (c *compiler) slotWrite(slot int, v class) {
+	sl := &c.slots[slot]
+	if sl.cls == clsRow {
+		return
+	}
+	home := int32(topRegion)
+	if !sl.loose && sl.decl != 0 {
+		home = sl.decl
+	}
+	sl.cls = clsScalar
+	if v == clsRow || c.rgn != home || c.noScalars {
+		c.demote(sl)
+	}
+}
+
+func (c *compiler) classBlock(b kir.Block) {
+	for _, s := range b {
+		c.classStmt(s)
+	}
+	for _, s := range b {
+		if d, ok := s.(*kir.Decl); ok {
+			c.slots[d.Slot].open = false
+		}
+	}
+}
+
+func (c *compiler) classStmt(s kir.Stmt) {
+	switch s := s.(type) {
+	case *kir.Decl:
+		v := clsConst
+		if s.Init != nil {
+			v = c.classExpr(s.Init)
+		}
+		if sl := &c.slots[s.Slot]; sl.decl == 0 {
+			sl.decl, sl.open = c.rgn, true
+		}
+		c.slotWrite(s.Slot, v)
+	case *kir.Assign:
+		v := c.classExpr(s.Value)
+		c.slotRef(s.Slot)
+		c.slotWrite(s.Slot, v)
+	case *kir.Store:
+		c.classExpr(s.Index)
+		c.classExpr(s.Value)
+	case *kir.AtomicRMW:
+		c.classExpr(s.Index)
+		c.classExpr(s.Value)
+	case *kir.If:
+		variant := c.classExpr(s.Cond) == clsRow
+		outer := c.rgn
+		if variant {
+			c.rgn = c.newRegion()
+		}
+		c.classBlock(s.Then)
+		if variant {
+			c.rgn = c.newRegion()
+		}
+		c.classBlock(s.Else)
+		c.rgn = outer
+	case *kir.For:
+		if s.Init != nil {
+			c.classStmt(s.Init)
+		}
+		c.classLoop(s, s.Cond, s.Body, s.Post)
+		if d, ok := s.Init.(*kir.Decl); ok {
+			c.slots[d.Slot].open = false
+		}
+	case *kir.While:
+		c.classLoop(s, s.Cond, s.Body, nil)
+	case *kir.Sync:
+		if c.rgn != topRegion && !c.noScalars {
+			c.noScalars, c.dirty = true, true
+		}
+	case *kir.BreakStmt, *kir.ContinueStmt:
+		// Some threads leave the innermost loop here and some stay: from the
+		// next pass on the whole loop is a region.
+		if c.loop != nil && c.rgn != c.loopRgn && !slices.Contains(c.varLoops, c.loop) {
+			c.varLoops = append(c.varLoops, c.loop)
+			c.dirty = true
+		}
+	}
+}
+
+// classLoop walks one loop.  The condition, body and post statement form a
+// region of their own when threads leave the loop at different times.
+func (c *compiler) classLoop(s kir.Stmt, cond kir.Expr, body kir.Block, post kir.Stmt) {
+	variant := c.classExpr(cond) == clsRow || slices.Contains(c.varLoops, s)
+	outer, outerLoop, outerLoopRgn := c.rgn, c.loop, c.loopRgn
+	if variant {
+		c.rgn = c.newRegion()
+	}
+	c.loop, c.loopRgn = s, c.rgn
+	c.classBlock(body)
+	if post != nil {
+		c.classStmt(post)
+	}
+	c.rgn, c.loop, c.loopRgn = outer, outerLoop, outerLoopRgn
+}
+
+// classExpr returns the class code generation will give e's value (clsRow or
+// not is all the classifier needs) and notes the slot references in it.
+func (c *compiler) classExpr(e kir.Expr) class {
+	switch e := e.(type) {
+	case *kir.VarRef:
+		return c.slotRef(e.Slot)
+	case *kir.BuiltinRef:
+		if e.B == kir.ThreadIdx {
+			return clsRow
+		}
+	case *kir.Binary:
+		return max(c.classExpr(e.L), c.classExpr(e.R))
+	case *kir.Unary:
+		return c.classExpr(e.X)
+	case *kir.Load:
+		// Lanes in lockstep read one address in one instruction: a uniform
+		// index loads a uniform value.
+		return c.classExpr(e.Index)
+	case *kir.Call:
+		cl := clsConst
+		for _, a := range e.Args {
+			cl = max(cl, c.classExpr(a))
+		}
+		return cl
+	case *kir.Cast:
+		return c.classExpr(e.X)
+	case *kir.Select:
+		return max(c.classExpr(e.Cond), c.classExpr(e.A), c.classExpr(e.B))
+	}
+	return clsConst
+}
+
 // --- statement lowering ---
 
 func (c *compiler) compileBlock(b kir.Block) {
@@ -445,58 +685,60 @@ func (c *compiler) compileStmt(s kir.Stmt) {
 	c.ti, c.tf = c.tiBase, c.tfBase
 	switch s := s.(type) {
 	case *kir.Decl:
+		i, f, cl := c.zeroI, c.zeroF, clsConst
 		if s.Init != nil {
-			i, f := c.compileExpr(s.Init)
-			c.emit(instr{op: opMovI, d: c.slotI(s.Slot), a: i})
-			c.emit(instr{op: opMovF, d: c.slotF(s.Slot), a: f})
-		} else {
-			c.emit(instr{op: opMovI, d: c.slotI(s.Slot), a: c.zeroI})
-			c.emit(instr{op: opMovF, d: c.slotF(s.Slot), a: c.zeroF})
+			i, f, cl = c.compileExpr(s.Init)
 		}
+		c.movPair(c.slotI(s.Slot), c.slotF(s.Slot), i, f, cl, c.slots[s.Slot].cls)
 	case *kir.Assign:
-		i, f := c.compileExpr(s.Value)
-		c.emit(instr{op: opMovI, d: c.slotI(s.Slot), a: i})
-		c.emit(instr{op: opMovF, d: c.slotF(s.Slot), a: f})
+		i, f, cl := c.compileExpr(s.Value)
+		c.movPair(c.slotI(s.Slot), c.slotF(s.Slot), i, f, cl, c.slots[s.Slot].cls)
 	case *kir.Store:
-		idx := c.compileI(s.Index)
+		// Stores, like atomics, stay per-lane instructions: every operand
+		// becomes a full row first.
+		idx, ci := c.compileI(s.Index)
 		if s.Mem.Space == kir.Shared {
-			vi, vf := c.compileExpr(s.Value)
-			c.emit(instr{op: opStS, a: idx, d: vi, b: vf, imm: int32(c.arrID(s.Mem.Name))})
+			vi, vf, cv := c.compileExpr(s.Value)
+			c.emit(instr{op: opStS, a: c.row(idx, ci, false, opStS), d: c.row(vi, cv, false, opStS),
+				b: c.row(vf, cv, true, opStS), imm: int32(c.arrID(s.Mem.Name))})
 			return
 		}
+		prm := uint16(s.Mem.Param)
 		switch c.k.Params[s.Mem.Param].Elem {
 		case kir.F32:
-			vf := c.compileF(s.Value)
-			c.emit(instr{op: opStGF, d: vf, a: idx, b: uint16(s.Mem.Param)})
+			vf, cv := c.compileF(s.Value)
+			c.emit(instr{op: opStGF, d: c.row(vf, cv, true, opStGF), a: c.row(idx, ci, false, opStGF), b: prm})
 		case kir.I32:
-			vi := c.compileI(s.Value)
-			c.emit(instr{op: opStGI, d: vi, a: idx, b: uint16(s.Mem.Param)})
+			vi, cv := c.compileI(s.Value)
+			c.emit(instr{op: opStGI, d: c.row(vi, cv, false, opStGI), a: c.row(idx, ci, false, opStGI), b: prm})
 		case kir.U8:
-			vi := c.compileI(s.Value)
-			c.emit(instr{op: opStGU8, d: vi, a: idx, b: uint16(s.Mem.Param)})
+			vi, cv := c.compileI(s.Value)
+			c.emit(instr{op: opStGU8, d: c.row(vi, cv, false, opStGU8), a: c.row(idx, ci, false, opStGU8), b: prm})
 		default:
 			c.fail("vm: kernel %s: store to %s parameter %s", c.k.Name,
 				c.k.Params[s.Mem.Param].Elem, s.Mem.Name)
 		}
 	case *kir.AtomicRMW:
-		idx := c.compileI(s.Index)
-		vi, vf := c.compileExpr(s.Value)
+		idx, ci := c.compileI(s.Index)
+		vi, vf, cv := c.compileExpr(s.Value)
 		var o op
 		if s.Mem.Space == kir.Shared {
 			o = opAtSAdd
 			if s.Op == kir.AtomicMax {
 				o = opAtSMax
 			}
-			c.emit(instr{op: o, a: idx, d: vi, b: vf, imm: int32(c.arrID(s.Mem.Name))})
+			c.emit(instr{op: o, a: c.row(idx, ci, false, o), d: c.row(vi, cv, false, o),
+				b: c.row(vf, cv, true, o), imm: int32(c.arrID(s.Mem.Name))})
 			return
 		}
 		o = opAtGAdd
 		if s.Op == kir.AtomicMax {
 			o = opAtGMax
 		}
-		c.emit(instr{op: o, a: idx, d: vi, b: vf, imm: int32(s.Mem.Param)})
+		c.emit(instr{op: o, a: c.row(idx, ci, false, o), d: c.row(vi, cv, false, o),
+			b: c.row(vf, cv, true, o), imm: int32(s.Mem.Param)})
 	case *kir.If:
-		jz := c.condJumpFalse(s.Cond)
+		jz, _ := c.condJumpFalse(s.Cond)
 		c.compileBlock(s.Then)
 		if len(s.Else) > 0 {
 			jend := c.emit(instr{op: opJmp})
@@ -514,7 +756,7 @@ func (c *compiler) compileStmt(s kir.Stmt) {
 		head := c.here()
 		c.emit(instr{op: opTick})
 		c.ti, c.tf = c.tiBase, c.tfBase
-		jz := c.condJumpFalse(s.Cond)
+		jz, _ := c.condJumpFalse(s.Cond)
 		c.compileBlock(s.Body)
 		// continue lands on the post statement, then back to the tick.
 		lp := &c.loops[len(c.loops)-1]
@@ -537,7 +779,7 @@ func (c *compiler) compileStmt(s kir.Stmt) {
 		head := c.here()
 		c.emit(instr{op: opTick})
 		c.ti, c.tf = c.tiBase, c.tfBase
-		jz := c.condJumpFalse(s.Cond)
+		jz, _ := c.condJumpFalse(s.Cond)
 		c.compileBlock(s.Body)
 		c.emit(instr{op: opJmp, imm: head})
 		end := c.here()
@@ -579,103 +821,205 @@ func (c *compiler) compileStmt(s kir.Stmt) {
 // unpatched target, honoring the interpreter's truthiness rule: an
 // expression of static type F32 tests its float field, everything else its
 // int field.
-func (c *compiler) condJumpFalse(cond kir.Expr) int {
+func (c *compiler) condJumpFalse(cond kir.Expr) (int, class) {
 	if cond == nil {
 		c.emit(instr{op: opErr, imm: c.errIdx("vm: unknown expression <nil>")})
-		return c.emit(instr{op: opJzI, a: c.zeroI}) // unreachable, patchable
+		return c.emit(instr{op: opJzI, a: c.zeroI}), clsConst // unreachable, patchable
 	}
-	i, f := c.compileExpr(cond)
-	if cond.Type() == kir.F32 {
-		return c.emit(instr{op: opJzF, a: f})
-	}
-	return c.emit(instr{op: opJzI, a: i})
+	return c.truthJump(cond, false)
 }
 
 // --- expression lowering ---
 
 // compileI compiles e and returns the register holding the I field of its
 // interp.Value result (the zero constant when the expression computes into
-// the float field — the interpreter's inactive-field-is-zero semantics).
-func (c *compiler) compileI(e kir.Expr) uint16 {
-	i, _ := c.compileExpr(e)
-	return i
+// the float field — the interpreter's inactive-field-is-zero semantics),
+// with the value's class.
+func (c *compiler) compileI(e kir.Expr) (uint16, class) {
+	i, _, cl := c.compileExpr(e)
+	return i, cl
 }
 
 // compileF is the float-field counterpart of compileI.
-func (c *compiler) compileF(e kir.Expr) uint16 {
-	_, f := c.compileExpr(e)
-	return f
+func (c *compiler) compileF(e kir.Expr) (uint16, class) {
+	_, f, cl := c.compileExpr(e)
+	return f, cl
+}
+
+func (c *compiler) newT(float bool) uint16 {
+	if float {
+		return c.newTF()
+	}
+	return c.newTI()
+}
+
+// row returns a register a per-lane instruction can read in every lane: reg
+// itself, unless it holds a batch scalar, which is first broadcast into a
+// fresh temporary — the fallback that is correct for every consumer.  (The
+// zero constant standing in for a value's inactive field is a full row
+// whatever the value's class.)  The broadcast's imm names the consumer for
+// the profiler.
+func (c *compiler) row(reg uint16, cl class, float bool, consumer op) uint16 {
+	mov, zero := opMovI, c.zeroI
+	if float {
+		mov, zero = opMovF, c.zeroF
+	}
+	if cl != clsScalar || reg == zero {
+		return reg
+	}
+	t := c.newT(float)
+	c.emit(instr{op: mov, u: uA, d: t, a: reg, imm: int32(consumer)})
+	return t
+}
+
+// movPair writes a value's two fields to a slot's or a two-path
+// temporary's registers.  A batch-scalar destination makes the moves
+// scalar-executed (its every write has a uniform source: classify); a
+// per-lane destination takes a batch scalar as a broadcast.
+func (c *compiler) movPair(di, df, i, f uint16, src, dst class) {
+	var u uint8
+	switch {
+	case dst != clsRow:
+		u = uExec
+	case src == clsScalar:
+		u = uA
+	}
+	c.emit(instr{op: opMovI, u: u, d: di, a: i})
+	c.emit(instr{op: opMovF, u: u, d: df, a: f})
+}
+
+// scalarForms lists, per opcode, the operands a per-lane instruction may
+// read from a lane-0 cell (lanes.go has a loop for each).  They are the
+// forms the suite's inner loops are made of; everything else gets its batch
+// scalars through row.  The fused opcodes' forms are fusePair's.
+var scalarForms = [numOps]uint8{
+	opAddI: uB, opMulI: uB, opSubI: uA | uB,
+	opLtI: uB, opLeI: uB, opGtI: uB, opGeI: uB, opEqI: uB, opNeI: uB,
+	opAddF: uA | uB, opSubF: uA | uB, opMulF: uA | uB,
+	opLtF: uB, opLeF: uB, opGtF: uB, opGeF: uB, opEqF: uB, opNeF: uB,
+}
+
+// mirror maps an opcode to the one computing the same value with its
+// operands exchanged, where that is exact: commutative integer arithmetic
+// and every comparison.  binary uses it to keep a lone uniform operand in b,
+// halving the forms above.  (Float add and mul keep their order: which NaN
+// payload survives depends on it.)
+var mirror = [numOps]op{
+	opAddI: opAddI, opMulI: opMulI,
+	opLtI: opGtI, opLeI: opGeI, opGtI: opLtI, opGeI: opLeI, opEqI: opEqI, opNeI: opNeI,
+	opLtF: opGtF, opLeF: opGeF, opGtF: opLtF, opGeF: opLeF, opEqF: opEqF, opNeF: opNeF,
+}
+
+// unary completes and emits a one-operand computing instruction (in carries
+// op, a, and whatever b/imm the opcode needs) into a fresh temporary.  A
+// uniform operand makes it scalar-executed and its result a batch scalar.
+func (c *compiler) unary(in instr, float bool, ca class) (uint16, class) {
+	cl := clsRow
+	if ca != clsRow {
+		in.u, cl = uExec, clsScalar
+	}
+	in.d = c.newT(float)
+	c.emit(in)
+	return in.d, cl
+}
+
+// binary completes and emits a two-operand computing instruction into d.
+// srcFloat names the operands' register file.  With both operands uniform it
+// is scalar-executed; a lone uniform operand is flagged where the opcode
+// has the scalar-operand form and broadcast where it has not.
+func (c *compiler) binary(in instr, srcFloat bool, ca, cb class) class {
+	switch {
+	case ca != clsRow && cb != clsRow:
+		in.u = uExec
+		c.emit(in)
+		return clsScalar
+	case ca != clsRow:
+		if m := mirror[in.op]; m != opNop {
+			in.op, in.a, in.b, ca, cb = m, in.b, in.a, cb, ca
+		}
+	}
+	forms := scalarForms[in.op]
+	switch {
+	case ca != clsRow && forms&uA != 0:
+		in.u = uA
+	case ca != clsRow:
+		in.a = c.row(in.a, ca, srcFloat, in.op)
+	case cb != clsRow && forms&uB != 0:
+		in.u = uB
+	case cb != clsRow:
+		in.b = c.row(in.b, cb, srcFloat, in.op)
+	}
+	c.emit(in)
+	return clsRow
 }
 
 // compileExpr emits code evaluating e exactly once and returns the register
-// pair mirroring the interp.Value it produces.  Pass-through nodes (VarRef,
-// identity casts, Select) forward both fields; computing nodes return their
-// result register plus the zero constant for the inactive field.
-func (c *compiler) compileExpr(e kir.Expr) (uint16, uint16) {
+// pair mirroring the interp.Value it produces, with its class.  Pass-through
+// nodes (VarRef, identity casts, Select) forward both fields; computing
+// nodes return their result register plus the zero constant for the
+// inactive field.
+func (c *compiler) compileExpr(e kir.Expr) (uint16, uint16, class) {
 	if c.err != nil {
-		return c.zeroI, c.zeroF
+		return c.zeroI, c.zeroF, clsConst
 	}
 	switch e := e.(type) {
 	case *kir.IntLit:
-		return c.internInt(e.Val), c.zeroF
+		return c.internInt(e.Val), c.zeroF, clsConst
 	case *kir.FloatLit:
-		return c.zeroI, c.internFloat(float64(float32(e.Val)))
+		return c.zeroI, c.internFloat(float64(float32(e.Val))), clsConst
 	case *kir.VarRef:
-		return c.slotI(e.Slot), c.slotF(e.Slot)
+		return c.slotI(e.Slot), c.slotF(e.Slot), c.slots[e.Slot].cls
 	case *kir.BuiltinRef:
-		return uint16(e.B)*2 + uint16(e.Axis), c.zeroF
+		cl := clsConst
+		if e.B == kir.ThreadIdx {
+			cl = clsRow
+		}
+		return uint16(e.B)*2 + uint16(e.Axis), c.zeroF, cl
 	case *kir.Binary:
 		return c.compileBinary(e)
 	case *kir.Unary:
 		if e.Op == kir.Neg {
 			if e.T == kir.F32 {
-				x := c.compileF(e.X)
-				d := c.newTF()
-				c.emit(instr{op: opNegF, d: d, a: x})
-				return c.zeroI, d
+				x, cx := c.compileF(e.X)
+				d, cl := c.unary(instr{op: opNegF, a: x}, true, cx)
+				return c.zeroI, d, cl
 			}
-			x := c.compileI(e.X)
-			d := c.newTI()
-			c.emit(instr{op: opNegI, d: d, a: x})
-			return d, c.zeroF
+			x, cx := c.compileI(e.X)
+			d, cl := c.unary(instr{op: opNegI, a: x}, false, cx)
+			return d, c.zeroF, cl
 		}
 		// Not tests the operand's own truthiness.
-		d := c.newTI()
 		if e.X.Type() == kir.F32 {
-			x := c.compileF(e.X)
-			c.emit(instr{op: opNotF, d: d, a: x})
-		} else {
-			x := c.compileI(e.X)
-			c.emit(instr{op: opNotI, d: d, a: x})
+			x, cx := c.compileF(e.X)
+			d, cl := c.unary(instr{op: opNotF, a: x}, false, cx)
+			return d, c.zeroF, cl
 		}
-		return d, c.zeroF
+		x, cx := c.compileI(e.X)
+		d, cl := c.unary(instr{op: opNotI, a: x}, false, cx)
+		return d, c.zeroF, cl
 	case *kir.Load:
-		idx := c.compileI(e.Index)
+		idx, ci := c.compileI(e.Index)
 		if e.Mem.Space == kir.Shared {
 			// Shared cells are full Value pairs: load both fields (the
 			// byte charge is applied once, on the first load).
 			id := c.arrID(e.Mem.Name)
-			di, df := c.newTI(), c.newTF()
-			c.emit(instr{op: opLdSI, d: di, a: idx, b: id, imm: int32(e.T.Size())})
-			c.emit(instr{op: opLdSF, d: df, a: idx, b: id})
-			return di, df
+			di, cl := c.unary(instr{op: opLdSI, a: idx, b: id, imm: int32(e.T.Size())}, false, ci)
+			df, _ := c.unary(instr{op: opLdSF, a: idx, b: id}, true, ci)
+			return di, df, cl
 		}
 		switch e.T {
 		case kir.F32:
-			d := c.newTF()
-			c.emit(instr{op: opLdGF, d: d, a: idx, b: uint16(e.Mem.Param)})
-			return c.zeroI, d
+			d, cl := c.unary(instr{op: opLdGF, a: idx, b: uint16(e.Mem.Param)}, true, ci)
+			return c.zeroI, d, cl
 		case kir.I32:
-			d := c.newTI()
-			c.emit(instr{op: opLdGI, d: d, a: idx, b: uint16(e.Mem.Param)})
-			return d, c.zeroF
+			d, cl := c.unary(instr{op: opLdGI, a: idx, b: uint16(e.Mem.Param)}, false, ci)
+			return d, c.zeroF, cl
 		case kir.U8:
-			d := c.newTI()
-			c.emit(instr{op: opLdGU8, d: d, a: idx, b: uint16(e.Mem.Param)})
-			return d, c.zeroF
+			d, cl := c.unary(instr{op: opLdGU8, a: idx, b: uint16(e.Mem.Param)}, false, ci)
+			return d, c.zeroF, cl
 		default:
 			c.emit(instr{op: opErr, imm: c.errIdx(fmt.Sprintf("vm: bad load type %s", e.T))})
-			return c.zeroI, c.zeroF
+			return c.zeroI, c.zeroF, clsConst
 		}
 	case *kir.Call:
 		return c.compileCall(e)
@@ -686,24 +1030,21 @@ func (c *compiler) compileExpr(e kir.Expr) (uint16, uint16) {
 			return c.compileExpr(e.X)
 		case to == kir.F32:
 			if from.IsInteger() || from == kir.Bool {
-				x := c.compileI(e.X)
-				d := c.newTF()
-				c.emit(instr{op: opCastIF, d: d, a: x})
-				return c.zeroI, d
+				x, cx := c.compileI(e.X)
+				d, cl := c.unary(instr{op: opCastIF, a: x}, true, cx)
+				return c.zeroI, d, cl
 			}
 			return c.compileExpr(e.X)
 		case to.IsInteger():
 			if from == kir.F32 {
-				x := c.compileF(e.X)
-				d := c.newTI()
-				c.emit(instr{op: opCastFI, d: d, a: x})
-				return d, c.zeroF
+				x, cx := c.compileF(e.X)
+				d, cl := c.unary(instr{op: opCastFI, a: x}, false, cx)
+				return d, c.zeroF, cl
 			}
 			if to == kir.U8 {
-				x := c.compileI(e.X)
-				d := c.newTI()
-				c.emit(instr{op: opCastU8, d: d, a: x})
-				return d, c.zeroF
+				x, cx := c.compileI(e.X)
+				d, cl := c.unary(instr{op: opCastU8, a: x}, false, cx)
+				return d, c.zeroF, cl
 			}
 			return c.compileExpr(e.X)
 		default:
@@ -711,68 +1052,82 @@ func (c *compiler) compileExpr(e kir.Expr) (uint16, uint16) {
 			return c.compileExpr(e.X)
 		}
 	case *kir.Select:
+		// The result temporaries are written on both paths and read at
+		// their join, so both writes take one class: a batch scalar only
+		// when the condition and both arms are uniform.  The first arm's
+		// moves are emitted before the second arm's class is known and
+		// patched afterwards.
 		di, df := c.newTI(), c.newTF()
-		jz := c.condJumpFalse(e.Cond)
-		ai, af := c.compileExpr(e.A)
-		c.emit(instr{op: opMovI, d: di, a: ai})
-		c.emit(instr{op: opMovF, d: df, a: af})
+		jz, cc := c.condJumpFalse(e.Cond)
+		ai, af, ca := c.compileExpr(e.A)
+		movA := len(c.code)
+		c.movPair(di, df, ai, af, ca, clsRow)
 		jend := c.emit(instr{op: opJmp})
 		c.patch(jz, c.here())
-		bi, bf := c.compileExpr(e.B)
-		c.emit(instr{op: opMovI, d: di, a: bi})
-		c.emit(instr{op: opMovF, d: df, a: bf})
+		bi, bf, cb := c.compileExpr(e.B)
+		cl := clsRow
+		if max(cc, ca, cb) != clsRow {
+			cl = clsScalar
+			c.code[movA].u, c.code[movA+1].u = uExec, uExec
+		}
+		c.movPair(di, df, bi, bf, cb, cl)
 		c.patch(jend, c.here())
-		return di, df
+		return di, df, cl
 	default:
 		c.emit(instr{op: opErr, imm: c.errIdx(fmt.Sprintf("vm: unknown expression %T", e))})
-		return c.zeroI, c.zeroF
+		return c.zeroI, c.zeroF, clsConst
 	}
 }
 
 // truthJump evaluates e and emits a conditional jump taken when e's
-// truthiness equals whenTrue, returning the patch site.
-func (c *compiler) truthJump(e kir.Expr, whenTrue bool) int {
-	i, f := c.compileExpr(e)
+// truthiness equals whenTrue, returning the patch site and e's class.  A
+// uniform condition makes the jump scalar-executed: the whole active set
+// goes one way.
+func (c *compiler) truthJump(e kir.Expr, whenTrue bool) (int, class) {
+	i, f, cl := c.compileExpr(e)
+	var u uint8
+	if cl != clsRow {
+		u = uExec
+	}
 	if e.Type() == kir.F32 {
 		if whenTrue {
-			return c.emit(instr{op: opJnzF, a: f})
+			return c.emit(instr{op: opJnzF, u: u, a: f}), cl
 		}
-		return c.emit(instr{op: opJzF, a: f})
+		return c.emit(instr{op: opJzF, u: u, a: f}), cl
 	}
 	if whenTrue {
-		return c.emit(instr{op: opJnzI, a: i})
+		return c.emit(instr{op: opJnzI, u: u, a: i}), cl
 	}
-	return c.emit(instr{op: opJzI, a: i})
+	return c.emit(instr{op: opJzI, u: u, a: i}), cl
 }
 
 var cmpIOps = [...]op{opLtI, opLeI, opGtI, opGeI, opEqI, opNeI}
 var cmpFOps = [...]op{opLtF, opLeF, opGtF, opGeF, opEqF, opNeF}
 
-func (c *compiler) compileBinary(e *kir.Binary) (uint16, uint16) {
+func (c *compiler) compileBinary(e *kir.Binary) (uint16, uint16, class) {
 	if e.Op == kir.LAnd || e.Op == kir.LOr {
 		// Short-circuit: the right operand is not evaluated (no work, no
-		// errors) when the left decides the result.
+		// errors) when the left decides the result.  d is written on two
+		// paths, so both writes take one class (see Select).
 		d := c.newTI()
-		if e.Op == kir.LAnd {
-			jl := c.truthJump(e.L, false)
-			jr := c.truthJump(e.R, false)
-			c.emit(instr{op: opMovI, d: d, a: c.oneI})
-			jend := c.emit(instr{op: opJmp})
-			c.patch(jl, c.here())
-			c.patch(jr, c.here())
-			c.emit(instr{op: opMovI, d: d, a: c.zeroI})
-			c.patch(jend, c.here())
-		} else {
-			jl := c.truthJump(e.L, true)
-			jr := c.truthJump(e.R, true)
-			c.emit(instr{op: opMovI, d: d, a: c.zeroI})
-			jend := c.emit(instr{op: opJmp})
-			c.patch(jl, c.here())
-			c.patch(jr, c.here())
-			c.emit(instr{op: opMovI, d: d, a: c.oneI})
-			c.patch(jend, c.here())
+		and := e.Op == kir.LAnd
+		jl, cl := c.truthJump(e.L, !and)
+		jr, cr := c.truthJump(e.R, !and)
+		cd := clsRow
+		if max(cl, cr) != clsRow {
+			cd = clsScalar
 		}
-		return d, c.zeroF
+		through, short := c.oneI, c.zeroI // && falls through to 1, || to 0
+		if !and {
+			through, short = c.zeroI, c.oneI
+		}
+		c.movI(d, through, cd)
+		jend := c.emit(instr{op: opJmp})
+		c.patch(jl, c.here())
+		c.patch(jr, c.here())
+		c.movI(d, short, cd)
+		c.patch(jend, c.here())
+		return d, c.zeroF, cd
 	}
 	// The interpreter picks float semantics when either operand is F32,
 	// regardless of the node's annotated result type.
@@ -780,19 +1135,17 @@ func (c *compiler) compileBinary(e *kir.Binary) (uint16, uint16) {
 	if e.Op.IsComparison() {
 		d := c.newTI()
 		if isF {
-			l := c.compileF(e.L)
-			r := c.compileF(e.R)
-			c.emit(instr{op: cmpFOps[e.Op-kir.Lt], d: d, a: l, b: r})
-		} else {
-			l := c.compileI(e.L)
-			r := c.compileI(e.R)
-			c.emit(instr{op: cmpIOps[e.Op-kir.Lt], d: d, a: l, b: r})
+			l, cl := c.compileF(e.L)
+			r, cr := c.compileF(e.R)
+			return d, c.zeroF, c.binary(instr{op: cmpFOps[e.Op-kir.Lt], d: d, a: l, b: r}, true, cl, cr)
 		}
-		return d, c.zeroF
+		l, cl := c.compileI(e.L)
+		r, cr := c.compileI(e.R)
+		return d, c.zeroF, c.binary(instr{op: cmpIOps[e.Op-kir.Lt], d: d, a: l, b: r}, false, cl, cr)
 	}
 	if isF {
-		l := c.compileF(e.L)
-		r := c.compileF(e.R)
+		l, cl := c.compileF(e.L)
+		r, cr := c.compileF(e.R)
 		var o op
 		switch e.Op {
 		case kir.Add:
@@ -805,14 +1158,13 @@ func (c *compiler) compileBinary(e *kir.Binary) (uint16, uint16) {
 			o = opDivF
 		default:
 			c.emit(instr{op: opErr, imm: c.errIdx(fmt.Sprintf("vm: operator %s on floats", e.Op))})
-			return c.zeroI, c.zeroF
+			return c.zeroI, c.zeroF, clsConst
 		}
 		d := c.newTF()
-		c.emit(instr{op: o, d: d, a: l, b: r})
-		return c.zeroI, d
+		return c.zeroI, d, c.binary(instr{op: o, d: d, a: l, b: r}, true, cl, cr)
 	}
-	l := c.compileI(e.L)
-	r := c.compileI(e.R)
+	l, cl := c.compileI(e.L)
+	r, cr := c.compileI(e.R)
 	var o op
 	switch e.Op {
 	case kir.Add:
@@ -837,11 +1189,20 @@ func (c *compiler) compileBinary(e *kir.Binary) (uint16, uint16) {
 		o = opShrI
 	default:
 		c.emit(instr{op: opErr, imm: c.errIdx(fmt.Sprintf("vm: operator %s on ints", e.Op))})
-		return c.zeroI, c.zeroF
+		return c.zeroI, c.zeroF, clsConst
 	}
 	d := c.newTI()
-	c.emit(instr{op: o, d: d, a: l, b: r})
-	return d, c.zeroF
+	return d, c.zeroF, c.binary(instr{op: o, d: d, a: l, b: r}, false, cl, cr)
+}
+
+// movI emits one int move from a constant register into a two-path
+// temporary of class dst.
+func (c *compiler) movI(d, a uint16, dst class) {
+	var u uint8
+	if dst != clsRow {
+		u = uExec
+	}
+	c.emit(instr{op: opMovI, u: u, d: d, a: a})
 }
 
 var intrinsicOps = [...]op{
@@ -851,35 +1212,38 @@ var intrinsicOps = [...]op{
 	kir.AbsI: opAbsI,
 }
 
-func (c *compiler) compileCall(e *kir.Call) (uint16, uint16) {
+func (c *compiler) compileCall(e *kir.Call) (uint16, uint16, class) {
 	if int(e.Fn) >= len(intrinsicOps) {
 		c.emit(instr{op: opErr, imm: c.errIdx(fmt.Sprintf("vm: unknown intrinsic %s", e.Fn))})
-		return c.zeroI, c.zeroF
+		return c.zeroI, c.zeroF, clsConst
 	}
 	isInt := e.Fn == kir.MinI || e.Fn == kir.MaxI || e.Fn == kir.AbsI
 	// Arguments are fully evaluated left to right before the intrinsic
 	// applies; integer intrinsics read the I field, float ones the F field.
-	regs := make([]uint16, 0, 2)
-	for _, a := range e.Args {
-		if isInt {
-			regs = append(regs, c.compileI(a))
-		} else {
-			regs = append(regs, c.compileF(a))
+	var regs [2]uint16
+	cls := [2]class{clsConst, clsConst}
+	for n, a := range e.Args {
+		i, f, cl := c.compileExpr(a)
+		if n < len(regs) {
+			regs[n], cls[n] = f, cl
+			if isInt {
+				regs[n] = i
+			}
 		}
 	}
-	in := instr{op: intrinsicOps[e.Fn], imm: int32(interp.IntrinsicFlops(e.Fn))}
-	if len(regs) > 0 {
-		in.a = regs[0]
+	in := instr{op: intrinsicOps[e.Fn], a: regs[0], b: regs[1], imm: int32(interp.IntrinsicFlops(e.Fn))}
+	cl := clsScalar
+	if max(cls[0], cls[1]) == clsRow {
+		cl = clsRow
+		in.a = c.row(regs[0], cls[0], !isInt, in.op)
+		in.b = c.row(regs[1], cls[1], !isInt, in.op)
+	} else {
+		in.u = uExec
 	}
-	if len(regs) > 1 {
-		in.b = regs[1]
-	}
-	if isInt {
-		in.d = c.newTI()
-		c.emit(in)
-		return in.d, c.zeroF
-	}
-	in.d = c.newTF()
+	in.d = c.newT(!isInt)
 	c.emit(in)
-	return c.zeroI, in.d
+	if isInt {
+		return in.d, c.zeroF, cl
+	}
+	return c.zeroI, in.d, cl
 }

@@ -98,27 +98,47 @@ func diffRun(t *testing.T, src string, grid, block interp.Dim3) {
 	if err != nil {
 		t.Fatalf("parse: %v\n%s", err, src)
 	}
-	k := mod.Kernels[0]
 	init, args := fuzzInit()
+	if d := divergence(mod.Kernels[0], grid, block, args, init); d != "" {
+		t.Fatalf("%s\n%s", d, src)
+	}
+}
+
+// divergence runs k on both engines and describes the first way the
+// register machine departs from the interpreter: error, Work, memory.  ""
+// means none.
+func divergence(k *kir.Kernel, grid, block interp.Dim3, args []interp.Value, init []*interp.HostBuffer) string {
 	mi, wi, ei := runEngine(interpEngine, k, grid, block, args, init, 0)
 	mv, wv, ev := runEngine(vmEngine, k, grid, block, args, init, 0)
-	if (ei != nil) != (ev != nil) {
-		t.Fatalf("error divergence: interp=%v vm=%v\n%s", ei, ev, src)
+	if !sameError(ei, ev) {
+		return fmt.Sprintf("error divergence: interp=%v vm=%v", ei, ev)
 	}
 	if ei != nil {
-		return // both errored; messages carry engine prefixes, memory undefined
+		if wi != (interp.Work{}) || wv != (interp.Work{}) {
+			return fmt.Sprintf("failed blocks must report zero work: interp=%+v vm=%+v", wi, wv)
+		}
+		return "" // memory after a failed block is undefined
 	}
 	if wi != wv {
-		t.Fatalf("work divergence:\ninterp %+v\nvm %+v\n%s", wi, wv, src)
+		return fmt.Sprintf("work divergence:\ninterp %+v\nvm %+v", wi, wv)
 	}
-	if !bytes.Equal(mi, mv) {
-		for i := range mi {
-			if mi[i] != mv[i] {
-				t.Fatalf("memory divergence at byte %d: interp=%#x vm=%#x\n%s",
-					i, mi[i], mv[i], src)
-			}
+	for i := range mi {
+		if mi[i] != mv[i] {
+			return fmt.Sprintf("memory divergence at byte %d: interp=%#x vm=%#x", i, mi[i], mv[i])
 		}
 	}
+	return ""
+}
+
+// sameError reports whether the two engines failed alike: both not at all,
+// or with the same message once the engine prefixes are made equal — which
+// also pins the thread whose error is reported whenever threads fail with
+// different messages.
+func sameError(ei, ev error) bool {
+	if ei == nil || ev == nil {
+		return ei == nil && ev == nil
+	}
+	return strings.ReplaceAll(ei.Error(), "interp:", "vm:") == ev.Error()
 }
 
 // gen produces random kernel source over the fixed fuzz signature.
@@ -632,4 +652,491 @@ func TestDiffHandBuiltMixedTypes(t *testing.T) {
 	if !bytes.Equal(mi, mv) {
 		t.Fatalf("memory divergence: interp=%v vm=%v", mi, mv)
 	}
+}
+
+// ugen generates kernels that stress the compiler's value classes.  Locals
+// start out thread-invariant (u0, u1, uf, the while counters w0/w1, block
+// locals t<n>) or per-thread (v0, vf) and are then assigned and read under
+// randomly nested control flow whose conditions, bounds, breaks and
+// continues are themselves invariant or per-thread — so a local the
+// classifier may share between lanes is written under divergence, read after
+// the join, carried across iterations some threads skipped, and so on.  The
+// u/v split only biases the mix: the interpreter decides what is correct.
+//
+// The kernels are race-free by construction (a thread stores only its own
+// out/ib cell, nothing loads what a thread stores), so lockstep batches must
+// match the thread-serial interpreter bitwise at every lane width, and every
+// local flows into the thread's cells at the end so a wrong value is seen.
+type ugen struct {
+	rng   *rand.Rand
+	b     strings.Builder
+	ints  []string // int names in scope beyond the fixed locals
+	loops int      // enclosing loops
+	wdep  int      // enclosing while loops (each owns one of w0, w1)
+	seq   int
+}
+
+func (g *ugen) pick(n int) int { return g.rng.Intn(n) }
+
+func (g *ugen) line(depth int, format string, args ...any) {
+	g.b.WriteString(strings.Repeat("    ", depth+1))
+	fmt.Fprintf(&g.b, format, args...)
+	g.b.WriteByte('\n')
+}
+
+func (g *ugen) idx(e string) string {
+	return fmt.Sprintf("(((%s) %% %d + %d) %% %d)", e, fuzzLen, fuzzLen, fuzzLen)
+}
+
+// intExpr: variant selects the per-thread-biased leaves.
+func (g *ugen) intExpr(depth int, variant bool) string {
+	if depth <= 0 {
+		if variant && g.pick(3) != 0 {
+			return []string{"v0", "id", "threadIdx.x", "(id * 3)"}[g.pick(4)]
+		}
+		leaves := append([]string{"u0", "u1", "n", "blockIdx.x", "w0", "w1",
+			fmt.Sprintf("%d", g.rng.Intn(13)-4)}, g.ints...)
+		return leaves[g.pick(len(leaves))]
+	}
+	a, b := g.intExpr(depth-1, variant), g.intExpr(depth-1, variant && g.pick(2) == 0)
+	switch g.pick(9) {
+	case 0:
+		return fmt.Sprintf("(%s + %s)", a, b)
+	case 1:
+		return fmt.Sprintf("(%s - %s)", a, b)
+	case 2:
+		return fmt.Sprintf("(%s * %s)", a, b)
+	case 3:
+		return fmt.Sprintf("(%s / %d)", a, g.rng.Intn(5)+1)
+	case 4:
+		return fmt.Sprintf("(%s %% %d)", a, g.rng.Intn(9)+1)
+	case 5:
+		return fmt.Sprintf("min(%s, %s)", a, b)
+	case 6:
+		// A ternary whose condition and arms vary independently.
+		return fmt.Sprintf("(%s ? %s : %s)", g.cond(g.pick(2) == 0), a, b)
+	case 7:
+		return fmt.Sprintf("(%s %% %d + %s)", a, g.rng.Intn(5)+2, b)
+	default:
+		return fmt.Sprintf("(%s * %d + %s)", a, g.rng.Intn(4)+1, b)
+	}
+}
+
+func (g *ugen) fltExpr(depth int, variant bool) string {
+	if depth <= 0 {
+		switch g.pick(5) {
+		case 0:
+			if g.pick(3) == 0 {
+				// The fused index form: a per-thread base plus a (mostly)
+				// uniform offset.
+				return fmt.Sprintf("a[id %% 128 + abs(%s) %% 64]", g.intExpr(0, false))
+			}
+			return fmt.Sprintf("a[%s]", g.idx(g.intExpr(0, variant)))
+		case 1:
+			if variant {
+				return "vf"
+			}
+			return "uf"
+		case 2:
+			return "s"
+		case 3:
+			return fmt.Sprintf("%.2ff", g.rng.Float64()*4-2)
+		default:
+			return fmt.Sprintf("(float)(%s)", g.intExpr(0, variant))
+		}
+	}
+	a, b := g.fltExpr(depth-1, variant), g.fltExpr(depth-1, variant && g.pick(2) == 0)
+	switch g.pick(7) {
+	case 0:
+		return fmt.Sprintf("(%s + %s)", a, b)
+	case 1:
+		return fmt.Sprintf("(%s - %s)", a, b)
+	case 2:
+		return fmt.Sprintf("(%s * %s)", a, b)
+	case 3:
+		return fmt.Sprintf("(%s * 0.5f + %s)", a, b)
+	case 4:
+		return fmt.Sprintf("(%s ? %s : %s)", g.cond(g.pick(2) == 0), a, b)
+	case 5:
+		return fmt.Sprintf("fminf(%s, %s)", a, b)
+	default:
+		return fmt.Sprintf("(%s / (fabsf(%s) + 1.5f))", a, b)
+	}
+}
+
+func (g *ugen) cond(variant bool) string {
+	op := []string{"<", "<=", ">", ">=", "==", "!="}[g.pick(6)]
+	c := fmt.Sprintf("(%s %% 5 %s %s %% 3)", g.intExpr(1, variant), op, g.intExpr(0, false))
+	switch g.pick(6) {
+	case 0:
+		return fmt.Sprintf("(%s && %s)", c, g.cond(g.pick(2) == 0))
+	case 1:
+		return fmt.Sprintf("(%s || %s)", c, g.cond(g.pick(2) == 0))
+	case 2:
+		return fmt.Sprintf("(%s > %s)", g.fltExpr(0, variant), g.fltExpr(0, false))
+	}
+	return c
+}
+
+// bound is a small non-negative trip count.
+func (g *ugen) bound(variant bool) string {
+	return fmt.Sprintf("(abs(%s) %% 4 + %d)", g.intExpr(1, variant), g.pick(2))
+}
+
+func (g *ugen) block(depth, n int) {
+	scope := len(g.ints)
+	for i := 0; i < n; i++ {
+		g.stmt(depth)
+	}
+	g.ints = g.ints[:scope]
+}
+
+func (g *ugen) stmt(depth int) {
+	variant := g.pick(2) == 0
+	kinds := 8
+	if depth >= 3 {
+		kinds = 5 // assignments only at the bottom
+	}
+	switch g.pick(kinds) {
+	case 0:
+		g.line(depth, "%s = %s;", []string{"u0", "u1"}[g.pick(2)], g.intExpr(2, g.pick(4) == 0))
+	case 1:
+		g.line(depth, "uf = %s;", g.fltExpr(2, g.pick(4) == 0))
+	case 2:
+		if g.pick(2) == 0 {
+			g.line(depth, "v0 = %s;", g.intExpr(2, true))
+		} else {
+			g.line(depth, "vf = %s;", g.fltExpr(2, true))
+		}
+	case 3:
+		// A block-scoped local, then folded into a function-scoped one.
+		name := fmt.Sprintf("t%d", g.seq)
+		g.seq++
+		g.line(depth, "int %s = %s;", name, g.intExpr(1, g.pick(4) == 0))
+		g.ints = append(g.ints, name)
+	case 4:
+		if g.loops > 0 {
+			g.line(depth, "if (%s) %s;", g.cond(variant), []string{"break", "continue"}[g.pick(2)])
+		} else if g.pick(4) == 0 {
+			g.line(depth, "if (%s) return;", g.cond(true))
+		} else {
+			g.line(depth, "u1 = u1 + %s;", g.intExpr(1, false))
+		}
+	case 5:
+		g.line(depth, "if (%s) {", g.cond(variant))
+		g.block(depth+1, g.pick(3)+1)
+		if g.pick(2) == 0 {
+			g.line(depth, "} else {")
+			g.block(depth+1, g.pick(2)+1)
+		}
+		g.line(depth, "}")
+	case 6:
+		name := fmt.Sprintf("i%d", g.seq)
+		g.seq++
+		g.line(depth, "for (int %s = 0; %s < %s; %s++) {", name, name, g.bound(variant), name)
+		g.ints = append(g.ints, name)
+		g.loops++
+		g.block(depth+1, g.pick(3)+1)
+		g.loops--
+		g.ints = g.ints[:len(g.ints)-1]
+		g.line(depth, "}")
+	default:
+		if g.wdep >= 2 {
+			g.line(depth, "u0 = u0 + 1;")
+			return
+		}
+		// The counter is function-scoped and read after the loop, and it
+		// advances first so a continue cannot spin.
+		w := fmt.Sprintf("w%d", g.wdep)
+		g.line(depth, "%s = 0;", w)
+		g.line(depth, "while (%s < %s) {", w, g.bound(variant))
+		g.line(depth+1, "%s = %s + 1;", w, w)
+		g.loops++
+		g.wdep++
+		g.block(depth+1, g.pick(3)+1)
+		g.wdep--
+		g.loops--
+		g.line(depth, "}")
+	}
+}
+
+func (g *ugen) kernel() string {
+	g.b.WriteString("__global__ void fz(float* out, float* a, int* ib, int n, float s) {\n")
+	g.line(0, "int id = ((blockIdx.y * gridDim.x + blockIdx.x) * (blockDim.x * blockDim.y)) + threadIdx.y * blockDim.x + threadIdx.x;")
+	g.line(0, "int u0 = n %% 7;")
+	g.line(0, "int u1 = blockIdx.x + 3;")
+	g.line(0, "float uf = s * 0.5f;")
+	g.line(0, "int w0 = 0;")
+	g.line(0, "int w1 = 0;")
+	g.line(0, "int v0 = id %% 5;")
+	g.line(0, "float vf = a[id %% n];")
+	g.block(0, g.pick(4)+3)
+	g.line(0, "out[id] = uf + vf + (float)(u0 + u1 * 3 + v0 + w0 * 5 + w1 * 7);")
+	g.line(0, "ib[id] = u0 * 31 + u1 * 7 + v0 + w0 * 3 + w1;")
+	g.b.WriteString("}\n")
+	return g.b.String()
+}
+
+// uniformGeometry draws a launch whose blocks leave tail batches at most
+// lane widths and whose linear ids stay inside the fuzz buffers.
+func uniformGeometry(rng *rand.Rand) (grid, block interp.Dim3) {
+	grid = interp.Dim1(rng.Intn(2) + 1)
+	block = interp.Dim1([]int{1, 3, 5, 8, 13, 32, 33, 50}[rng.Intn(8)])
+	if rng.Intn(4) == 0 {
+		grid = interp.Dim3{X: 2, Y: 2}
+		block = interp.Dim3{X: []int{3, 5, 8}[rng.Intn(3)], Y: 2}
+	}
+	return grid, block
+}
+
+// TestDiffUniformFuzz runs the value-class generator against the
+// interpreter at lane widths 1, 4, 8 and 32.
+func TestDiffUniformFuzz(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261003))
+	iters := 600
+	if testing.Short() {
+		iters = 150
+	}
+	widths := []int{1, 4, 8, 32}
+	for iter := 0; iter < iters; iter++ {
+		src := (&ugen{rng: rng}).kernel()
+		grid, block := uniformGeometry(rng)
+		w := widths[iter%len(widths)]
+		t.Run(fmt.Sprintf("iter%03d_w%d", iter, w), func(t *testing.T) {
+			atLaneWidth(w, func() { diffRun(t, src, grid, block) })
+		})
+	}
+}
+
+// TestMutationAllUniformIsCaught shows the differential oracle able to fail:
+// with the classifier forced to call every slot a batch scalar, the
+// value-class generator must produce a kernel on which the register machine
+// and the interpreter disagree, well inside the -short budget.
+func TestMutationAllUniformIsCaught(t *testing.T) {
+	vm.ForceAllUniform(true)
+	defer vm.ForceAllUniform(false)
+	rng := rand.New(rand.NewSource(20261003))
+	for iter := 0; iter < 20; iter++ {
+		src := (&ugen{rng: rng}).kernel()
+		grid, block := uniformGeometry(rng)
+		mod, err := lang.Parse(src)
+		if err != nil {
+			t.Fatalf("parse: %v\n%s", err, src)
+		}
+		init, args := fuzzInit()
+		var d string
+		atLaneWidth(8, func() { d = divergence(mod.Kernels[0], grid, block, args, init) })
+		if d != "" {
+			t.Logf("counterexample after %d kernels: %s", iter+1, d)
+			return
+		}
+	}
+	t.Fatal("20 generated kernels passed with every slot forced uniform: the oracle cannot see a misclassification")
+}
+
+const shapeID = "int id = ((blockIdx.y * gridDim.x + blockIdx.x) * (blockDim.x * blockDim.y)) + threadIdx.y * blockDim.x + threadIdx.x;"
+
+// uniformShapes are the value-class rules one kernel each, over the fuzz
+// signature; every one was a failing run of a half-built classifier.  They
+// are also the seed corpus of FuzzCompileMatchesInterp (testdata/fuzz).
+var uniformShapes = []struct{ name, src string }{
+	// A slot that is uniform everywhere else, assigned under a per-thread
+	// if and read after the join: the threads that skipped the arm must not
+	// see the arm's value.
+	{"assign-under-variant-if", `
+__global__ void fz(float* out, float* a, int* ib, int n, float s) {
+    ` + shapeID + `
+    int u = n % 7;
+    float f = s;
+    if (id % 3 == 1) { u = u + 5; f = f * 2.0f; } else { if (id % 3 == 2) { u = u - 1; } }
+    out[id] = f + (float)u;
+    ib[id] = u * 2;
+}`},
+	// Some threads break out of a loop with a uniform bound; its counter is
+	// read afterwards, where each thread needs its own exit value.
+	{"variant-break-counter", `
+__global__ void fz(float* out, float* a, int* ib, int n, float s) {
+    ` + shapeID + `
+    int j = 0;
+    float acc = 0.0f;
+    while (j < 6) {
+        if (a[id % n] * (float)(j + 1) > 1.0f) break;
+        acc = acc + a[(id + j) % n];
+        j = j + 1;
+    }
+    int c = 0;
+    for (int i = 0; i < 5; i++) {
+        if ((i + id) % 3 == 0) continue;
+        c = c + i;
+    }
+    out[id] = acc;
+    ib[id] = j * 10 + c;
+}`},
+	// A uniform loop inside a loop threads leave at different times: the
+	// inner counter is shared by whoever is still inside.
+	{"uniform-loop-in-variant-loop", `
+__global__ void fz(float* out, float* a, int* ib, int n, float s) {
+    ` + shapeID + `
+    int i = 0;
+    float acc = 0.0f;
+    while (i < id % 4) {
+        for (int j = 0; j < 3; j++) {
+            acc = acc + a[(i * 3 + j) % n];
+        }
+        i = i + 1;
+    }
+    out[id] = acc;
+    ib[id] = i;
+}`},
+	// Uniform arms chosen by a per-thread condition, and the same through
+	// the && / || lowering: the value at the join is per-thread.
+	{"ternary-uniform-arms", `
+__global__ void fz(float* out, float* a, int* ib, int n, float s) {
+    ` + shapeID + `
+    int v = (id % 2 == 0) ? n * 2 : n * 3;
+    float f = (id % 3 == 0) ? s : a[5];
+    int c = (n > 3 && id % 2 == 0) || (s > 100.0f);
+    int u = (n > 3) ? n / 4 : n * 5;
+    out[id] = f + (float)c;
+    ib[id] = v + u;
+}`},
+	// Lane 0 is not in the active set while batch scalars are computed and
+	// consumed: the lane-0 cell is storage, not lane 0's value.
+	{"sparse-without-lane0", `
+__global__ void fz(float* out, float* a, int* ib, int n, float s) {
+    ` + shapeID + `
+    float keep = a[id % n];
+    if (id % 4 != 0) {
+        int q = n / 3;
+        for (int j = 0; j < 3; j++) {
+            q = q + j * 2;
+        }
+        ib[id] = q;
+        keep = a[q % n] * s;
+    }
+    out[id] = keep;
+}`},
+	// One uniform-index shared load per batch, after a barrier, in a block
+	// of several batches.
+	{"shared-uniform-after-barrier", `
+__global__ void fz(float* out, float* a, int* ib, int n, float s) {
+    __shared__ float tile[64];
+    ` + shapeID + `
+    int tid = threadIdx.x;
+    tile[tid] = a[id % n] + (float)tid;
+    __syncthreads();
+    float p = 0.0f;
+    for (int r = 0; r < 3; r++) {
+        p = p + tile[(r * 7 + n) % blockDim.x];
+    }
+    out[id] = p + tile[tid];
+}`},
+	// A barrier only some threads reach: the rest run ahead, so nothing may
+	// be shared between them.
+	{"barrier-under-variant-if", `
+__global__ void fz(float* out, float* a, int* ib, int n, float s) {
+    ` + shapeID + `
+    int q = n % 5;
+    if (threadIdx.x < 2) { __syncthreads(); }
+    q = q + 1;
+    ib[id] = q;
+    out[id] = (float)q;
+}`},
+	// Error shapes: the one execution of a uniform instruction fails for
+	// every active thread.
+	{"uniform-oob-load", `
+__global__ void fz(float* out, float* a, int* ib, int n, float s) {
+    ` + shapeID + `
+    out[id] = a[n * n];
+}`},
+	// The index is a per-thread base plus a batch scalar, added inside the
+	// load: the reported index is the lowest thread's own.
+	{"uniform-offset-oob-load", `
+__global__ void fz(float* out, float* a, int* ib, int n, float s) {
+    ` + shapeID + `
+    float acc = 0.0f;
+    for (int j = 0; j < 4; j++) {
+        acc = acc + a[id + j * 100];
+    }
+    out[id] = acc;
+}`},
+	{"uniform-div-zero", `
+__global__ void fz(float* out, float* a, int* ib, int n, float s) {
+    ` + shapeID + `
+    int z = n - n;
+    ib[id] = n / z + n % 7;
+}`},
+	// Thread 0 has returned and thread 2 died on its own before the uniform
+	// load fails: thread 1's error is the block's.
+	{"uniform-oob-lowest-thread", `
+__global__ void fz(float* out, float* a, int* ib, int n, float s) {
+    ` + shapeID + `
+    if (id == 0) return;
+    if (id == 2) { ib[id] = n / (id - 2); }
+    out[id] = a[n * n];
+}`},
+	// Thread 0 is already dead when the uniform modulo fails in the others:
+	// its error stays the block's.
+	{"uniform-mod-zero-after-lane0-died", `
+__global__ void fz(float* out, float* a, int* ib, int n, float s) {
+    ` + shapeID + `
+    if (id == 0) { out[id] = a[id - 1]; }
+    int z = n - n;
+    ib[id] = n % z;
+}`},
+}
+
+// TestUniformShapes runs the named shapes at lane widths 1, 4 and 32 with a
+// block that leaves a tail batch at 4 and at 32.
+func TestUniformShapes(t *testing.T) {
+	for _, sh := range uniformShapes {
+		for _, w := range []int{1, 4, 32} {
+			t.Run(fmt.Sprintf("%s_w%d", sh.name, w), func(t *testing.T) {
+				atLaneWidth(w, func() { diffRun(t, sh.src, interp.Dim1(2), interp.Dim1(50)) })
+			})
+		}
+	}
+}
+
+// TestDiffHandBuiltDeclAfterUse: hand-built IR need not declare a slot
+// before using it.  Here the Decl sits in a per-thread arm, after a read in
+// the same arm, and more threads enter the arm on the second pass of the
+// enclosing loop: the newcomers must read their own (initial) value, not
+// what the first thread left behind, so the slot cannot share a cell even
+// though its only write is a Decl of a constant.
+func TestDiffHandBuiltDeclAfterUse(t *testing.T) {
+	tid := &kir.BuiltinRef{B: kir.ThreadIdx, Axis: kir.X}
+	it := &kir.VarRef{Name: "it", Slot: 1, T: kir.I32}
+	sv := &kir.VarRef{Name: "s", Slot: 2, T: kir.I32}
+	outRef := kir.MemRef{Space: kir.Global, Param: 0, Name: "out"}
+	k := &kir.Kernel{
+		Name:     "late_decl",
+		Params:   []kir.Param{{Name: "out", Elem: kir.F32, Pointer: true}},
+		NumSlots: 3,
+		Body: kir.Block{
+			&kir.For{
+				Init: &kir.Decl{Name: "it", Slot: 1, T: kir.I32, Init: kir.Int(0)},
+				Cond: kir.Bin(kir.Lt, it, kir.Int(2)),
+				Post: &kir.Assign{Name: "it", Slot: 1, Value: kir.Bin(kir.Add, it, kir.Int(1))},
+				Body: kir.Block{&kir.If{
+					Cond: kir.Bin(kir.Le, tid, it),
+					Then: kir.Block{
+						&kir.Store{Mem: outRef,
+							Index: kir.Bin(kir.Add, tid, kir.Bin(kir.Mul, it, kir.Int(4))),
+							Value: &kir.Cast{To: kir.F32, X: sv}},
+						&kir.Decl{Name: "s", Slot: 2, T: kir.I32, Init: kir.Int(10)},
+					},
+				}},
+			},
+		},
+	}
+	if err := k.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	init := []*interp.HostBuffer{interp.ZeroBuffer(kir.F32, 8)}
+	atLaneWidth(4, func() {
+		if d := divergence(k, interp.Dim1(1), interp.Dim1(4), make([]interp.Value, 1), init); d != "" {
+			t.Fatal(d)
+		}
+	})
 }

@@ -42,6 +42,28 @@ import (
 // div-by-zero, loop budget, opErr) stops executing while the others
 // continue, and the block reports the erroring lane with the smallest
 // thread id, with zero Work — the thread-id-order first-error rule.
+//
+// Value classes.  Most of a kernel's inner loop does not depend on
+// threadIdx: the loop counter, its bound, the row base of an index, a
+// coefficient load.  The compiler (classify in compile.go) sorts every
+// value into a per-lane row, a launch constant (uniform, whole row valid), or
+// a batch scalar (uniform, only the row's lane-0 cell maintained — there is
+// no second register file), and flags each instruction accordingly:
+//
+//   - uExec, every operand uniform: the instruction runs once, on the lane-0
+//     cells, through the same per-opcode code with a one-lane active set,
+//     and its Work is charged once per active lane.  A uniform conditional
+//     jump so moves the whole active set, and a uniform-index load is one
+//     checked load; if it fails, every active lane dies with that error.
+//   - uA/uB/uC, a per-lane instruction with a uniform operand: the opcodes
+//     the suite's inner loops are made of read that operand from its lane-0
+//     cell, hoisted out of the lane loop.
+//   - Every other consumer of a batch scalar is handed a row: the compiler
+//     emits a broadcast move into a scratch temporary first.  That fallback
+//     is always correct; the profiler counts it.
+//
+// tick (per-thread iteration budgets), stores, atomics, barriers and opErr
+// always run per lane.
 
 // laneWidth is the process-default batch width for new Runners.
 var laneWidth atomic.Int32
@@ -88,6 +110,7 @@ type laneBatch struct {
 
 	act []int  // active-set scratch (ascending lane order)
 	tkn []bool // per-lane taken mask scratch for conditional jumps
+	one []int  // {0}: the active set of a scalar-executed instruction
 }
 
 // newBatch allocates a batch context and replicates the launch-level
@@ -105,6 +128,7 @@ func (r *Runner) newBatch() *laneBatch {
 		errs:  make([]error, W),
 		act:   make([]int, 0, W),
 		tkn:   make([]bool, W),
+		one:   []int{0},
 	}
 	for reg, v := range r.baseI {
 		row := b.li[reg*W : (reg+1)*W]
@@ -313,6 +337,16 @@ func splitJump(b *laneBatch, act []int, taken []bool, pc, target, nm int32) ([]i
 	return keep, lo, nm
 }
 
+// cellMask returns the lane mask of an operand in the indexed loop shapes:
+// 0 pins a uniform operand (bit set in u) to its lane-0 cell, -1 leaves the
+// lane index alone.
+func cellMask(u, bit uint8) int {
+	if u&bit != 0 {
+		return 0
+	}
+	return -1
+}
+
 // filterRun drops non-runnable lanes from the active set in place.  Only
 // the rare lane-death paths use it; the common-case loops assume every
 // active lane survives the instruction.
@@ -328,9 +362,9 @@ func filterRun(b *laneBatch, act []int) []int {
 
 // runBatch drives one batch until no lane is runnable: all lanes have
 // returned, died, or suspended at a barrier.  Work for the batch is
-// accumulated locally and flushed once at the end; charges are per
-// surviving lane, which matches the interpreter exactly because a block
-// with any dead lane reports zero Work anyway.
+// accumulated locally and flushed once at the end; an instruction charges
+// every lane it was issued to, which matches the interpreter exactly because
+// a block with any dead lane reports zero Work anyway.
 //
 // Every per-opcode loop comes in two shapes.  The dense shape fires when
 // the active set is exactly lanes [0, n) — act is an ascending subset of
@@ -349,11 +383,13 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 	mem := r.mem
 	lens := r.lens
 	raws := r.raw
-	tkn := b.tkn
+	tkn, one := b.tkn, b.one
 	name := r.p.Kernel.Name
 	var flops, intops, glb, gsb, shb int64
 
-	var act []int
+	var act, all []int // all: the active set while a scalar-executed instruction borrows act
+	var stat0 uint8    // lane 0's state saved across one, when lane 0 is not active
+	var err0 error
 	var pc, nm int32
 	if fresh {
 		act = b.act[:0]
@@ -379,6 +415,18 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 		}
 		in := &code[pc]
 		pc++
+		// nl lanes are charged for the instruction: the active set it was
+		// issued to.
+		nl := int64(len(act))
+		if in.u&uExec != 0 {
+			// A scalar-executed instruction runs through its ordinary case
+			// with the active set swapped for lane 0 alone, whichever lanes
+			// are active: the lane-0 cell is the batch scalar's storage.
+			all, act = act, one
+			if all[0] != 0 {
+				stat0, err0 = b.stat[0], b.errs[0]
+			}
+		}
 		switch in.op {
 		case opNop:
 		case opProf:
@@ -445,39 +493,73 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 				// The kind switch is hoisted out of the lane loop: this is
 				// the loop-guard opcode of every compiled kernel, so a
 				// per-lane kind dispatch would dominate the comparison.
-				a, bb, tk := li[ia:ia+n], li[ib:ib+n], tkn[:n]
-				switch kind {
-				case 0:
-					for ln := range tk {
-						tk[ln] = (a[ln] < bb[ln]) == sense
+				a, tk := li[ia:ia+n], tkn[:n]
+				if in.u&uB != 0 {
+					// A per-lane value against a batch scalar (`t < j`,
+					// `id < n`); binary keeps the scalar in b.
+					s := li[ib]
+					switch kind {
+					case 0:
+						for ln := range tk {
+							tk[ln] = (a[ln] < s) == sense
+						}
+					case 1:
+						for ln := range tk {
+							tk[ln] = (a[ln] <= s) == sense
+						}
+					case 2:
+						for ln := range tk {
+							tk[ln] = (a[ln] > s) == sense
+						}
+					case 3:
+						for ln := range tk {
+							tk[ln] = (a[ln] >= s) == sense
+						}
+					case 4:
+						for ln := range tk {
+							tk[ln] = (a[ln] == s) == sense
+						}
+					default:
+						for ln := range tk {
+							tk[ln] = (a[ln] != s) == sense
+						}
 					}
-				case 1:
-					for ln := range tk {
-						tk[ln] = (a[ln] <= bb[ln]) == sense
-					}
-				case 2:
-					for ln := range tk {
-						tk[ln] = (a[ln] > bb[ln]) == sense
-					}
-				case 3:
-					for ln := range tk {
-						tk[ln] = (a[ln] >= bb[ln]) == sense
-					}
-				case 4:
-					for ln := range tk {
-						tk[ln] = (a[ln] == bb[ln]) == sense
-					}
-				default:
-					for ln := range tk {
-						tk[ln] = (a[ln] != bb[ln]) == sense
+				} else {
+					bb := li[ib : ib+n]
+					switch kind {
+					case 0:
+						for ln := range tk {
+							tk[ln] = (a[ln] < bb[ln]) == sense
+						}
+					case 1:
+						for ln := range tk {
+							tk[ln] = (a[ln] <= bb[ln]) == sense
+						}
+					case 2:
+						for ln := range tk {
+							tk[ln] = (a[ln] > bb[ln]) == sense
+						}
+					case 3:
+						for ln := range tk {
+							tk[ln] = (a[ln] >= bb[ln]) == sense
+						}
+					case 4:
+						for ln := range tk {
+							tk[ln] = (a[ln] == bb[ln]) == sense
+						}
+					default:
+						for ln := range tk {
+							tk[ln] = (a[ln] != bb[ln]) == sense
+						}
 					}
 				}
 			} else {
+				mb := cellMask(in.u, uB)
 				for _, ln := range act {
-					tkn[ln] = cmpI(kind, li[ia+ln], li[ib+ln]) == sense
+					tkn[ln] = cmpI(kind, li[ia+ln], li[ib+ln&mb]) == sense
 				}
 			}
-			intops += int64(len(act))
+			intops += nl
 			act, pc, nm = splitJump(b, act, tkn, pc, in.imm, nm)
 		case opCJmpF:
 			ia, ib := int(in.a)*W, int(in.b)*W
@@ -516,7 +598,7 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 					tkn[ln] = cmpF(kind, lf[ia+ln], lf[ib+ln]) == sense
 				}
 			}
-			flops += int64(len(act))
+			flops += nl
 			act, pc, nm = splitJump(b, act, tkn, pc, in.imm, nm)
 		case opTick:
 			if n := len(act); act[n-1] == n-1 {
@@ -573,7 +655,13 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 
 		case opMovI:
 			id, ia := int(in.d)*W, int(in.a)*W
-			if n := len(act); act[n-1] == n-1 {
+			if in.u&uA != 0 {
+				// Broadcast: the source is a batch scalar.
+				v := li[ia]
+				for _, ln := range act {
+					li[id+ln] = v
+				}
+			} else if n := len(act); act[n-1] == n-1 {
 				copy(li[id:id+n], li[ia:ia+n])
 			} else {
 				for _, ln := range act {
@@ -582,7 +670,12 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 			}
 		case opMovF:
 			id, ia := int(in.d)*W, int(in.a)*W
-			if n := len(act); act[n-1] == n-1 {
+			if in.u&uA != 0 {
+				v := lf[ia]
+				for _, ln := range act {
+					lf[id+ln] = v
+				}
+			} else if n := len(act); act[n-1] == n-1 {
 				copy(lf[id:id+n], lf[ia:ia+n])
 			} else {
 				for _, ln := range act {
@@ -592,7 +685,13 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 		case opMovVar:
 			id, ia, ib := (numReservedI+int(in.d))*W, int(in.a)*W, int(in.b)*W
 			fd := int(in.d) * W
-			if n := len(act); act[n-1] == n-1 {
+			if in.u&uA != 0 {
+				vi, vf := li[ia], lf[ib]
+				for _, ln := range act {
+					li[id+ln] = vi
+					lf[fd+ln] = vf
+				}
+			} else if n := len(act); act[n-1] == n-1 {
 				copy(li[id:id+n], li[ia:ia+n])
 				copy(lf[fd:fd+n], lf[ib:ib+n])
 			} else {
@@ -674,60 +773,104 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 					li[id+ln] = -li[ia+ln]
 				}
 			}
-			intops += int64(len(act))
+			intops += nl
 		case opAddI:
 			id, ia, ib := int(in.d)*W, int(in.a)*W, int(in.b)*W
 			if n := len(act); act[n-1] == n-1 {
 				d, a, bb := li[id:id+n], li[ia:ia+n], li[ib:ib+n]
-				for ln := range d {
-					d[ln] = a[ln] + bb[ln]
+				if in.u&uB != 0 {
+					s := bb[0]
+					for ln := range d {
+						d[ln] = a[ln] + s
+					}
+				} else {
+					for ln := range d {
+						d[ln] = a[ln] + bb[ln]
+					}
 				}
 			} else {
+				mb := cellMask(in.u, uB)
 				for _, ln := range act {
-					li[id+ln] = li[ia+ln] + li[ib+ln]
+					li[id+ln] = li[ia+ln] + li[ib+ln&mb]
 				}
 			}
-			intops += int64(len(act))
+			intops += nl
 		case opSubI:
 			id, ia, ib := int(in.d)*W, int(in.a)*W, int(in.b)*W
 			if n := len(act); act[n-1] == n-1 {
 				d, a, bb := li[id:id+n], li[ia:ia+n], li[ib:ib+n]
-				for ln := range d {
-					d[ln] = a[ln] - bb[ln]
+				switch {
+				case in.u&uA != 0:
+					s := a[0]
+					for ln := range d {
+						d[ln] = s - bb[ln]
+					}
+				case in.u&uB != 0:
+					s := bb[0]
+					for ln := range d {
+						d[ln] = a[ln] - s
+					}
+				default:
+					for ln := range d {
+						d[ln] = a[ln] - bb[ln]
+					}
 				}
 			} else {
+				ma, mb := cellMask(in.u, uA), cellMask(in.u, uB)
 				for _, ln := range act {
-					li[id+ln] = li[ia+ln] - li[ib+ln]
+					li[id+ln] = li[ia+ln&ma] - li[ib+ln&mb]
 				}
 			}
-			intops += int64(len(act))
+			intops += nl
 		case opMulI:
 			id, ia, ib := int(in.d)*W, int(in.a)*W, int(in.b)*W
 			if n := len(act); act[n-1] == n-1 {
 				d, a, bb := li[id:id+n], li[ia:ia+n], li[ib:ib+n]
-				for ln := range d {
-					d[ln] = a[ln] * bb[ln]
+				if in.u&uB != 0 {
+					s := bb[0]
+					for ln := range d {
+						d[ln] = a[ln] * s
+					}
+				} else {
+					for ln := range d {
+						d[ln] = a[ln] * bb[ln]
+					}
 				}
 			} else {
+				mb := cellMask(in.u, uB)
 				for _, ln := range act {
-					li[id+ln] = li[ia+ln] * li[ib+ln]
+					li[id+ln] = li[ia+ln] * li[ib+ln&mb]
 				}
 			}
-			intops += int64(len(act))
+			intops += nl
 		case opMulAddI:
 			id, ia, ib := int(in.d)*W, int(in.a)*W, int(in.b)*W
 			ic := int(in.imm) * W
 			if n := len(act); act[n-1] == n-1 {
 				d, a, bb, c := li[id:id+n], li[ia:ia+n], li[ib:ib+n], li[ic:ic+n]
-				for ln := range d {
-					d[ln] = c[ln] + a[ln]*bb[ln]
+				switch {
+				case in.u&uB != 0:
+					s := bb[0]
+					for ln := range d {
+						d[ln] = c[ln] + a[ln]*s
+					}
+				case in.u&uC != 0:
+					s := c[0]
+					for ln := range d {
+						d[ln] = s + a[ln]*bb[ln]
+					}
+				default:
+					for ln := range d {
+						d[ln] = c[ln] + a[ln]*bb[ln]
+					}
 				}
 			} else {
+				mb, mc := cellMask(in.u, uB), cellMask(in.u, uC)
 				for _, ln := range act {
-					li[id+ln] = li[ic+ln] + li[ia+ln]*li[ib+ln]
+					li[id+ln] = li[ic+ln&mc] + li[ia+ln]*li[ib+ln&mb]
 				}
 			}
-			intops += 2 * int64(len(act))
+			intops += 2 * nl
 		case opDivI:
 			id, ia, ib := int(in.d)*W, int(in.a)*W, int(in.b)*W
 			if n := len(act); act[n-1] == n-1 {
@@ -741,7 +884,7 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 					d[ln] = a[ln] / bb[ln]
 				}
 				if !zero {
-					intops += int64(n)
+					intops += nl
 					break
 				}
 			}
@@ -756,7 +899,7 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 				keep = append(keep, ln)
 			}
 			act = keep
-			intops += int64(len(act))
+			intops += nl
 		case opRemI:
 			id, ia, ib := int(in.d)*W, int(in.a)*W, int(in.b)*W
 			if n := len(act); act[n-1] == n-1 {
@@ -770,7 +913,7 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 					d[ln] = a[ln] % bb[ln]
 				}
 				if !zero {
-					intops += int64(n)
+					intops += nl
 					break
 				}
 			}
@@ -785,7 +928,7 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 				keep = append(keep, ln)
 			}
 			act = keep
-			intops += int64(len(act))
+			intops += nl
 		case opAndI:
 			id, ia, ib := int(in.d)*W, int(in.a)*W, int(in.b)*W
 			if n := len(act); act[n-1] == n-1 {
@@ -798,7 +941,7 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 					li[id+ln] = li[ia+ln] & li[ib+ln]
 				}
 			}
-			intops += int64(len(act))
+			intops += nl
 		case opOrI:
 			id, ia, ib := int(in.d)*W, int(in.a)*W, int(in.b)*W
 			if n := len(act); act[n-1] == n-1 {
@@ -811,7 +954,7 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 					li[id+ln] = li[ia+ln] | li[ib+ln]
 				}
 			}
-			intops += int64(len(act))
+			intops += nl
 		case opXorI:
 			id, ia, ib := int(in.d)*W, int(in.a)*W, int(in.b)*W
 			if n := len(act); act[n-1] == n-1 {
@@ -824,7 +967,7 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 					li[id+ln] = li[ia+ln] ^ li[ib+ln]
 				}
 			}
-			intops += int64(len(act))
+			intops += nl
 		case opShlI:
 			id, ia, ib := int(in.d)*W, int(in.a)*W, int(in.b)*W
 			if n := len(act); act[n-1] == n-1 {
@@ -837,7 +980,7 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 					li[id+ln] = li[ia+ln] << uint(li[ib+ln])
 				}
 			}
-			intops += int64(len(act))
+			intops += nl
 		case opShrI:
 			id, ia, ib := int(in.d)*W, int(in.a)*W, int(in.b)*W
 			if n := len(act); act[n-1] == n-1 {
@@ -850,21 +993,22 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 					li[id+ln] = li[ia+ln] >> uint(li[ib+ln])
 				}
 			}
-			intops += int64(len(act))
+			intops += nl
 		case opLtI, opLeI, opGtI, opGeI, opEqI, opNeI:
 			id, ia, ib := int(in.d)*W, int(in.a)*W, int(in.b)*W
 			kind := uint16(in.op - opLtI)
+			mb := cellMask(in.u, uB)
 			if n := len(act); act[n-1] == n-1 {
 				d, a, bb := li[id:id+n], li[ia:ia+n], li[ib:ib+n]
 				for ln := range d {
-					d[ln] = b2i(cmpI(kind, a[ln], bb[ln]))
+					d[ln] = b2i(cmpI(kind, a[ln], bb[ln&mb]))
 				}
 			} else {
 				for _, ln := range act {
-					li[id+ln] = b2i(cmpI(kind, li[ia+ln], li[ib+ln]))
+					li[id+ln] = b2i(cmpI(kind, li[ia+ln], li[ib+ln&mb]))
 				}
 			}
-			intops += int64(len(act))
+			intops += nl
 
 		case opNegF:
 			id, ia := int(in.d)*W, int(in.a)*W
@@ -878,51 +1022,104 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 					lf[id+ln] = -lf[ia+ln]
 				}
 			}
-			flops += int64(len(act))
+			flops += nl
 		case opAddF:
 			id, ia, ib := int(in.d)*W, int(in.a)*W, int(in.b)*W
 			if n := len(act); act[n-1] == n-1 {
 				d, a, bb := lf[id:id+n], lf[ia:ia+n], lf[ib:ib+n]
-				for ln := range d {
-					d[ln] = float64(float32(a[ln]) + float32(bb[ln]))
+				switch {
+				case in.u&uA != 0:
+					s := float32(a[0])
+					for ln := range d {
+						d[ln] = float64(s + float32(bb[ln]))
+					}
+				case in.u&uB != 0:
+					s := float32(bb[0])
+					for ln := range d {
+						d[ln] = float64(float32(a[ln]) + s)
+					}
+				default:
+					for ln := range d {
+						d[ln] = float64(float32(a[ln]) + float32(bb[ln]))
+					}
 				}
 			} else {
+				ma, mb := cellMask(in.u, uA), cellMask(in.u, uB)
 				for _, ln := range act {
-					lf[id+ln] = float64(float32(lf[ia+ln]) + float32(lf[ib+ln]))
+					lf[id+ln] = float64(float32(lf[ia+ln&ma]) + float32(lf[ib+ln&mb]))
 				}
 			}
-			flops += int64(len(act))
+			flops += nl
 		case opSubF:
 			id, ia, ib := int(in.d)*W, int(in.a)*W, int(in.b)*W
 			if n := len(act); act[n-1] == n-1 {
 				d, a, bb := lf[id:id+n], lf[ia:ia+n], lf[ib:ib+n]
-				for ln := range d {
-					d[ln] = float64(float32(a[ln]) - float32(bb[ln]))
+				switch {
+				case in.u&uA != 0:
+					s := float32(a[0])
+					for ln := range d {
+						d[ln] = float64(s - float32(bb[ln]))
+					}
+				case in.u&uB != 0:
+					s := float32(bb[0])
+					for ln := range d {
+						d[ln] = float64(float32(a[ln]) - s)
+					}
+				default:
+					for ln := range d {
+						d[ln] = float64(float32(a[ln]) - float32(bb[ln]))
+					}
 				}
 			} else {
+				ma, mb := cellMask(in.u, uA), cellMask(in.u, uB)
 				for _, ln := range act {
-					lf[id+ln] = float64(float32(lf[ia+ln]) - float32(lf[ib+ln]))
+					lf[id+ln] = float64(float32(lf[ia+ln&ma]) - float32(lf[ib+ln&mb]))
 				}
 			}
-			flops += int64(len(act))
+			flops += nl
 		case opMulF:
 			id, ia, ib := int(in.d)*W, int(in.a)*W, int(in.b)*W
 			if n := len(act); act[n-1] == n-1 {
 				d, a, bb := lf[id:id+n], lf[ia:ia+n], lf[ib:ib+n]
-				for ln := range d {
-					d[ln] = float64(float32(a[ln]) * float32(bb[ln]))
+				switch {
+				case in.u&uA != 0:
+					s := float32(a[0])
+					for ln := range d {
+						d[ln] = float64(s * float32(bb[ln]))
+					}
+				case in.u&uB != 0:
+					s := float32(bb[0])
+					for ln := range d {
+						d[ln] = float64(float32(a[ln]) * s)
+					}
+				default:
+					for ln := range d {
+						d[ln] = float64(float32(a[ln]) * float32(bb[ln]))
+					}
 				}
 			} else {
+				ma, mb := cellMask(in.u, uA), cellMask(in.u, uB)
 				for _, ln := range act {
-					lf[id+ln] = float64(float32(lf[ia+ln]) * float32(lf[ib+ln]))
+					lf[id+ln] = float64(float32(lf[ia+ln&ma]) * float32(lf[ib+ln&mb]))
 				}
 			}
-			flops += int64(len(act))
+			flops += nl
 		case opMulAddF:
 			id, ia, ib := int(in.d)*W, int(in.a)*W, int(in.b)*W
 			ic := int(in.imm&0xffff) * W
 			swap := in.imm&mulAddSwapBit != 0
-			if n := len(act); act[n-1] == n-1 {
+			if n := len(act); act[n-1] != n-1 {
+				ma, mb := cellMask(in.u, uA), cellMask(in.u, uB)
+				if swap {
+					for _, ln := range act {
+						lf[id+ln] = float64(float32(lf[ia+ln&ma])*float32(lf[ib+ln&mb]) + float32(lf[ic+ln]))
+					}
+				} else {
+					for _, ln := range act {
+						lf[id+ln] = float64(float32(lf[ic+ln]) + float32(lf[ia+ln&ma])*float32(lf[ib+ln&mb]))
+					}
+				}
+			} else if in.u&(uA|uB) == 0 {
 				d, a, bb, c := lf[id:id+n], lf[ia:ia+n], lf[ib:ib+n], lf[ic:ic+n]
 				if swap {
 					for ln := range d {
@@ -933,16 +1130,35 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 						d[ln] = float64(float32(c[ln]) + float32(a[ln])*float32(bb[ln]))
 					}
 				}
-			} else if swap {
-				for _, ln := range act {
-					lf[id+ln] = float64(float32(lf[ia+ln])*float32(lf[ib+ln]) + float32(lf[ic+ln]))
-				}
 			} else {
-				for _, ln := range act {
-					lf[id+ln] = float64(float32(lf[ic+ln]) + float32(lf[ia+ln])*float32(lf[ib+ln]))
+				// One factor is a batch scalar (a coefficient, a row
+				// element): hoist it and keep it on its own side of the
+				// product.
+				d, c := lf[id:id+n], lf[ic:ic+n]
+				s, v, sFirst := float32(lf[ia]), lf[ib:ib+n], true
+				if in.u&uB != 0 {
+					s, v, sFirst = float32(lf[ib]), lf[ia:ia+n], false
+				}
+				switch {
+				case swap && sFirst:
+					for ln := range d {
+						d[ln] = float64(s*float32(v[ln]) + float32(c[ln]))
+					}
+				case swap:
+					for ln := range d {
+						d[ln] = float64(float32(v[ln])*s + float32(c[ln]))
+					}
+				case sFirst:
+					for ln := range d {
+						d[ln] = float64(float32(c[ln]) + s*float32(v[ln]))
+					}
+				default:
+					for ln := range d {
+						d[ln] = float64(float32(c[ln]) + float32(v[ln])*s)
+					}
 				}
 			}
-			flops += 2 * int64(len(act))
+			flops += 2 * nl
 		case opDivF:
 			id, ia, ib := int(in.d)*W, int(in.a)*W, int(in.b)*W
 			if n := len(act); act[n-1] == n-1 {
@@ -955,94 +1171,95 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 					lf[id+ln] = float64(float32(lf[ia+ln]) / float32(lf[ib+ln]))
 				}
 			}
-			flops += int64(len(act))
+			flops += nl
 		case opLtF, opLeF, opGtF, opGeF, opEqF, opNeF:
 			id, ia, ib := int(in.d)*W, int(in.a)*W, int(in.b)*W
 			kind := uint16(in.op - opLtF)
+			mb := cellMask(in.u, uB)
 			if n := len(act); act[n-1] == n-1 {
 				d, a, bb := li[id:id+n], lf[ia:ia+n], lf[ib:ib+n]
 				for ln := range d {
-					d[ln] = b2i(cmpF(kind, a[ln], bb[ln]))
+					d[ln] = b2i(cmpF(kind, a[ln], bb[ln&mb]))
 				}
 			} else {
 				for _, ln := range act {
-					li[id+ln] = b2i(cmpF(kind, lf[ia+ln], lf[ib+ln]))
+					li[id+ln] = b2i(cmpF(kind, lf[ia+ln], lf[ib+ln&mb]))
 				}
 			}
-			flops += int64(len(act))
+			flops += nl
 
 		case opSqrt:
 			id, ia := int(in.d)*W, int(in.a)*W
 			for _, ln := range act {
 				lf[id+ln] = float64(float32(math.Sqrt(lf[ia+ln])))
 			}
-			flops += int64(in.imm) * int64(len(act))
+			flops += int64(in.imm) * nl
 		case opExp:
 			id, ia := int(in.d)*W, int(in.a)*W
 			for _, ln := range act {
 				lf[id+ln] = float64(float32(math.Exp(lf[ia+ln])))
 			}
-			flops += int64(in.imm) * int64(len(act))
+			flops += int64(in.imm) * nl
 		case opLog:
 			id, ia := int(in.d)*W, int(in.a)*W
 			for _, ln := range act {
 				lf[id+ln] = float64(float32(math.Log(lf[ia+ln])))
 			}
-			flops += int64(in.imm) * int64(len(act))
+			flops += int64(in.imm) * nl
 		case opFabs:
 			id, ia := int(in.d)*W, int(in.a)*W
 			for _, ln := range act {
 				lf[id+ln] = float64(float32(math.Abs(lf[ia+ln])))
 			}
-			flops += int64(in.imm) * int64(len(act))
+			flops += int64(in.imm) * nl
 		case opFmin:
 			id, ia, ib := int(in.d)*W, int(in.a)*W, int(in.b)*W
 			for _, ln := range act {
 				lf[id+ln] = float64(float32(math.Min(lf[ia+ln], lf[ib+ln])))
 			}
-			flops += int64(in.imm) * int64(len(act))
+			flops += int64(in.imm) * nl
 		case opFmax:
 			id, ia, ib := int(in.d)*W, int(in.a)*W, int(in.b)*W
 			for _, ln := range act {
 				lf[id+ln] = float64(float32(math.Max(lf[ia+ln], lf[ib+ln])))
 			}
-			flops += int64(in.imm) * int64(len(act))
+			flops += int64(in.imm) * nl
 		case opPow:
 			id, ia, ib := int(in.d)*W, int(in.a)*W, int(in.b)*W
 			for _, ln := range act {
 				lf[id+ln] = float64(float32(math.Pow(lf[ia+ln], lf[ib+ln])))
 			}
-			flops += int64(in.imm) * int64(len(act))
+			flops += int64(in.imm) * nl
 		case opSin:
 			id, ia := int(in.d)*W, int(in.a)*W
 			for _, ln := range act {
 				lf[id+ln] = float64(float32(math.Sin(lf[ia+ln])))
 			}
-			flops += int64(in.imm) * int64(len(act))
+			flops += int64(in.imm) * nl
 		case opCos:
 			id, ia := int(in.d)*W, int(in.a)*W
 			for _, ln := range act {
 				lf[id+ln] = float64(float32(math.Cos(lf[ia+ln])))
 			}
-			flops += int64(in.imm) * int64(len(act))
+			flops += int64(in.imm) * nl
 		case opTanh:
 			id, ia := int(in.d)*W, int(in.a)*W
 			for _, ln := range act {
 				lf[id+ln] = float64(float32(math.Tanh(lf[ia+ln])))
 			}
-			flops += int64(in.imm) * int64(len(act))
+			flops += int64(in.imm) * nl
 		case opMinI:
 			id, ia, ib := int(in.d)*W, int(in.a)*W, int(in.b)*W
 			for _, ln := range act {
 				li[id+ln] = min(li[ia+ln], li[ib+ln])
 			}
-			flops += int64(in.imm) * int64(len(act))
+			flops += int64(in.imm) * nl
 		case opMaxI:
 			id, ia, ib := int(in.d)*W, int(in.a)*W, int(in.b)*W
 			for _, ln := range act {
 				li[id+ln] = max(li[ia+ln], li[ib+ln])
 			}
-			flops += int64(in.imm) * int64(len(act))
+			flops += int64(in.imm) * nl
 		case opAbsI:
 			id, ia := int(in.d)*W, int(in.a)*W
 			for _, ln := range act {
@@ -1052,7 +1269,7 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 				}
 				li[id+ln] = v
 			}
-			flops += int64(in.imm) * int64(len(act))
+			flops += int64(in.imm) * nl
 
 		// The global loads/stores run an optimistic dense pass over the raw
 		// byte view first: no act indirection, no keep-filter, straight
@@ -1066,11 +1283,18 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 			prm := int(in.b)
 			raw := raws[prm]
 			lim := uint(lens[prm])
+			// uC: the index is row a plus the batch scalar in register imm
+			// (`in[id + t]`, `b[j*n + col]`), a fused opAddI charged here.
+			var off int64
+			if in.u&uC != 0 {
+				off = li[int(in.imm)*W]
+				intops += nl
+			}
 			if n := len(act); raw != nil && act[n-1] == n-1 {
 				d, a := lf[id:id+n], li[ia:ia+n]
 				oob := false
 				for ln := range d {
-					idx := int(a[ln])
+					idx := int(a[ln] + off)
 					if uint(idx) >= lim {
 						oob = true
 						break
@@ -1078,13 +1302,13 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 					d[ln] = float64(math.Float32frombits(binary.LittleEndian.Uint32(raw[4*idx:])))
 				}
 				if !oob {
-					glb += 4 * int64(n)
+					glb += 4 * nl
 					break
 				}
 			}
 			keep := act[:0]
 			for _, ln := range act {
-				idx := int(li[ia+ln])
+				idx := int(li[ia+ln] + off)
 				if uint(idx) >= lim {
 					b.stat[ln] = stDead
 					b.errs[ln] = r.oobGlobal("load", prm, idx)
@@ -1098,7 +1322,7 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 				keep = append(keep, ln)
 			}
 			act = keep
-			glb += 4 * int64(len(act))
+			glb += 4 * nl
 		case opLdGI:
 			id, ia := int(in.d)*W, int(in.a)*W
 			prm := int(in.b)
@@ -1116,7 +1340,7 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 					d[ln] = int64(int32(binary.LittleEndian.Uint32(raw[4*idx:])))
 				}
 				if !oob {
-					glb += 4 * int64(n)
+					glb += 4 * nl
 					break
 				}
 			}
@@ -1136,7 +1360,7 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 				keep = append(keep, ln)
 			}
 			act = keep
-			glb += 4 * int64(len(act))
+			glb += 4 * nl
 		case opLdGU8:
 			id, ia := int(in.d)*W, int(in.a)*W
 			prm := int(in.b)
@@ -1154,7 +1378,7 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 					d[ln] = int64(raw[idx])
 				}
 				if !oob {
-					glb += int64(n)
+					glb += nl
 					break
 				}
 			}
@@ -1174,7 +1398,7 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 				keep = append(keep, ln)
 			}
 			act = keep
-			glb += int64(len(act))
+			glb += nl
 		case opStGF:
 			id, ia := int(in.d)*W, int(in.a)*W
 			prm := int(in.b)
@@ -1192,7 +1416,7 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 					binary.LittleEndian.PutUint32(raw[4*idx:], math.Float32bits(float32(d[ln])))
 				}
 				if !oob {
-					gsb += 4 * int64(n)
+					gsb += 4 * nl
 					break
 				}
 			}
@@ -1212,7 +1436,7 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 				keep = append(keep, ln)
 			}
 			act = keep
-			gsb += 4 * int64(len(act))
+			gsb += 4 * nl
 		case opStGI:
 			id, ia := int(in.d)*W, int(in.a)*W
 			prm := int(in.b)
@@ -1230,7 +1454,7 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 					binary.LittleEndian.PutUint32(raw[4*idx:], uint32(int32(d[ln])))
 				}
 				if !oob {
-					gsb += 4 * int64(n)
+					gsb += 4 * nl
 					break
 				}
 			}
@@ -1250,7 +1474,7 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 				keep = append(keep, ln)
 			}
 			act = keep
-			gsb += 4 * int64(len(act))
+			gsb += 4 * nl
 		case opStGU8:
 			id, ia := int(in.d)*W, int(in.a)*W
 			prm := int(in.b)
@@ -1268,7 +1492,7 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 					raw[idx] = byte(d[ln])
 				}
 				if !oob {
-					gsb += int64(n)
+					gsb += nl
 					break
 				}
 			}
@@ -1288,7 +1512,7 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 				keep = append(keep, ln)
 			}
 			act = keep
-			gsb += int64(len(act))
+			gsb += nl
 
 		case opLdSI:
 			m := &r.p.shared[in.b]
@@ -1305,7 +1529,7 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 				keep = append(keep, ln)
 			}
 			act = keep
-			shb += int64(in.imm) * int64(len(act))
+			shb += int64(in.imm) * nl
 		case opLdSF:
 			m := &r.p.shared[in.b]
 			id, ia := int(in.d)*W, int(in.a)*W
@@ -1321,7 +1545,7 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 				keep = append(keep, ln)
 			}
 			act = keep
-			shb += int64(in.imm) * int64(len(act))
+			shb += int64(in.imm) * nl
 		case opStS:
 			m := &r.p.shared[in.imm]
 			id, ia, ib := int(in.d)*W, int(in.a)*W, int(in.b)*W
@@ -1338,7 +1562,7 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 				keep = append(keep, ln)
 			}
 			act = keep
-			shb += int64(m.elem.Size()) * int64(len(act))
+			shb += int64(m.elem.Size()) * nl
 
 		case opAtGAdd, opAtGMax:
 			prm := int(in.imm)
@@ -1455,6 +1679,23 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 				b.errs[ln] = err
 			}
 			act = act[:0]
+		}
+		if in.u&uExec != 0 {
+			if len(act) != 0 {
+				act = all
+			} else {
+				// The one execution failed (a zero divisor, an index out of
+				// range), as it would have in every active lane: they all
+				// die with its error.  Lane 0 need not be one of them.
+				err := b.errs[0]
+				if all[0] != 0 {
+					b.stat[0], b.errs[0] = stat0, err0
+				}
+				for _, ln := range all {
+					b.stat[ln], b.errs[ln] = stDead, err
+				}
+				act = all[:0]
+			}
 		}
 		if len(act) == 0 {
 			// nm < 0 means no runnable lane is parked anywhere (splitJump

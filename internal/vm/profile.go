@@ -178,13 +178,27 @@ type KernelProfile struct {
 	Opcodes []OpcodeCount `json:"opcodes"`
 	// BackEdges holds nonzero back-edge counters, hottest first.
 	BackEdges []BackEdge `json:"back_edges,omitempty"`
+	// ScalarInstructions is the part of Instructions that was
+	// scalar-executed: run once per lane batch because every operand was
+	// thread-invariant, while still counted (and charged) once per thread.
+	ScalarInstructions int64 `json:"scalar_instructions,omitempty"`
+	// Broadcasts is the part of Instructions that only copied a batch
+	// scalar into a row for a consumer with no scalar-operand form, and
+	// BroadcastFor counts them by that consumer's opcode, largest first.
+	Broadcasts   int64         `json:"broadcasts,omitempty"`
+	BroadcastFor []OpcodeCount `json:"broadcast_for,omitempty"`
+}
+
+// isBroadcast reports whether in is a compiler-inserted broadcast (see uA).
+func isBroadcast(in instr) bool {
+	return (in.op == opMovI || in.op == opMovF) && in.imm != 0
 }
 
 // snapshot derives the per-opcode and back-edge counts from the block
 // counters.
 func (pr *Profile) snapshot() KernelProfile {
 	kp := KernelProfile{Kernel: pr.kernel, Blocks: len(pr.blocks)}
-	var opCounts [numOps]int64
+	var opCounts, bcastFor [numOps]int64
 	backEdges := map[[2]int32]int64{}
 	for b, span := range pr.blocks {
 		c := pr.counts[b].Load()
@@ -198,19 +212,17 @@ func (pr *Profile) snapshot() KernelProfile {
 			if isJump(in.op) && in.imm <= pc {
 				backEdges[[2]int32{pc, in.imm}] += c
 			}
+			if in.u&uExec != 0 {
+				kp.ScalarInstructions += c
+			}
+			if isBroadcast(in) {
+				kp.Broadcasts += c
+				bcastFor[in.imm] += c
+			}
 		}
 	}
-	for o, c := range opCounts {
-		if c > 0 {
-			kp.Opcodes = append(kp.Opcodes, OpcodeCount{Op: op(o).String(), Count: c})
-		}
-	}
-	sort.Slice(kp.Opcodes, func(i, j int) bool {
-		if kp.Opcodes[i].Count != kp.Opcodes[j].Count {
-			return kp.Opcodes[i].Count > kp.Opcodes[j].Count
-		}
-		return kp.Opcodes[i].Op < kp.Opcodes[j].Op
-	})
+	kp.Opcodes = sortedOpcodes(opCounts[:])
+	kp.BroadcastFor = sortedOpcodes(bcastFor[:])
 	for k, c := range backEdges {
 		kp.BackEdges = append(kp.BackEdges, BackEdge{PC: k[0], Target: k[1], Count: c})
 	}
@@ -221,6 +233,45 @@ func (pr *Profile) snapshot() KernelProfile {
 		return kp.BackEdges[i].PC < kp.BackEdges[j].PC
 	})
 	return kp
+}
+
+// sortedOpcodes lists the nonzero entries of a per-opcode count table,
+// largest first.
+func sortedOpcodes(counts []int64) []OpcodeCount {
+	var out []OpcodeCount
+	for o, c := range counts {
+		if c > 0 {
+			out = append(out, OpcodeCount{Op: op(o).String(), Count: c})
+		}
+	}
+	sortOpcodes(out)
+	return out
+}
+
+func sortOpcodes(ocs []OpcodeCount) {
+	sort.Slice(ocs, func(i, j int) bool {
+		if ocs[i].Count != ocs[j].Count {
+			return ocs[i].Count > ocs[j].Count
+		}
+		return ocs[i].Op < ocs[j].Op
+	})
+}
+
+// mergeOpcodes sums two opcode count lists by opcode name.
+func mergeOpcodes(a, b []OpcodeCount) []OpcodeCount {
+	ops := map[string]int64{}
+	for _, oc := range a {
+		ops[oc.Op] = oc.Count
+	}
+	for _, oc := range b {
+		ops[oc.Op] += oc.Count
+	}
+	out := a[:0]
+	for o, c := range ops {
+		out = append(out, OpcodeCount{Op: o, Count: c})
+	}
+	sortOpcodes(out)
+	return out
 }
 
 // Profiles returns a deterministic snapshot of every profiled kernel,
@@ -249,23 +300,10 @@ func Profiles() []KernelProfile {
 
 func mergeProfiles(agg *KernelProfile, kp KernelProfile) {
 	agg.Instructions += kp.Instructions
-	ops := map[string]int64{}
-	for _, oc := range agg.Opcodes {
-		ops[oc.Op] = oc.Count
-	}
-	for _, oc := range kp.Opcodes {
-		ops[oc.Op] += oc.Count
-	}
-	agg.Opcodes = agg.Opcodes[:0]
-	for o, c := range ops {
-		agg.Opcodes = append(agg.Opcodes, OpcodeCount{Op: o, Count: c})
-	}
-	sort.Slice(agg.Opcodes, func(i, j int) bool {
-		if agg.Opcodes[i].Count != agg.Opcodes[j].Count {
-			return agg.Opcodes[i].Count > agg.Opcodes[j].Count
-		}
-		return agg.Opcodes[i].Op < agg.Opcodes[j].Op
-	})
+	agg.ScalarInstructions += kp.ScalarInstructions
+	agg.Broadcasts += kp.Broadcasts
+	agg.Opcodes = mergeOpcodes(agg.Opcodes, kp.Opcodes)
+	agg.BroadcastFor = mergeOpcodes(agg.BroadcastFor, kp.BroadcastFor)
 	edges := map[[2]int32]int64{}
 	for _, be := range agg.BackEdges {
 		edges[[2]int32{be.PC, be.Target}] = be.Count

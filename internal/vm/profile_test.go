@@ -115,6 +115,17 @@ func TestProfileCounts(t *testing.T) {
 		if kp.BackEdges[0].Target > kp.BackEdges[0].PC {
 			t.Error("back edge target is not backwards")
 		}
+		// Nothing in the loop depends on the thread: per thread, the
+		// blockIdx*blockDim product, the two initialisations, 11
+		// compare-jumps and 10 x (add_f, mov_var, add_i, mov_var) run once
+		// per batch, and the stored acc is broadcast for st_gf once.
+		if got := kp.ScalarInstructions; got != 54*threads {
+			t.Errorf("scalar-executed instructions = %d, want %d", got, 54*threads)
+		}
+		wantFor := []OpcodeCount{{Op: "st_gf", Count: threads}}
+		if kp.Broadcasts != threads || !reflect.DeepEqual(kp.BroadcastFor, wantFor) {
+			t.Errorf("broadcasts = %d for %+v, want %d for %+v", kp.Broadcasts, kp.BroadcastFor, threads, wantFor)
+		}
 	})
 }
 
@@ -297,8 +308,9 @@ func TestInstrumentJumpRemap(t *testing.T) {
 	if plain != len(p.code) {
 		t.Errorf("instrumented program has %d non-prof instructions, original %d", plain, len(p.code))
 	}
-	// The written-slot lists are computed once, in Compile; the
-	// instrumented copy carries them, and they still describe its code.
+	// The written-slot lists are made once, in Compile, from what the
+	// classifier saw assigned; the instrumented copy carries them, and they
+	// describe its code.
 	mutI, mutF := slotWriters(ip.code, p.Kernel.NumSlots)
 	if len(p.mutI) == 0 || len(p.mutF) == 0 {
 		t.Errorf("compiled kernel records no written slots: int %v float %v", p.mutI, p.mutF)
@@ -307,4 +319,47 @@ func TestInstrumentJumpRemap(t *testing.T) {
 		t.Errorf("instrumented copy has written slots int %v float %v, its code writes int %v float %v",
 			ip.mutI, ip.mutF, mutI, mutF)
 	}
+}
+
+// slotWriters scans a program for the variable slots it writes: int slots
+// are registers [numReservedI, numReservedI+numSlots) of the int file,
+// float slots are registers [0, numSlots) of the float file.  Compile takes
+// the lists from its classifier instead; this is the check that they
+// describe the code.
+func slotWriters(code []instr, numSlots int) (mutI, mutF []int) {
+	seenI := make([]bool, numSlots)
+	seenF := make([]bool, numSlots)
+	for _, in := range code {
+		switch in.op {
+		case opMovVar:
+			// Writes int slot d and float slot d directly.
+			seenI[in.d] = true
+			seenF[in.d] = true
+		case opMovI, opNotI, opNotF, opCastFI, opCastU8,
+			opNegI, opAddI, opSubI, opMulI, opMulAddI, opDivI, opRemI,
+			opAndI, opOrI, opXorI, opShlI, opShrI,
+			opLtI, opLeI, opGtI, opGeI, opEqI, opNeI,
+			opLtF, opLeF, opGtF, opGeF, opEqF, opNeF,
+			opMinI, opMaxI, opAbsI, opLdGI, opLdGU8, opLdSI:
+			if s := int(in.d) - numReservedI; s >= 0 && s < numSlots {
+				seenI[s] = true
+			}
+		case opMovF, opCastIF,
+			opNegF, opAddF, opSubF, opMulF, opMulAddF, opDivF,
+			opSqrt, opExp, opLog, opFabs, opFmin, opFmax, opPow,
+			opSin, opCos, opTanh, opLdGF, opLdSF:
+			if int(in.d) < numSlots {
+				seenF[int(in.d)] = true
+			}
+		}
+	}
+	for s := 0; s < numSlots; s++ {
+		if seenI[s] {
+			mutI = append(mutI, s)
+		}
+		if seenF[s] {
+			mutF = append(mutF, s)
+		}
+	}
+	return mutI, mutF
 }

@@ -108,7 +108,7 @@ const (
 
 	// Global memory: a = index register, b = parameter index.  Loads are
 	// typed by the Load node's type; stores by the parameter element type.
-	opLdGF  // rf[d] = Mem.LoadF32(b, ri[a]);  GlobalLoadBytes += 4
+	opLdGF  // rf[d] = Mem.LoadF32(b, ri[a]);  GlobalLoadBytes += 4 (uC: index ri[a]+ri[imm], IntOps++)
 	opLdGI  // ri[d] = Mem.LoadI32(b, ri[a]);  GlobalLoadBytes += 4
 	opLdGU8 // ri[d] = Mem.LoadU8(b, ri[a]);   GlobalLoadBytes += 1
 	opStGF  // Mem.StoreF32(b, ri[a], f32(rf[d])); GlobalStoreBytes += 4
@@ -176,12 +176,34 @@ const cjmpSenseBit = 1 << 3
 // the float add's operand order.
 const mulAddSwapBit = 1 << 16
 
-// instr is one register-machine instruction.
+// instr is one register-machine instruction.  u holds the uniformity flags
+// the compiler derived from the operand classes; it sits in the padding
+// byte after op, so the instruction stays 12 bytes.
 type instr struct {
 	op      op
+	u       uint8
 	d, a, b uint16
 	imm     int32
 }
+
+// Uniformity flags (instr.u).  A kernel with nothing thread-invariant
+// compiles to all-zero flags.
+const (
+	// uExec: every operand is uniform and the destination is a batch
+	// scalar, so the dispatch loop runs the instruction once on the lane-0
+	// cells and charges its Work once per active lane.
+	uExec uint8 = 1 << iota
+	// uA, uB, uC: on a per-lane instruction, operand a / b / the third
+	// operand named by imm (the muladd addend; on opLdGF an offset added to
+	// the index, a fused opAddI) is uniform and is read from its lane-0
+	// cell.  Only the opcodes listed in scalarForms, and the fusions
+	// fusePair makes of them, accept the flags; every other consumer of a
+	// batch scalar is preceded by a broadcast (an opMovI/opMovF carrying uA
+	// whose imm names the consumer's opcode for the profiler).
+	uA
+	uB
+	uC
+)
 
 // Reserved integer registers 0..7 hold the CUDA special registers; a
 // BuiltinRef compiles to a direct register read (reg = 2*Builtin + Axis).
