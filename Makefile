@@ -1,6 +1,6 @@
 # Tier-1 gate: everything `make check` runs must stay green.  CI and
 # pre-merge checks use this target; see ROADMAP.md.
-.PHONY: check build vet test bench-test bench-smoke race fuzz-smoke chaos bench prof bench-compare slo
+.PHONY: check build vet test bench-test bench-smoke race fuzz-smoke chaos bench prof bench-compare slo loc
 
 check: build vet test bench-test race fuzz-smoke bench-smoke
 
@@ -55,6 +55,14 @@ fuzz-smoke:
 # Seeds are fixed in the test code, so this is deterministic per build.
 chaos:
 	go test -race -timeout 300s -run 'Chaos' ./internal/suites/ ./internal/serve/
+
+# Non-test Go lines per package directory and the root total: every .go
+# file not ending in _test.go, outside bench/ (its own module).  The LOC
+# figures a change reports before and after come from this.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec wc -l {} + | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); sub(/^\.\//, "", d); n[d] += $$1; sum += $$1 } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", sum }'
 
 # SLO smoke: a short self-hosted cuccload sweep with the journal and a
 # default objective on, asserting the /slo page renders in both formats and

@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"cucc/internal/cluster"
-	"cucc/internal/comm"
 	"cucc/internal/core"
+	"cucc/internal/csched"
 	"cucc/internal/experiments"
 	"cucc/internal/interp"
 	"cucc/internal/kir"
@@ -156,11 +156,15 @@ func BenchmarkFig13ArchComparison(b *testing.B) {
 // --- Ablation benchmarks for the design choices in DESIGN.md ---
 
 // BenchmarkAblationAllgatherAlgo compares the ring and recursive-doubling
-// Allgather algorithms executing for real over the in-process transport.
+// Allgather schedules executing for real over the in-process transport.
 func BenchmarkAblationAllgatherAlgo(b *testing.B) {
 	const nodes = 8
 	const chunk = 1 << 16
-	run := func(b *testing.B, gather func(c transport.Conn, buf []byte, chunk int) (comm.Stats, error)) {
+	offs := make([]int, nodes+1)
+	for r := range offs {
+		offs[r] = r * chunk
+	}
+	run := func(b *testing.B, s *csched.Schedule) {
 		net := transport.NewInproc(nodes)
 		defer net.Close()
 		bufs := make([][]byte, nodes)
@@ -172,7 +176,7 @@ func BenchmarkAblationAllgatherAlgo(b *testing.B) {
 			done := make(chan error, nodes)
 			for r := 0; r < nodes; r++ {
 				go func(r int) {
-					_, err := gather(net.Conn(r), bufs[r], chunk)
+					_, err := csched.Execute(net.Conn(r), bufs[r], offs, s)
 					done <- err
 				}(r)
 			}
@@ -184,8 +188,8 @@ func BenchmarkAblationAllgatherAlgo(b *testing.B) {
 		}
 		b.SetBytes(int64((nodes - 1) * chunk))
 	}
-	b.Run("ring", func(b *testing.B) { run(b, comm.AllgatherRing) })
-	b.Run("recursive-doubling", func(b *testing.B) { run(b, comm.AllgatherRecDouble) })
+	b.Run("ring", func(b *testing.B) { run(b, csched.GenRing(nodes, 1)) })
+	b.Run("recursive-doubling", func(b *testing.B) { run(b, csched.GenRecDouble(nodes)) })
 }
 
 // BenchmarkAblationImbalance quantifies the cost of imbalanced block

@@ -43,8 +43,8 @@ type engineBenchReport struct {
 	Config        prof.BenchConfig     `json:"config"`
 	Results       []engineBenchResult  `json:"results"`
 	Speedups      []engineBenchSpeedup `json:"speedups"`
-	// Collectives compares the phase-2 schedule compiler against the
-	// legacy ring at paper scale (simulated time, so deterministic and
+	// Collectives compares the auto-selected phase-2 schedules against the
+	// default ring at paper scale (simulated time, so deterministic and
 	// ignored by cuccprof -compare, which diffs wall-clock rows only).
 	Collectives []collectiveBenchResult `json:"collectives,omitempty"`
 	// Service is the schema-v3 cuccd saturation sweep (open-loop load
@@ -55,8 +55,8 @@ type engineBenchReport struct {
 
 // collectiveBenchResult is one (program, nodes, -collective choice) row of
 // the simulated-time schedule comparison.  ZeroCommTotalSec is the WhatIf
-// "free Allgather" floor of the legacy row: overlap rows must land between
-// it and the legacy total.
+// "free Allgather" floor of the default row: overlap rows must land between
+// it and the default total.
 type collectiveBenchResult struct {
 	Program          string  `json:"program"`
 	Nodes            int     `json:"nodes"`
@@ -133,8 +133,8 @@ func writeEngineBench(path string, workers int) error {
 	return nil
 }
 
-// collectiveBench estimates every program at paper scale under the legacy
-// ring, the auto-selected schedule, and auto with phase-3 overlap, per
+// collectiveBench estimates every program at paper scale under the default
+// ring schedule, the auto-selected schedule, and auto with phase-3 overlap, per
 // node count.  Pure cost model (core.Estimate), so the rows are exact and
 // deterministic; non-distributed programs (no phase 2) are skipped.
 func collectiveBench(progs []*suites.Program) ([]collectiveBenchResult, error) {
@@ -142,7 +142,7 @@ func collectiveBench(progs []*suites.Program) ([]collectiveBenchResult, error) {
 	var out []collectiveBenchResult
 	for _, p := range progs {
 		for _, nodes := range []int{8, 32} {
-			var legacy *core.Stats
+			var base *core.Stats
 			for _, cs := range choices {
 				choice, err := csched.ParseChoice(cs)
 				if err != nil {
@@ -168,16 +168,16 @@ func collectiveBench(progs []*suites.Program) ([]collectiveBenchResult, error) {
 					CommSec: st.CommSec, OverlapSec: st.OverlapSec,
 				}
 				if cs == "" {
-					row.Choice = "legacy-ring"
+					row.Choice = "default"
 					row.ZeroCommTotalSec = st.TotalSec - st.CommSec
-					legacy = st
+					base = st
 				}
 				out = append(out, row)
 				fmt.Printf("  %-16s %2d nodes  %-12s %-12s total %.3fs  comm %.3fs  overlap %.3fs\n",
 					p.Name, nodes, row.Choice, row.Algo, row.TotalSec, row.CommSec, row.OverlapSec)
-				if legacy != nil && st.TotalSec > legacy.TotalSec*(1+1e-9) {
-					return nil, fmt.Errorf("collective bench %s @%d nodes: %s total %.6fs worse than legacy %.6fs",
-						p.Name, nodes, cs, st.TotalSec, legacy.TotalSec)
+				if base != nil && st.TotalSec > base.TotalSec*(1+1e-9) {
+					return nil, fmt.Errorf("collective bench %s @%d nodes: %s total %.6fs worse than the default ring's %.6fs",
+						p.Name, nodes, cs, st.TotalSec, base.TotalSec)
 				}
 			}
 		}

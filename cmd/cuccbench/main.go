@@ -31,7 +31,7 @@ func main() {
 	workers := flag.Int("workers", 0, "intra-node worker-pool width for really-executed experiments (0 = all CPUs)")
 	recvTimeout := flag.Duration("recv-timeout", 2*time.Minute, "transport receive deadline for really-executed experiments; a hung rank fails the sweep instead of wedging it (0 = no deadline)")
 	engine := flag.String("engine", "vm-lanes", "IR execution engine for really-executed experiments: vm-lanes (lane-batched register machine; vm is accepted as another name for it) or interp (reference interpreter)")
-	collective := flag.String("collective", "", "phase-2 collective schedule: auto, ring, recdouble, twolevel, pipeline[:N]; append +overlap to start callbacks while chunks are in flight (default: legacy hand-written ring)")
+	collective := flag.String("collective", "", "phase-2 collective schedule: auto, ring, recdouble, twolevel, pipeline[:N]; append +overlap to start callbacks while chunks are in flight (default: the ring schedule)")
 	recover := flag.Bool("recover", false, "enable elastic fault recovery for really-executed experiments (checkpoint + re-partition + replay on rank loss)")
 	jsonOut := flag.String("json", "", "instead of figures, run the engine microbenchmark (vm-lanes vs interp over the evaluation suite) and write a JSON report to this file")
 	metricsOut := flag.String("metrics-out", "", "enable the metrics registry for the whole run and write its JSON snapshot to this file")

@@ -40,7 +40,7 @@ func main() {
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON timeline to this file (-real runs)")
 	workers := flag.Int("workers", 0, "intra-node worker-pool width for -real execution (0 = all CPUs)")
 	engine := flag.String("engine", "vm-lanes", "IR execution engine for -real runs: vm-lanes (lane-batched register machine; vm is accepted as another name for it) or interp (reference interpreter)")
-	collective := flag.String("collective", "", "phase-2 collective schedule: auto, ring, recdouble, twolevel, pipeline[:N]; append +overlap to start callbacks while chunks are in flight (default: legacy hand-written ring)")
+	collective := flag.String("collective", "", "phase-2 collective schedule: auto, ring, recdouble, twolevel, pipeline[:N]; append +overlap to start callbacks while chunks are in flight (default: the ring schedule)")
 	recover := flag.Bool("recover", false, "enable elastic fault recovery: checkpoint at Allgather barriers, and on a rank loss re-partition over the survivors and replay (bitwise-identical results)")
 	recvTimeout := flag.Duration("recv-timeout", time.Minute, "transport receive deadline; a hung rank fails the run instead of deadlocking it (0 = no deadline)")
 	showMetrics := flag.Bool("metrics", false, "enable the metrics registry and print its table after the run")

@@ -60,8 +60,8 @@ type Config struct {
 	Engine Engine
 	// Collective selects the phase-2 collective schedule for sessions on
 	// this cluster that do not set one themselves (the zero value = inherit,
-	// ultimately the legacy hand-written ring).  See csched.ParseChoice for
-	// the accepted algorithms and the +overlap modifier.
+	// ultimately csched's ring schedule).  See csched.ParseChoice for the
+	// accepted algorithms and the +overlap modifier.
 	Collective csched.Choice
 	// RecvTimeout bounds every transport receive, so a rank that stops
 	// participating in a collective surfaces as ErrTimeout instead of a

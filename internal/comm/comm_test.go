@@ -81,99 +81,6 @@ func TestAllgatherRingSizes(t *testing.T) {
 	}
 }
 
-func TestAllgatherRecDouble(t *testing.T) {
-	for _, n := range []int{2, 4, 8, 16} {
-		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			const chunk = 48
-			runAll(t, n, func(c transport.Conn) error {
-				buf := make([]byte, n*chunk)
-				copy(buf[c.Rank()*chunk:], chunkFor(c.Rank(), chunk))
-				if _, err := AllgatherRecDouble(c, buf, chunk); err != nil {
-					return err
-				}
-				return checkGathered(buf, n, chunk)
-			})
-		})
-	}
-}
-
-func TestAllgatherRecDoubleFallback(t *testing.T) {
-	// Non-power-of-two falls back to the ring.
-	const n, chunk = 6, 32
-	runAll(t, n, func(c transport.Conn) error {
-		buf := make([]byte, n*chunk)
-		copy(buf[c.Rank()*chunk:], chunkFor(c.Rank(), chunk))
-		if _, err := AllgatherRecDouble(c, buf, chunk); err != nil {
-			return err
-		}
-		return checkGathered(buf, n, chunk)
-	})
-}
-
-func TestAllgatherVRing(t *testing.T) {
-	// Imbalanced chunks: rank r contributes (r+1)*8 bytes.
-	const n = 5
-	offs := make([]int, n+1)
-	for r := 0; r < n; r++ {
-		offs[r+1] = offs[r] + (r+1)*8
-	}
-	total := offs[n]
-	runAll(t, n, func(c transport.Conn) error {
-		buf := make([]byte, total)
-		r := c.Rank()
-		for i := offs[r]; i < offs[r+1]; i++ {
-			buf[i] = byte(r + 100)
-		}
-		if _, err := AllgatherVRing(c, buf, offs); err != nil {
-			return err
-		}
-		for rr := 0; rr < n; rr++ {
-			for i := offs[rr]; i < offs[rr+1]; i++ {
-				if buf[i] != byte(rr+100) {
-					return fmt.Errorf("byte %d = %d, want %d", i, buf[i], rr+100)
-				}
-			}
-		}
-		return nil
-	})
-}
-
-func TestAllgatherOutOfPlace(t *testing.T) {
-	const n, chunk = 4, 40
-	runAll(t, n, func(c transport.Conn) error {
-		in := chunkFor(c.Rank(), chunk)
-		out := make([]byte, n*chunk)
-		if _, err := AllgatherOutOfPlace(c, in, out); err != nil {
-			return err
-		}
-		return checkGathered(out, n, chunk)
-	})
-}
-
-func TestBcast(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 5, 8, 16} {
-		for root := 0; root < n; root += max(1, n/3) {
-			t.Run(fmt.Sprintf("n=%d root=%d", n, root), func(t *testing.T) {
-				payload := []byte("broadcast-payload")
-				runAll(t, n, func(c transport.Conn) error {
-					var data []byte
-					if c.Rank() == root {
-						data = payload
-					}
-					got, _, err := Bcast(c, root, data)
-					if err != nil {
-						return err
-					}
-					if !bytes.Equal(got, payload) {
-						return fmt.Errorf("got %q", got)
-					}
-					return nil
-				})
-			})
-		}
-	}
-}
-
 func TestBarrier(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 8, 13} {
 		runAll(t, n, func(c transport.Conn) error {
@@ -185,70 +92,6 @@ func TestBarrier(t *testing.T) {
 			return nil
 		})
 	}
-}
-
-func TestAllReduceMaxF64(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 4, 7, 8, 16} {
-		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			runAll(t, n, func(c transport.Conn) error {
-				v := float64(c.Rank() * 10)
-				got, _, err := AllReduceMaxF64(c, v)
-				if err != nil {
-					return err
-				}
-				want := float64((n - 1) * 10)
-				if got != want {
-					return fmt.Errorf("max = %g, want %g", got, want)
-				}
-				return nil
-			})
-		})
-	}
-}
-
-func TestGatherF64(t *testing.T) {
-	const n = 6
-	runAll(t, n, func(c transport.Conn) error {
-		vals, _, err := GatherF64(c, 2, float64(c.Rank()+1))
-		if err != nil {
-			return err
-		}
-		if c.Rank() != 2 {
-			if vals != nil {
-				return fmt.Errorf("non-root got values")
-			}
-			return nil
-		}
-		for r, v := range vals {
-			if v != float64(r+1) {
-				return fmt.Errorf("vals[%d] = %g", r, v)
-			}
-		}
-		return nil
-	})
-}
-
-func TestSendRecvP2P(t *testing.T) {
-	runAll(t, 2, func(c transport.Conn) error {
-		if c.Rank() == 0 {
-			st, err := Send(c, 1, []byte("hello"))
-			if err != nil {
-				return err
-			}
-			if st.Msgs != 1 || st.BytesSent != 5 {
-				return fmt.Errorf("stats = %+v", st)
-			}
-			return nil
-		}
-		got, err := Recv(c, 0)
-		if err != nil {
-			return err
-		}
-		if string(got) != "hello" {
-			return fmt.Errorf("got %q", got)
-		}
-		return nil
-	})
 }
 
 func TestAllgatherRingBadBuffer(t *testing.T) {
@@ -326,9 +169,8 @@ func checkSymmetric(t *testing.T, name string, stats []Stats) {
 
 func TestSymmetricAccounting(t *testing.T) {
 	// Each collective, summed over all ranks, must count as many receives
-	// (and received bytes) as sends.  Scatter, GatherBytes, and Bcast
-	// historically returned zero-valued Stats on the receiving ranks.
-	const n = 5 // non-power-of-two exercises the fallback paths too
+	// (and received bytes) as sends.
+	const n = 5 // non-power-of-two: the barrier's last round wraps
 	const chunk = 32
 	type tc struct {
 		name string
@@ -338,69 +180,10 @@ func TestSymmetricAccounting(t *testing.T) {
 		{"Barrier", func(c transport.Conn) (Stats, error) {
 			return Barrier(c)
 		}},
-		{"Bcast", func(c transport.Conn) (Stats, error) {
-			var data []byte
-			if c.Rank() == 0 {
-				data = chunkFor(0, chunk)
-			}
-			_, st, err := Bcast(c, 0, data)
-			return st, err
-		}},
 		{"AllgatherRing", func(c transport.Conn) (Stats, error) {
 			buf := make([]byte, n*chunk)
 			copy(buf[c.Rank()*chunk:], chunkFor(c.Rank(), chunk))
 			return AllgatherRing(c, buf, chunk)
-		}},
-		{"AllgatherVRing", func(c transport.Conn) (Stats, error) {
-			offs := make([]int, n+1)
-			for r := 0; r < n; r++ {
-				offs[r+1] = offs[r] + (r+1)*8
-			}
-			buf := make([]byte, offs[n])
-			return AllgatherVRing(c, buf, offs)
-		}},
-		{"AllgatherRecDouble", func(c transport.Conn) (Stats, error) {
-			buf := make([]byte, n*chunk)
-			copy(buf[c.Rank()*chunk:], chunkFor(c.Rank(), chunk))
-			return AllgatherRecDouble(c, buf, chunk)
-		}},
-		{"AllReduceMaxF64", func(c transport.Conn) (Stats, error) {
-			_, st, err := AllReduceMaxF64(c, float64(c.Rank()))
-			return st, err
-		}},
-		{"GatherF64", func(c transport.Conn) (Stats, error) {
-			_, st, err := GatherF64(c, 1, float64(c.Rank()))
-			return st, err
-		}},
-		{"Scatter", func(c transport.Conn) (Stats, error) {
-			var data []byte
-			if c.Rank() == 2 {
-				data = make([]byte, n*chunk)
-			}
-			got, st, err := Scatter(c, 2, data)
-			if err == nil && len(got) != chunk {
-				err = fmt.Errorf("scatter chunk is %d bytes, want %d", len(got), chunk)
-			}
-			return st, err
-		}},
-		{"Alltoall", func(c transport.Conn) (Stats, error) {
-			_, st, err := Alltoall(c, make([]byte, n*chunk))
-			return st, err
-		}},
-		{"GatherBytes", func(c transport.Conn) (Stats, error) {
-			got, st, err := GatherBytes(c, 0, chunkFor(c.Rank(), chunk))
-			if err == nil && c.Rank() == 0 && len(got) != n*chunk {
-				err = fmt.Errorf("gathered %d bytes, want %d", len(got), n*chunk)
-			}
-			return st, err
-		}},
-		{"ReduceScatterSumF32", func(c transport.Conn) (Stats, error) {
-			_, st, err := ReduceScatterSumF32(c, make([]float32, n*8))
-			return st, err
-		}},
-		{"AllReduceSumF32", func(c transport.Conn) (Stats, error) {
-			_, st, err := AllReduceSumF32(c, make([]float32, n*8))
-			return st, err
 		}},
 	}
 	for _, tcase := range cases {
@@ -416,59 +199,11 @@ func TestSymmetricAccounting(t *testing.T) {
 	}
 }
 
-func TestScatterBcastReceiversCounted(t *testing.T) {
-	// Regression: the receiving ranks of rooted collectives must report
-	// their receive, not a zero Stats.
-	const n, chunk = 4, 16
-	runAll(t, n, func(c transport.Conn) error {
-		var data []byte
-		if c.Rank() == 0 {
-			data = make([]byte, n*chunk)
-		}
-		_, st, err := Scatter(c, 0, data)
-		if err != nil {
-			return err
-		}
-		if c.Rank() != 0 && (st.Recvs != 1 || st.BytesRecvd != chunk) {
-			return fmt.Errorf("scatter receiver stats = %+v", st)
-		}
-		payload := []byte("payload")
-		if c.Rank() != 0 {
-			payload = nil
-		}
-		_, st, err = Bcast(c, 0, payload)
-		if err != nil {
-			return err
-		}
-		if c.Rank() != 0 && st.Recvs != 1 {
-			return fmt.Errorf("bcast receiver stats = %+v", st)
-		}
-		return nil
-	})
-}
-
-func TestAllgatherRecDoubleBadBuffer(t *testing.T) {
-	// The length check must run before the non-power-of-two fallback so
-	// both algorithms reject malformed buffers identically.
-	for _, n := range []int{3, 4} {
-		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			runAll(t, n, func(c transport.Conn) error {
-				buf := make([]byte, 10) // not n*chunk
-				if _, err := AllgatherRecDouble(c, buf, 8); err == nil {
-					return fmt.Errorf("mismatched buffer accepted")
-				}
-				return nil
-			})
-		})
-	}
-}
-
-// TestRingAllgathersMatchReference: both ring Allgathers forward received
-// slices instead of copying them out again, so every rank's buffer is
-// compared bitwise against the plain concatenation of the ranks' chunks —
-// balanced and ragged (one rank contributing nothing), over the in-process
-// transport (where a forwarded slice is shared by every rank downstream), TCP,
-// and a fault layer that delays and duplicates frames.
+// TestRingAllgathersMatchReference: the ring forwards received slices
+// instead of copying them out again, so every rank's buffer is compared
+// bitwise against the plain concatenation of the ranks' chunks, over the
+// in-process transport (where a forwarded slice is shared by every rank
+// downstream), TCP, and a fault layer that delays and duplicates frames.
 func TestRingAllgathersMatchReference(t *testing.T) {
 	nets := []struct {
 		name string
@@ -481,57 +216,40 @@ func TestRingAllgathersMatchReference(t *testing.T) {
 				Seed: 1, Delay: 0.3, Duplicate: 0.3, MaxDelay: 200 * time.Microsecond}), nil
 		}},
 	}
+	const chunk = 96
 	for _, nw := range nets {
 		for _, n := range []int{2, 3, 5, 8} {
-			for _, ragged := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%s/n=%d/ragged=%v", nw.name, n, ragged), func(t *testing.T) {
-					offs := make([]int, n+1)
-					for r := 0; r < n; r++ {
-						size := 96
-						if ragged {
-							size = (r * 37) % 101 // rank 0 contributes nothing
-						}
-						offs[r+1] = offs[r] + size
-					}
-					want := make([]byte, offs[n])
-					for r := 0; r < n; r++ {
-						copy(want[offs[r]:offs[r+1]], chunkFor(r, offs[r+1]-offs[r]))
-					}
-					net, err := nw.mk(n)
+			t.Run(fmt.Sprintf("%s/n=%d", nw.name, n), func(t *testing.T) {
+				want := make([]byte, n*chunk)
+				for r := 0; r < n; r++ {
+					copy(want[r*chunk:], chunkFor(r, chunk))
+				}
+				net, err := nw.mk(n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer net.Close()
+				err = runOn(net, func(c transport.Conn) error {
+					r := c.Rank()
+					buf := make([]byte, n*chunk)
+					copy(buf[r*chunk:], want[r*chunk:(r+1)*chunk])
+					st, err := AllgatherRing(c, buf, chunk)
 					if err != nil {
-						t.Fatal(err)
+						return err
 					}
-					defer net.Close()
-					err = runOn(net, func(c transport.Conn) error {
-						r := c.Rank()
-						buf := make([]byte, offs[n])
-						copy(buf[offs[r]:offs[r+1]], want[offs[r]:offs[r+1]])
-						var st Stats
-						var err error
-						if ragged {
-							st, err = AllgatherVRing(c, buf, offs)
-						} else {
-							st, err = AllgatherRing(c, buf, offs[1])
-						}
-						if err != nil {
-							return err
-						}
-						if !bytes.Equal(buf, want) {
-							return fmt.Errorf("gathered buffer differs from the concatenation of the chunks")
-						}
-						// Every chunk but the right neighbour's leaves this rank once.
-						right := (r + 1) % n
-						sent := int64(offs[n] - (offs[right+1] - offs[right]))
-						if st.Msgs != int64(n-1) || st.BytesSent != sent {
-							return fmt.Errorf("sent %d msgs / %d bytes, want %d / %d", st.Msgs, st.BytesSent, n-1, sent)
-						}
-						return nil
-					})
-					if err != nil {
-						t.Fatal(err)
+					if !bytes.Equal(buf, want) {
+						return fmt.Errorf("gathered buffer differs from the concatenation of the chunks")
 					}
+					// Every chunk but the right neighbour's leaves this rank once.
+					if sent := int64((n - 1) * chunk); st.Msgs != int64(n-1) || st.BytesSent != sent {
+						return fmt.Errorf("sent %d msgs / %d bytes, want %d / %d", st.Msgs, st.BytesSent, n-1, sent)
+					}
+					return nil
 				})
-			}
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
 		}
 	}
 }
@@ -542,32 +260,23 @@ func TestRingAllgatherAllocatesOneChunk(t *testing.T) {
 	const n, chunk, calls = 8, 64 << 10, 10
 	net := transport.NewInproc(n)
 	defer net.Close()
-	offs := make([]int, n+1)
 	bufs := make([][]byte, n)
-	for r := 0; r < n; r++ {
-		offs[r+1] = offs[r] + chunk
+	for r := range bufs {
 		bufs[r] = make([]byte, n*chunk)
 	}
-	for _, vring := range []bool{false, true} {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < calls; i++ {
-			err := runOn(net, func(c transport.Conn) (err error) {
-				if vring {
-					_, err = AllgatherVRing(c, bufs[c.Rank()], offs)
-				} else {
-					_, err = AllgatherRing(c, bufs[c.Rank()], chunk)
-				}
-				return err
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		err := runOn(net, func(c transport.Conn) error {
+			_, err := AllgatherRing(c, bufs[c.Rank()], chunk)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		runtime.ReadMemStats(&after)
-		perRank := (after.TotalAlloc - before.TotalAlloc) / (calls * n)
-		if perRank > chunk+chunk/8 {
-			t.Errorf("vring=%v: %d bytes allocated per rank per call, want one %d-byte chunk and a small constant", vring, perRank, chunk)
-		}
+	}
+	runtime.ReadMemStats(&after)
+	if perRank := (after.TotalAlloc - before.TotalAlloc) / (calls * n); perRank > chunk+chunk/8 {
+		t.Errorf("%d bytes allocated per rank per call, want one %d-byte chunk and a small constant", perRank, chunk)
 	}
 }

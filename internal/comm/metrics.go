@@ -3,17 +3,14 @@ package comm
 import (
 	"time"
 
-	"cucc/internal/metrics"
 	"cucc/internal/transport"
 )
 
-// Per-collective metrics.  Every collective that performs its own transport
-// operations records one entry per call into the registry attached to the
-// conn (by the metered transport decorator); wrappers that only delegate
-// (AllgatherOutOfPlace, AllReduceSumF32, the recursive-doubling fallback)
-// record nothing themselves, so summed over all comm.* ops the msgs/bytes
-// counters equal the transport.* totals exactly — the cross-check invariant
-// the suites-level test enforces.
+// Per-collective metrics.  Every collective records one entry per call
+// into the registry attached to the conn (by the metered transport
+// decorator), as csched's executor does under comm.sched_<algo>, so summed
+// over all comm.* ops the msgs/bytes counters equal the transport.* totals
+// exactly — the cross-check invariant the suites-level test enforces.
 //
 // Names are precomputed per op so the record path performs no string
 // concatenation; an unmetered conn costs one type assertion.
@@ -37,19 +34,8 @@ func makeOpNames(op string) opNames {
 }
 
 var (
-	opBarrier       = makeOpNames("barrier")
-	opBcast         = makeOpNames("bcast")
-	opRing          = makeOpNames("allgather_ring")
-	opVRing         = makeOpNames("allgather_v_ring")
-	opRecDouble     = makeOpNames("allgather_recdouble")
-	opAllReduceMax  = makeOpNames("allreduce_max_f64")
-	opGatherF64     = makeOpNames("gather_f64")
-	opScatter       = makeOpNames("scatter")
-	opAlltoall      = makeOpNames("alltoall")
-	opGatherBytes   = makeOpNames("gather_bytes")
-	opReduceScatter = makeOpNames("reduce_scatter_sum_f32")
-	opP2PSend       = makeOpNames("p2p_send")
-	opP2PRecv       = makeOpNames("p2p_recv")
+	opBarrier = makeOpNames("barrier")
+	opRing    = makeOpNames("allgather_ring")
 )
 
 // record books one completed (or failed) collective call: the final Stats,
@@ -75,8 +61,3 @@ func record(c transport.Conn, op *opNames, start time.Time, st *Stats, errp *err
 	}
 	reg.Histogram(op.seconds).Observe(time.Since(start).Seconds())
 }
-
-// Registry returns the metrics registry attached to the conn's transport
-// (nil when unmetered) — re-exported so comm users need not import
-// transport for it.
-func Registry(c transport.Conn) *metrics.Registry { return transport.RegistryOf(c) }

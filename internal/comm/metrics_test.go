@@ -22,54 +22,10 @@ func opCollectiveCases() []opCase {
 		{"Barrier", &opBarrier, func(c transport.Conn, n, chunk int) (Stats, error) {
 			return Barrier(c)
 		}},
-		{"Bcast", &opBcast, func(c transport.Conn, n, chunk int) (Stats, error) {
-			var data []byte
-			if c.Rank() == 0 {
-				data = chunkFor(0, chunk)
-			}
-			_, st, err := Bcast(c, 0, data)
-			return st, err
-		}},
 		{"AllgatherRing", &opRing, func(c transport.Conn, n, chunk int) (Stats, error) {
 			buf := make([]byte, n*chunk)
 			copy(buf[c.Rank()*chunk:], chunkFor(c.Rank(), chunk))
 			return AllgatherRing(c, buf, chunk)
-		}},
-		{"AllgatherVRing", &opVRing, func(c transport.Conn, n, chunk int) (Stats, error) {
-			offs := make([]int, n+1)
-			for r := 0; r < n; r++ {
-				offs[r+1] = offs[r] + (r+1)*8
-			}
-			buf := make([]byte, offs[n])
-			return AllgatherVRing(c, buf, offs)
-		}},
-		{"AllReduceMaxF64", &opAllReduceMax, func(c transport.Conn, n, chunk int) (Stats, error) {
-			_, st, err := AllReduceMaxF64(c, float64(c.Rank()))
-			return st, err
-		}},
-		{"GatherF64", &opGatherF64, func(c transport.Conn, n, chunk int) (Stats, error) {
-			_, st, err := GatherF64(c, 1, float64(c.Rank()))
-			return st, err
-		}},
-		{"Scatter", &opScatter, func(c transport.Conn, n, chunk int) (Stats, error) {
-			var data []byte
-			if c.Rank() == 0 {
-				data = make([]byte, n*chunk)
-			}
-			_, st, err := Scatter(c, 0, data)
-			return st, err
-		}},
-		{"Alltoall", &opAlltoall, func(c transport.Conn, n, chunk int) (Stats, error) {
-			_, st, err := Alltoall(c, make([]byte, n*chunk))
-			return st, err
-		}},
-		{"GatherBytes", &opGatherBytes, func(c transport.Conn, n, chunk int) (Stats, error) {
-			_, st, err := GatherBytes(c, 0, chunkFor(c.Rank(), chunk))
-			return st, err
-		}},
-		{"ReduceScatterSumF32", &opReduceScatter, func(c transport.Conn, n, chunk int) (Stats, error) {
-			_, st, err := ReduceScatterSumF32(c, make([]float32, n*8))
-			return st, err
 		}},
 	}
 }
@@ -77,9 +33,7 @@ func opCollectiveCases() []opCase {
 // TestSendFailureSymmetricAccounting: when the transport rejects every
 // send, no collective may count phantom traffic — summed over the ranks the
 // Stats must stay symmetric (Msgs==Recvs, BytesSent==BytesRecvd; here all
-// zero, since nothing was delivered).  GatherF64 and GatherBytes used to
-// count the non-root send before checking its error, breaking the
-// invariant exactly here.
+// zero, since nothing was delivered).
 func TestSendFailureSymmetricAccounting(t *testing.T) {
 	const n, chunk = 4, 32
 	for _, tc := range opCollectiveCases() {
@@ -186,54 +140,14 @@ func TestRegistryCrossCheck(t *testing.T) {
 	}
 }
 
-// TestDelegatingWrappersRecordOnce: AllReduceSumF32 delegates to
-// ReduceScatterSumF32 + AllgatherRing and must not record an entry of its
-// own — otherwise summed comm.* counters would double the transport totals.
-func TestDelegatingWrappersRecordOnce(t *testing.T) {
-	const n = 4
-	reg := metrics.New()
-	net := transport.NewMetered(transport.NewInproc(n), reg)
-	defer net.Close()
-	var wg sync.WaitGroup
-	stats := make([]Stats, n)
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			_, st, err := AllReduceSumF32(net.Conn(r), make([]float32, n*4))
-			if err != nil {
-				panic(err)
-			}
-			stats[r] = st
-		}(r)
-	}
-	wg.Wait()
-	var total Stats
-	for _, st := range stats {
-		total.Add(st)
-	}
-	s := reg.Snapshot()
-	commMsgs := s.Counters[opReduceScatter.msgs] + s.Counters[opRing.msgs]
-	if commMsgs != total.Msgs {
-		t.Errorf("comm.* msgs = %d, want %d (summed Stats)", commMsgs, total.Msgs)
-	}
-	if got := s.Counters[transport.MetricSendMsgs]; got != total.Msgs {
-		t.Errorf("transport msgs = %d, want %d", got, total.Msgs)
-	}
-}
-
-// benchRing exercises one of the ring allgathers across n rank goroutines,
+// BenchmarkAllgatherRing exercises the ring across n rank goroutines,
 // reporting allocations: per call a rank allocates the copy of its own chunk
 // and forwards what it receives, so B/op stays near n chunks in all (the
 // bound TestRingAllgatherAllocatesOneChunk asserts).
-func benchRing(b *testing.B, vring bool) {
+func BenchmarkAllgatherRing(b *testing.B) {
 	const n, chunk = 8, 4096
 	net := transport.NewInproc(n)
 	defer net.Close()
-	offs := make([]int, n+1)
-	for r := 0; r < n; r++ {
-		offs[r+1] = offs[r] + chunk
-	}
 	bufs := make([][]byte, n)
 	for r := range bufs {
 		bufs[r] = make([]byte, n*chunk)
@@ -246,13 +160,7 @@ func benchRing(b *testing.B, vring bool) {
 			wg.Add(1)
 			go func(r int) {
 				defer wg.Done()
-				var err error
-				if vring {
-					_, err = AllgatherVRing(net.Conn(r), bufs[r], offs)
-				} else {
-					_, err = AllgatherRing(net.Conn(r), bufs[r], chunk)
-				}
-				if err != nil {
+				if _, err := AllgatherRing(net.Conn(r), bufs[r], chunk); err != nil {
 					b.Error(err)
 				}
 			}(r)
@@ -260,6 +168,3 @@ func benchRing(b *testing.B, vring bool) {
 		wg.Wait()
 	}
 }
-
-func BenchmarkAllgatherRing(b *testing.B)  { benchRing(b, false) }
-func BenchmarkAllgatherVRing(b *testing.B) { benchRing(b, true) }

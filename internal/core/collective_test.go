@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"cucc/internal/cluster"
@@ -13,11 +14,11 @@ import (
 	"cucc/internal/simnet"
 )
 
-// The collective-schedule tests pin the ISSUE 7 contract: every schedule
-// the compiler can select must leave node memories bitwise identical to
-// the legacy hand-written ring, the overlap path must reduce TotalSec
-// toward — never past — the free-Allgather bound, and Estimate must mirror
-// Launch's selection exactly.
+// The collective-schedule tests pin the schedule compiler's contract: every
+// schedule it can select, the zero Choice's ring included, must leave node
+// memories bitwise identical to the paper's oracle (the interpreter on one
+// node), the overlap path must reduce TotalSec toward — never past — the
+// free-Allgather bound, and Estimate must mirror Launch's selection exactly.
 
 // collectiveScaleSrc writes dst from src without ever reading dst:
 // callback blocks touch no gathered data, so phase-2/3 overlap is legal.
@@ -52,6 +53,19 @@ const (
 // node 0's dst bytes.
 func launchCollective(t *testing.T, src string, kernel string, nodes int, choice csched.Choice) (*Stats, []byte) {
 	t.Helper()
+	return launchCollectiveOn(t, src, kernel, nodes, choice, cluster.EngineDefault)
+}
+
+// collectiveOracle is the reference every collective launch is held to: the
+// same kernel run by the interpreter on one node, where no Allgather runs.
+func collectiveOracle(t *testing.T, src string, kernel string) []byte {
+	t.Helper()
+	_, dst := launchCollectiveOn(t, src, kernel, 1, csched.Choice{}, cluster.EngineInterp)
+	return dst
+}
+
+func launchCollectiveOn(t *testing.T, src string, kernel string, nodes int, choice csched.Choice, eng cluster.Engine) (*Stats, []byte) {
+	t.Helper()
 	prog := MustCompile(src)
 	c := newCluster(t, nodes)
 	sbuf := c.Alloc(kir.F32, collectiveBlocks*collectiveBS)
@@ -69,6 +83,7 @@ func launchCollective(t *testing.T, src string, kernel string, nodes int, choice
 	}
 	sess := NewSession(c, prog)
 	sess.Collective = choice
+	sess.Host.Engine = eng
 	sess.Verify = true
 	stats, err := sess.Launch(LaunchSpec{
 		Kernel: kernel,
@@ -82,37 +97,41 @@ func launchCollective(t *testing.T, src string, kernel string, nodes int, choice
 	return stats, append([]byte(nil), c.Region(0, dbuf)...)
 }
 
-// TestCollectiveChoicesEquivalent: every selectable schedule produces the
-// same bytes as the legacy ring, on composite, power-of-two, and prime
-// node counts.
+// TestCollectiveChoicesEquivalent: every selectable schedule, the zero
+// Choice's ring first, produces the oracle's bytes on composite,
+// power-of-two, and prime node counts.
 func TestCollectiveChoicesEquivalent(t *testing.T) {
+	oracle := collectiveOracle(t, collectiveScaleSrc, "cscale")
 	choices := []string{
-		"auto", "ring", "recdouble", "twolevel", "pipeline", "pipeline:2",
+		"", "+overlap", "auto", "ring", "recdouble", "twolevel", "pipeline", "pipeline:2",
 		"auto+overlap", "ring+overlap", "pipeline:3+overlap",
 	}
 	for _, nodes := range []int{2, 3, 4, 5, 8} {
-		ref, refBytes := launchCollective(t, collectiveScaleSrc, "cscale", nodes, csched.Choice{})
-		if !ref.Distributed {
-			t.Fatalf("nodes=%d: reference launch not distributed", nodes)
-		}
-		if ref.CollectiveAlgo != "" {
-			t.Errorf("nodes=%d: legacy path reported algo %q", nodes, ref.CollectiveAlgo)
-		}
+		var bytesPerNode int64
 		for _, cs := range choices {
 			choice, err := csched.ParseChoice(cs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			st, got := launchCollective(t, collectiveScaleSrc, "cscale", nodes, choice)
-			if !bytes.Equal(refBytes, got) {
-				t.Errorf("nodes=%d choice=%s: dst differs from legacy ring", nodes, cs)
+			if !st.Distributed {
+				t.Fatalf("nodes=%d choice=%q: launch not distributed", nodes, cs)
+			}
+			if !bytes.Equal(oracle, got) {
+				t.Errorf("nodes=%d choice=%q: dst differs from the 1-node interpreter", nodes, cs)
+			}
+			if choice.Algo == csched.AlgoDefault && st.CollectiveAlgo != "ring" {
+				t.Errorf("nodes=%d choice=%q: zero algo selected %q, want ring", nodes, cs, st.CollectiveAlgo)
 			}
 			if st.CollectiveAlgo == "" {
-				t.Errorf("nodes=%d choice=%s: no CollectiveAlgo recorded", nodes, cs)
+				t.Errorf("nodes=%d choice=%q: no CollectiveAlgo recorded", nodes, cs)
 			}
-			if st.CommMsgs <= 0 || st.CommBytesPerNode != ref.CommBytesPerNode {
-				t.Errorf("nodes=%d choice=%s: comm accounting %d msgs, %d bytes/node (ref %d)",
-					nodes, cs, st.CommMsgs, st.CommBytesPerNode, ref.CommBytesPerNode)
+			if bytesPerNode == 0 {
+				bytesPerNode = st.CommBytesPerNode
+			}
+			if st.CommMsgs <= 0 || st.CommBytesPerNode != bytesPerNode {
+				t.Errorf("nodes=%d choice=%q: comm accounting %d msgs, %d bytes/node (zero choice %d)",
+					nodes, cs, st.CommMsgs, st.CommBytesPerNode, bytesPerNode)
 			}
 		}
 	}
@@ -154,6 +173,10 @@ func TestCollectiveOverlapClockModel(t *testing.T) {
 	for _, nodes := range []int{3, 4, 8} {
 		barrier, _ := launchCollective(t, collectiveScaleSrc, "cscale", nodes, csched.Choice{Algo: csched.AlgoRing})
 		overlap, _ := launchCollective(t, collectiveScaleSrc, "cscale", nodes, csched.Choice{Algo: csched.AlgoRing, Overlap: true})
+		// Overlap without an algorithm is the ring's overlap, not ignored.
+		if zero, _ := launchCollective(t, collectiveScaleSrc, "cscale", nodes, csched.Choice{Overlap: true}); !reflect.DeepEqual(zero, overlap) {
+			t.Errorf("nodes=%d: Choice{Overlap: true} stats %+v, want ring+overlap's %+v", nodes, zero, overlap)
+		}
 		if overlap.CallbackBlocks == 0 {
 			t.Fatalf("nodes=%d: no callback blocks; the overlap test needs some", nodes)
 		}
@@ -181,19 +204,21 @@ func TestCollectiveOverlapClockModel(t *testing.T) {
 
 // TestCollectiveOverlapGate: a kernel that reads its written buffer must
 // not overlap (OverlapSec 0, barrier clock model) but still compute the
-// right bytes under the schedule executor.
+// oracle's bytes under the schedule executor.
 func TestCollectiveOverlapGate(t *testing.T) {
 	const nodes = 4
-	ref, refBytes := launchCollective(t, collectiveAccumSrc, "caccum", nodes, csched.Choice{})
-	st, got := launchCollective(t, collectiveAccumSrc, "caccum", nodes, csched.Choice{Algo: csched.AlgoAuto, Overlap: true})
-	if !bytes.Equal(refBytes, got) {
-		t.Error("gated overlap launch diverged from legacy ring")
-	}
-	if st.OverlapSec != 0 {
-		t.Errorf("readsWritten kernel overlapped anyway (OverlapSec=%g)", st.OverlapSec)
-	}
-	if ref.TotalSec <= 0 || st.TotalSec <= 0 {
-		t.Error("degenerate totals")
+	oracle := collectiveOracle(t, collectiveAccumSrc, "caccum")
+	for _, choice := range []csched.Choice{{}, {Overlap: true}, {Algo: csched.AlgoAuto, Overlap: true}} {
+		st, got := launchCollective(t, collectiveAccumSrc, "caccum", nodes, choice)
+		if !bytes.Equal(oracle, got) {
+			t.Errorf("choice %s: dst differs from the 1-node interpreter", choice)
+		}
+		if st.OverlapSec != 0 {
+			t.Errorf("choice %s: readsWritten kernel overlapped anyway (OverlapSec=%g)", choice, st.OverlapSec)
+		}
+		if st.TotalSec <= 0 {
+			t.Errorf("choice %s: degenerate total", choice)
+		}
 	}
 }
 
@@ -254,7 +279,7 @@ func TestEstimateMatchesLaunchCollectives(t *testing.T) {
 		}
 		return prog
 	}
-	choices := []string{"", "auto", "ring", "recdouble", "twolevel", "pipeline:2", "auto+overlap", "ring+overlap"}
+	choices := []string{"", "+overlap", "auto", "ring", "recdouble", "twolevel", "pipeline:2", "auto+overlap", "ring+overlap"}
 	for _, nodes := range []int{2, 4, 5} {
 		for _, cs := range choices {
 			choice, err := csched.ParseChoice(cs)

@@ -184,8 +184,7 @@ var DefaultEngine cluster.Engine
 
 // DefaultCollective is the process-wide default phase-2 collective schedule
 // used when neither the session nor the cluster picks one.  CLI tools set
-// it from -collective; unset, the runtime uses the legacy hand-written
-// ring collectives.
+// it from -collective; unset, the runtime runs csched's ring schedule.
 var DefaultCollective csched.Choice
 
 // DefaultRecovery is the process-wide default elastic-recovery policy used
@@ -231,7 +230,8 @@ type Stats struct {
 	// CommMsgs is the total messages sent cluster-wide.
 	CommMsgs int64
 	// CollectiveAlgo names the phase-2 schedule the compiler selected
-	// ("recdouble", "pipeline:4", ...); empty on the legacy ring path.
+	// ("ring", "recdouble", "pipeline:4", ...); empty when nothing was
+	// gathered.
 	CollectiveAlgo string
 	// OverlapSec is the simulated time saved by overlapping phase-3
 	// callback blocks with in-flight Allgather chunks (0 without overlap).
@@ -256,8 +256,8 @@ type Session struct {
 	// Host tunes real intra-node execution (worker-pool width).
 	Host ExecConfig
 	// Collective selects the phase-2 collective schedule (the zero value
-	// defers to the cluster, then DefaultCollective, then the legacy
-	// hand-written ring).
+	// defers to the cluster, then DefaultCollective, then csched's ring
+	// schedule).
 	Collective csched.Choice
 	// Recovery selects the elastic-recovery policy (the zero value defers
 	// to the cluster, then DefaultRecovery, ultimately disabled).
@@ -304,7 +304,7 @@ func (s *Session) EffectiveEngine() cluster.Engine {
 
 // EffectiveCollective resolves the layered collective-schedule preference
 // (session, then cluster, then process default) to a concrete choice; the
-// zero value — the legacy hand-written ring — when nothing is configured.
+// zero value — which Select runs as the ring — when nothing is configured.
 // The first non-zero layer wins entirely, including its Overlap/Chunks
 // modifiers, mirroring EffectiveEngine.
 func (s *Session) EffectiveCollective() csched.Choice {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"cucc/internal/csched"
 	"cucc/internal/machine"
 )
 
@@ -67,70 +66,18 @@ func (s *Session) Estimate(spec LaunchSpec) (*Stats, error) {
 		stats.CallbackSec = c.Machine().PhaseTime(callbacks, perBlock, s.execConfig(st))
 	}
 
-	// Mirror Launch's collective selection exactly: same choice resolution,
-	// same per-buffer schedule compilation, same overlap gating — so the
-	// Launch/Estimate parity invariant extends to every collective choice.
-	choice := s.EffectiveCollective()
-	schedActive := choice.Active() && part.distEnd > 0
-	wantOverlap := schedActive && choice.Overlap && callbacks > 0 && !st.readsWritten
-	cbHint := 0.0
-	if wantOverlap && part.counts[0] > 0 {
-		cbHint = stats.CallbackSec
+	plan, err := s.planGathers(st, stats, part, n)
+	if err != nil {
+		return nil, err
 	}
-	commSec := 0.0
-	firstRecvSec := 0.0
-	buffers := 0
-	for _, bm := range md.Buffers {
-		buf, base, unit, err := st.bufferRegion(bm)
-		if err != nil {
-			return nil, err
-		}
-		if part.distEnd == 0 {
-			continue
-		}
-		if int(base)+int(unit)*part.distEnd > buf.Count {
-			return nil, fmt.Errorf("core: kernel %s writes past buffer %s (%d elems > %d)",
-				st.kernel.Name, bm.ParamName, int(base)+int(unit)*part.distEnd, buf.Count)
-		}
-		chunks := make([]int64, n)
-		for r := 0; r < n; r++ {
-			chunks[r] = int64(part.counts[r]) * unit * int64(bm.Elem.Size())
-		}
-		if schedActive {
-			sel, err := csched.Select(csched.Request{
-				Ranks: n, RankBytes: chunks, Model: c.Net(),
-				Choice: choice, CallbackSec: cbHint,
-			})
-			if err != nil {
-				return nil, err
-			}
-			if buffers == 0 {
-				firstRecvSec = sel.Eval.FirstRecvSec
-				stats.CollectiveAlgo = sel.Schedule.String()
-			}
-			commSec += sel.Eval.CostSec
-			stats.CommMsgs += sel.Eval.Msgs
-		} else {
-			if part.balanced {
-				commSec += c.Net().RingAllgather(n, chunks[0])
-			} else {
-				commSec += c.Net().AllgatherV(chunks)
-			}
-			stats.CommMsgs += int64(n * (n - 1))
-		}
-		stats.CommBytesPerNode += chunks[0]
-		buffers++
-	}
-	stats.CommSec = commSec
-
-	if wantOverlap && buffers > 0 {
+	if plan.overlap {
 		// Overlapped phases 2+3: callbacks start at firstRecvSec and run
 		// concurrently with the collective's tail (Launch's clock model).
-		span := commSec
-		if cb := firstRecvSec + stats.CallbackSec; cb > span {
+		span := stats.CommSec
+		if cb := plan.firstRecvSec + stats.CallbackSec; cb > span {
 			span = cb
 		}
-		stats.OverlapSec = (commSec + stats.CallbackSec) - span
+		stats.OverlapSec = (stats.CommSec + stats.CallbackSec) - span
 		stats.TotalSec = stats.Phase1Sec + KernelLaunchOverheadSec + span
 	} else {
 		stats.TotalSec = stats.Phase1Sec + KernelLaunchOverheadSec + stats.CommSec + stats.CallbackSec

@@ -217,7 +217,6 @@ func (s *Session) Launch(spec LaunchSpec) (stats *Stats, err error) {
 func (s *Session) runPhases(st *launchState, stats *Stats, g *cluster.Group, totalBlocks, tail int, cp *recovery.Checkpoint, regions []recovery.Region) error {
 	c := s.Cluster
 	n := g.Size()
-	md := st.md
 	spec := st.spec
 	reg := s.registry()
 
@@ -287,132 +286,40 @@ func (s *Session) runPhases(st *launchState, stats *Stats, g *cluster.Group, tot
 	}
 
 	// --- Phase 2: in-place Allgather per written buffer ---
-	//
-	// The legacy path hardcodes the balanced ring (or Allgatherv under the
-	// imbalanced remainder strategy).  When a collective choice is
-	// configured, the schedule compiler selects among ring, recursive
-	// doubling, two-level, and chunked-pipelined schedules per (bytes,
-	// nranks) instead — csched parameterizes schedules by rank count, so a
-	// recovered subgroup compiles its own m-rank schedule — and, with
-	// overlap enabled and a kernel whose callbacks don't read gathered
-	// data, phase-3 callback blocks run while later Allgather chunks are
-	// still in flight.
-	choice := s.EffectiveCollective()
-	schedActive := choice.Active() && part.distEnd > 0
-	wantOverlap := schedActive && choice.Overlap && callbacks > 0 && !st.readsWritten
-	cbHint := 0.0
-	if wantOverlap && part.counts[0] > 0 {
-		// Callback-time hint for overlap-aware selection, computed from the
-		// measured phase-1 per-block work exactly as Estimate computes it
-		// from the analytic work (identical for natives, keeping
-		// Launch/Estimate schedule selection in lockstep).
-		per := workPerNode[0].Scale(1 / float64(part.counts[0]))
-		cbHint = c.Machine().PhaseTime(callbacks, per, s.execConfig(st))
+	plan, err := s.planGathers(st, stats, part, n)
+	if err != nil {
+		return err
 	}
-	type gatherOp struct {
-		regionStart, regionLen int
-		offs                   []int // per-rank byte offsets (legacy path)
-		chunks                 []int64
-		sel                    *csched.Selection
-	}
-	var gathers []gatherOp
-	commSec := 0.0
-	firstRecvSec := 0.0
-	var commMsgs int64
-	for _, bm := range md.Buffers {
-		buf, base, unit, err := st.bufferRegion(bm)
-		if err != nil {
-			return err
-		}
-		if part.distEnd == 0 {
-			continue
-		}
-		elem := bm.Elem.Size()
-		if int(base)+int(unit)*part.distEnd > buf.Count {
-			return fmt.Errorf("core: kernel %s writes past buffer %s (%d elems > %d)",
-				st.kernel.Name, bm.ParamName, int(base)+int(unit)*part.distEnd, buf.Count)
-		}
-		op := gatherOp{
-			regionStart: buf.Off + int(base)*elem,
-			regionLen:   int(unit) * part.distEnd * elem,
-			offs:        make([]int, n+1),
-			chunks:      make([]int64, n),
-		}
-		for r := 0; r < n; r++ {
-			op.chunks[r] = int64(part.counts[r]) * unit * int64(elem)
-			op.offs[r+1] = op.offs[r] + int(op.chunks[r])
-		}
-		if schedActive {
-			sel, err := csched.Select(csched.Request{
-				Ranks: n, RankBytes: op.chunks, Model: c.Net(),
-				Choice: choice, CallbackSec: cbHint,
-			})
-			if err != nil {
-				return err
-			}
-			op.sel = sel
-			if len(gathers) == 0 {
-				// Overlap starts once the first buffer's first chunk has
-				// landed on every rank.
-				firstRecvSec = sel.Eval.FirstRecvSec
-				stats.CollectiveAlgo = sel.Schedule.String()
-			}
-			commSec += sel.Eval.CostSec
-		} else if part.balanced {
-			commSec += c.Net().RingAllgather(n, op.chunks[0])
-		} else {
-			commSec += c.Net().AllgatherV(op.chunks)
-		}
-		stats.CommBytesPerNode += op.chunks[0]
-		gathers = append(gathers, op)
-	}
-	overlapped := wantOverlap && len(gathers) > 0
-
 	runGather := func(m int, conn transport.Conn, op gatherOp) (comm.Stats, error) {
 		region := nodeBytes(c, g.NodeOf(m), op.regionStart, op.regionLen)
-		if op.sel != nil {
-			return csched.Execute(conn, region, op.sel.Offs, op.sel.Schedule)
-		}
-		if part.balanced {
-			return comm.AllgatherRing(conn, region, int(op.chunks[0]))
-		}
-		return comm.AllgatherVRing(conn, region, op.offs)
+		return csched.Execute(conn, region, op.sel.Offs, op.sel.Schedule)
+	}
+	allgatherDetail := fmt.Sprintf("%d bytes/node, %d msgs", stats.CommBytesPerNode, stats.CommMsgs)
+	if stats.CollectiveAlgo != "" {
+		allgatherDetail += ", " + stats.CollectiveAlgo
 	}
 
-	allgatherDetail := func() string {
-		d := fmt.Sprintf("%d bytes/node, %d msgs", stats.CommBytesPerNode, commMsgs)
-		if stats.CollectiveAlgo != "" {
-			d += ", " + stats.CollectiveAlgo
-		}
-		return d
-	}
-
-	if !overlapped {
-		for _, op := range gathers {
-			var msgs int64
+	if !plan.overlap {
+		for _, op := range plan.ops {
 			err := g.RunParallel(func(m int, conn transport.Conn) error {
 				cs, err := runGather(m, conn, op)
 				if err != nil {
 					return err
 				}
 				c.Node(g.NodeOf(m)).Comm.Add(cs)
-				atomic.AddInt64(&msgs, cs.Msgs)
 				return nil
 			})
 			if err != nil {
 				return err
 			}
-			commMsgs += msgs
 		}
 		// The Allgather synchronizes the nodes: clocks meet at the maximum,
 		// then all pay the collective cost.
-		s.emit(trace.Event{StartSec: g.MaxClock(), DurSec: commSec, Node: -1,
+		s.emit(trace.Event{StartSec: g.MaxClock(), DurSec: stats.CommSec, Node: -1,
 			Phase: trace.PhaseAllgather, Kernel: st.kernel.Name,
-			Detail: allgatherDetail()})
-		g.SyncClocksMax(commSec)
-		stats.CommSec = commSec
-		stats.CommMsgs = commMsgs
-		reg.Histogram(MetricAllgatherSimSec).Observe(commSec)
+			Detail: allgatherDetail})
+		g.SyncClocksMax(stats.CommSec)
+		reg.Histogram(MetricAllgatherSimSec).Observe(stats.CommSec)
 
 		// Gathered barrier: every member holds identical written-buffer
 		// contents again.  Advance the checkpoint in place so a failure in
@@ -438,7 +345,7 @@ func (s *Session) runPhases(st *launchState, stats *Stats, g *cluster.Group, tot
 	cbWork := make([]machine.BlockWork, n)
 	cbCounts := make([][]int, n)
 	wallStart := time.Now()
-	err := g.RunParallel(func(m int, conn transport.Conn) error {
+	err = g.RunParallel(func(m int, conn transport.Conn) error {
 		var wg sync.WaitGroup
 		var cbErr error
 		wg.Add(1)
@@ -453,14 +360,13 @@ func (s *Session) runPhases(st *launchState, stats *Stats, g *cluster.Group, tot
 			cbCounts[m] = wc
 		}()
 		var commErr error
-		for _, op := range gathers {
+		for _, op := range plan.ops {
 			cs, err := runGather(m, conn, op)
 			if err != nil {
 				commErr = err
 				break
 			}
 			c.Node(g.NodeOf(m)).Comm.Add(cs)
-			atomic.AddInt64(&commMsgs, cs.Msgs)
 		}
 		// Always join the callback goroutine before returning: the
 		// cluster may tear the launch down on error, and the blocks
@@ -478,25 +384,23 @@ func (s *Session) runPhases(st *launchState, stats *Stats, g *cluster.Group, tot
 	// collective; each rank finishes at whichever of the two overlapped
 	// activities ends later.
 	base := g.MaxClock()
-	s.emit(trace.Event{StartSec: base, DurSec: commSec, Node: -1,
+	s.emit(trace.Event{StartSec: base, DurSec: stats.CommSec, Node: -1,
 		Phase: trace.PhaseAllgather, Kernel: st.kernel.Name,
-		Detail: allgatherDetail()})
-	stats.CommSec = commSec
-	stats.CommMsgs = commMsgs
-	reg.Histogram(MetricAllgatherSimSec).Observe(commSec)
+		Detail: allgatherDetail})
+	reg.Histogram(MetricAllgatherSimSec).Observe(stats.CommSec)
 	maxDt := 0.0
 	for m := 0; m < n; m++ {
 		node := g.NodeOf(m)
 		per := cbWork[m].Scale(1 / float64(callbacks))
 		dt := c.Machine().PhaseTime(callbacks, per, s.execConfig(st))
-		s.emit(trace.Event{StartSec: base + firstRecvSec, DurSec: dt, Node: node,
+		s.emit(trace.Event{StartSec: base + plan.firstRecvSec, DurSec: dt, Node: node,
 			Phase: trace.PhaseCallback, Kernel: st.kernel.Name,
 			Detail: fmt.Sprintf("%d blocks (overlapped)", callbacks)})
-		s.emitWorkerSpans(base+firstRecvSec, dt, node, st.kernel.Name, cbCounts[m])
+		s.emitWorkerSpans(base+plan.firstRecvSec, dt, node, st.kernel.Name, cbCounts[m])
 		reg.Histogram(MetricCallbackSimSec).Observe(dt)
 		recordWorkerCounts(reg, cbCounts[m])
-		end := base + commSec
-		if cb := base + firstRecvSec + dt; cb > end {
+		end := base + stats.CommSec
+		if cb := base + plan.firstRecvSec + dt; cb > end {
 			end = cb
 		}
 		c.Node(node).Clock = end
@@ -507,8 +411,85 @@ func (s *Session) runPhases(st *launchState, stats *Stats, g *cluster.Group, tot
 			stats.CallbackSec = dt
 		}
 	}
-	stats.OverlapSec = (base + commSec + maxDt) - g.MaxClock()
+	stats.OverlapSec = (base + stats.CommSec + maxDt) - g.MaxClock()
 	return nil
+}
+
+// gatherOp is one phase-2 Allgather: a written buffer's byte region in node
+// memory and the schedule selected for the ranks' chunks of it.
+type gatherOp struct {
+	regionStart, regionLen int
+	sel                    *csched.Selection
+}
+
+// gatherPlan is phase 2 of one attempt.
+type gatherPlan struct {
+	ops []gatherOp
+	// firstRecvSec is when the first buffer's first chunk has landed on
+	// every rank: overlapped callbacks start there.
+	firstRecvSec float64
+	// overlap runs the phase-3 callbacks while the Allgathers are in flight.
+	overlap bool
+}
+
+// planGathers plans phase 2 over the n ranks of part: one in-place
+// Allgather per written buffer, its schedule selected by csched for the
+// ranks' chunk sizes, and adds the selections' modeled figures to stats
+// (CommSec, CommMsgs, CommBytesPerNode, CollectiveAlgo).  Launch executes
+// the plan and Estimate only costs it, so the two agree on phase 2 by
+// construction.  With overlap wanted, stats.Work (rank 0's per-block work)
+// prices the callbacks that selection may hide the collective behind.
+func (s *Session) planGathers(st *launchState, stats *Stats, part partition, n int) (*gatherPlan, error) {
+	c := s.Cluster
+	choice := s.EffectiveCollective()
+	callbacks := st.spec.Grid.Count() - part.distEnd
+	wantOverlap := choice.Overlap && callbacks > 0 && !st.readsWritten
+	cbHint := 0.0
+	if wantOverlap && part.counts[0] > 0 {
+		cbHint = c.Machine().PhaseTime(callbacks, stats.Work, s.execConfig(st))
+	}
+	plan := &gatherPlan{}
+	for _, bm := range st.md.Buffers {
+		buf, base, unit, err := st.bufferRegion(bm)
+		if err != nil {
+			return nil, err
+		}
+		if part.distEnd == 0 {
+			continue
+		}
+		if int(base)+int(unit)*part.distEnd > buf.Count {
+			return nil, fmt.Errorf("core: kernel %s writes past buffer %s (%d elems > %d)",
+				st.kernel.Name, bm.ParamName, int(base)+int(unit)*part.distEnd, buf.Count)
+		}
+		elem := bm.Elem.Size()
+		chunks := make([]int64, n)
+		for r := range chunks {
+			chunks[r] = int64(part.counts[r]) * unit * int64(elem)
+		}
+		// csched parameterizes schedules by rank count, so a recovered
+		// subgroup compiles its own m-rank schedule.
+		sel, err := csched.Select(csched.Request{
+			Ranks: n, RankBytes: chunks, Model: c.Net(),
+			Choice: choice, CallbackSec: cbHint,
+		})
+		if err != nil {
+			return nil, err
+		}
+		if len(plan.ops) == 0 {
+			plan.firstRecvSec = sel.Eval.FirstRecvSec
+			stats.CollectiveAlgo = sel.Schedule.String()
+		}
+		stats.CommSec += sel.Eval.CostSec
+		stats.CommMsgs += sel.Eval.Msgs
+		stats.CommBytesPerNode += chunks[0]
+		plan.ops = append(plan.ops, gatherOp{
+			regionStart: buf.Off + int(base)*elem,
+			regionLen:   int(unit) * part.distEnd * elem,
+			sel:         sel,
+		})
+	}
+	plan.overlap = wantOverlap && len(plan.ops) > 0
+	return plan, nil
 }
 
 // runCallbacks executes the phase-3 callback range [distEnd, totalBlocks)
@@ -633,7 +614,6 @@ func nodeBytes(c *cluster.Cluster, r, off, length int) []byte {
 type partition struct {
 	starts, counts []int
 	distEnd        int
-	balanced       bool
 }
 
 // maxCount returns the largest element (0 for an empty slice).
@@ -667,14 +647,12 @@ func partitionBlocks(total, tail, n int, strategy RemainderStrategy) partition {
 			off += cnt
 		}
 		part.distEnd = distributable
-		part.balanced = rem == 0
 	default:
 		for r := 0; r < n; r++ {
 			part.starts[r] = r * p
 			part.counts[r] = p
 		}
 		part.distEnd = n * p
-		part.balanced = true
 	}
 	return part
 }

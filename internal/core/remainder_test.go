@@ -32,8 +32,12 @@ func TestPartitionBlocks(t *testing.T) {
 		if got.distEnd != tc.wantDistEnd {
 			t.Errorf("case %d: distEnd = %d, want %d", i, got.distEnd, tc.wantDistEnd)
 		}
-		if got.balanced != tc.wantBalanced {
-			t.Errorf("case %d: balanced = %v, want %v", i, got.balanced, tc.wantBalanced)
+		balanced := true
+		for _, c := range got.counts {
+			balanced = balanced && c == got.counts[0]
+		}
+		if balanced != tc.wantBalanced {
+			t.Errorf("case %d: equal counts = %v, want %v", i, balanced, tc.wantBalanced)
 		}
 		if tc.wantCounts != nil {
 			for r, w := range tc.wantCounts {

@@ -13,10 +13,9 @@ import (
 type Algo uint8
 
 const (
-	// AlgoDefault defers entirely to the legacy hand-written collectives
-	// (comm.AllgatherRing / AllgatherVRing); the schedule compiler is
-	// bypassed.  This is the zero value, so existing configurations are
-	// unchanged.
+	// AlgoDefault is the zero value, "unset": a session or cluster layer
+	// holding it defers to the next (core.Session.EffectiveCollective), and
+	// Select runs it as AlgoRing.
 	AlgoDefault Algo = iota
 	// AlgoAuto costs every applicable candidate schedule with the network
 	// model and picks the cheapest.
@@ -53,9 +52,9 @@ func (a Algo) String() string {
 }
 
 // Choice is the collective-schedule knob carried by cluster.Config and
-// core.Session.  The zero value means "legacy path, no overlap".
+// core.Session.  The zero value runs the ring schedule without overlap.
 type Choice struct {
-	// Algo picks the schedule family (or AlgoDefault for the legacy path).
+	// Algo picks the schedule family (AlgoDefault runs the ring).
 	Algo Algo
 	// Overlap starts phase-3 callback blocks while later Allgather chunks
 	// are still in flight, when the kernel's callback blocks don't read
@@ -65,14 +64,7 @@ type Choice struct {
 	Chunks int
 }
 
-// Active reports whether the schedule compiler handles phase 2 (false =
-// legacy hand-written ring).
-func (c Choice) Active() bool { return c.Algo != AlgoDefault }
-
 func (c Choice) String() string {
-	if !c.Active() && !c.Overlap {
-		return "default"
-	}
 	s := c.Algo.String()
 	if c.Algo == AlgoPipeline && c.Chunks > 0 {
 		s += ":" + strconv.Itoa(c.Chunks)
@@ -85,7 +77,7 @@ func (c Choice) String() string {
 
 // ParseChoice parses the -collective flag syntax:
 //
-//	"" | "default"          legacy hand-written ring, no overlap
+//	"" | "default"          the zero Choice: ring schedule, no overlap
 //	"auto"                  cost-based selection
 //	"ring"                  force flat ring schedule
 //	"recdouble"             force recursive doubling
@@ -127,10 +119,6 @@ func ParseChoice(s string) (Choice, error) {
 	default:
 		return Choice{}, fmt.Errorf("csched: unknown collective %q (want default, auto, ring, recdouble, twolevel, pipeline[:N], optionally +overlap)", s)
 	}
-	if c.Overlap && c.Algo == AlgoDefault {
-		// Overlap requires the schedule executor; promote to auto.
-		c.Algo = AlgoAuto
-	}
 	return c, nil
 }
 
@@ -159,10 +147,11 @@ type EvalResult struct {
 // The machine model matches the closed forms in simnet: a send occupies
 // the sender's egress link for bytes*beta and arrives alpha+bytes*beta
 // after it starts; a receive completes at max(local time, arrival); a
-// copy costs 2*bytes/MemBW.  Per-message CPU overhead is ignored, exactly
-// as the legacy RingAllgather/RecursiveDoublingAllgather closed forms
-// ignore it, so forced-ring evaluation reproduces m.RingAllgather to
-// float round-off.
+// copy costs 2*bytes/MemBW.  Per-message CPU overhead is ignored, as the
+// RingAllgather/RecursiveDoublingAllgather closed forms ignore it.  The
+// ring's Eval matches m.RingAllgather only to float round-off: Eval adds
+// the n-1 steps one at a time where the closed form multiplies one step by
+// n-1, so the two can differ in the last bits.
 func Eval(s *Schedule, offs []int, m simnet.Model) EvalResult {
 	res := EvalResult{Algo: s.String(), ChunksPerRank: s.ChunksPerRank}
 	n := s.NRanks
@@ -245,7 +234,7 @@ type Request struct {
 	RankBytes []int64
 	// Model is the network cost model.
 	Model simnet.Model
-	// Choice is the configured knob (must be Active).
+	// Choice is the configured knob.
 	Choice Choice
 	// CallbackSec is the modeled phase-3 compute time that could overlap
 	// with the collective's tail; > 0 with Choice.Overlap biases selection
@@ -278,9 +267,9 @@ const defaultPipelineChunks = 4
 // Select compiles the candidate schedules the Choice allows, costs each
 // under the model, and returns the winner.  Forced algorithms that don't
 // apply to the rank count (recdouble on non-power-of-two, twolevel on
-// primes) fall back to the flat ring, mirroring AllgatherRecDouble's
-// documented fallback.  Ties break toward fewer messages, then toward
-// generation order (ring first), keeping selection deterministic.
+// primes) fall back to the flat ring, as does the unset AlgoDefault.  Ties
+// break toward fewer messages, then toward generation order (ring first),
+// keeping selection deterministic.
 func Select(rq Request) (*Selection, error) {
 	if rq.Ranks < 1 {
 		return nil, fmt.Errorf("csched: select with %d ranks", rq.Ranks)
@@ -301,7 +290,7 @@ func Select(rq Request) (*Selection, error) {
 	}
 	var cands []cand
 	switch rq.Choice.Algo {
-	case AlgoRing:
+	case AlgoDefault, AlgoRing:
 		cands = []cand{{"ring", 1}}
 	case AlgoRecDouble:
 		if pow2 {
@@ -333,7 +322,7 @@ func Select(rq Request) (*Selection, error) {
 			}
 		}
 	default:
-		return nil, fmt.Errorf("csched: select with inactive choice %q", rq.Choice)
+		return nil, fmt.Errorf("csched: select with unknown algorithm %s", rq.Choice.Algo)
 	}
 
 	rankOffs := rq.offsets()

@@ -251,8 +251,8 @@ func generate(algo string, n, k int) (*Schedule, error) {
 	return s, nil
 }
 
-// SplitOffsets refines a per-rank byte-offset table (len nranks+1, as
-// AllgatherVRing takes) into the per-chunk table of a k-chunked schedule
+// SplitOffsets refines a per-rank byte-offset table (len nranks+1) into
+// the per-chunk table of a k-chunked schedule
 // (len nranks*k+1): each rank span splits into k near-equal sub-spans,
 // the first len%k of them one byte longer.  k=1 returns a copy.
 func SplitOffsets(rankOffs []int, k int) []int {
@@ -276,14 +276,4 @@ func SplitOffsets(rankOffs []int, k int) []int {
 	}
 	out = append(out, rankOffs[n])
 	return out
-}
-
-// UniformOffsets builds the per-rank offset table of a balanced Allgather
-// (every rank contributes chunkBytes).
-func UniformOffsets(n int, chunkBytes int) []int {
-	offs := make([]int, n+1)
-	for r := 0; r <= n; r++ {
-		offs[r] = r * chunkBytes
-	}
-	return offs
 }

@@ -75,13 +75,13 @@ func approxEq(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-12*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 }
 
-// TestEvalMatchesClosedForms: the event-driven evaluator reproduces the
-// closed-form costs simnet uses for the legacy collectives.
+// TestEvalMatchesClosedForms: the event-driven evaluator reproduces
+// simnet's closed-form collective costs to float round-off.
 func TestEvalMatchesClosedForms(t *testing.T) {
 	m := simnet.IB100()
 	const chunk = 1 << 20
 	for _, n := range []int{2, 3, 4, 5, 8, 12, 16} {
-		offs := UniformOffsets(n, chunk)
+		offs := uniformOffsets(n, chunk)
 
 		// Flat ring: (n-1)(alpha + B*beta).
 		ring := GenRing(n, 1)
@@ -192,7 +192,7 @@ func TestSelectPicksCheapest(t *testing.T) {
 	// Overlap bias: with callback work to hide, auto prefers a chunked
 	// schedule whose first chunk lands early even though its raw makespan
 	// is higher.
-	rq := Request{Ranks: 5, RankBytes: bytesOf(5, 1 << 24), Model: m,
+	rq := Request{Ranks: 5, RankBytes: bytesOf(5, 1<<24), Model: m,
 		Choice: Choice{Algo: AlgoAuto, Overlap: true}}
 	rq.CallbackSec = Eval(GenRing(5, 1), SplitOffsets(rq.offsets(), 1), m).CostSec // plenty to hide
 	sel, err = Select(rq)
@@ -201,6 +201,17 @@ func TestSelectPicksCheapest(t *testing.T) {
 	}
 	if sel.Schedule.ChunksPerRank <= 1 {
 		t.Errorf("auto+overlap with large callbacks chose %s, want a chunked schedule", sel.Schedule)
+	}
+
+	// The zero Choice runs the ring, with or without overlap.
+	for _, c := range []Choice{{}, {Overlap: true}} {
+		sel, err = Select(Request{Ranks: 8, RankBytes: bytesOf(8, 8), Model: m, Choice: c, CallbackSec: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sel.Schedule.String() != "ring" {
+			t.Errorf("choice %s on n=8 gave %s, want ring", c, sel.Schedule)
+		}
 	}
 
 	// Forced recdouble on non-pow2 falls back to ring.
@@ -285,7 +296,8 @@ func TestParseChoice(t *testing.T) {
 		{"pipeline:8", Choice{Algo: AlgoPipeline, Chunks: 8}, false},
 		{"ring+overlap", Choice{Algo: AlgoRing, Overlap: true}, false},
 		{"overlap", Choice{Algo: AlgoAuto, Overlap: true}, false},
-		{"default+overlap", Choice{Algo: AlgoAuto, Overlap: true}, false},
+		{"default+overlap", Choice{Overlap: true}, false},
+		{"+overlap", Choice{Overlap: true}, false},
 		{"AUTO", Choice{Algo: AlgoAuto}, false},
 		{"pipeline:0", Choice{}, true},
 		{"pipeline:x", Choice{}, true},
@@ -308,7 +320,7 @@ func TestParseChoice(t *testing.T) {
 		}
 	}
 	// Round trip: String output re-parses to the same choice.
-	for _, c := range []Choice{{}, {Algo: AlgoAuto}, {Algo: AlgoPipeline, Chunks: 8}, {Algo: AlgoTwoLevel, Overlap: true}} {
+	for _, c := range []Choice{{}, {Overlap: true}, {Algo: AlgoAuto}, {Algo: AlgoPipeline, Chunks: 8}, {Algo: AlgoTwoLevel, Overlap: true}} {
 		back, err := ParseChoice(c.String())
 		if err != nil || back != c {
 			t.Errorf("round trip %+v -> %q -> %+v (%v)", c, c.String(), back, err)

@@ -9,18 +9,16 @@ import (
 	"cucc/internal/transport"
 )
 
-// tagSched separates schedule-executor traffic from every hand-written
-// collective (comm uses tags 1-6 and 10-12).  One tag suffices for all
-// schedules: the verifier proves per-(src,dst) ranges arrive in program
-// order, which is exactly the FIFO guarantee the transport gives per
-// (sender, tag).
+// tagSched separates schedule-executor traffic from comm's own barrier
+// and ring (tags 1 and 4).  One tag suffices for all schedules: the
+// verifier proves per-(src,dst) ranges arrive in program order, which is
+// exactly the FIFO guarantee the transport gives per (sender, tag).
 const tagSched = 20
 
 // execOpNames mirrors comm's per-collective metric naming for the
 // schedule executor: comm.sched_<algo>.{calls,msgs,...}.  The "comm."
 // prefix keeps the registry cross-check invariant (summed comm.* ==
-// transport.* totals) intact when schedules replace hand-written
-// collectives.
+// transport.* totals) intact across comm's collectives and schedules.
 type execOpNames struct {
 	calls, msgs, bytesSent, recvs, bytesRecvd, errors, seconds string
 }
@@ -66,7 +64,7 @@ func recordExec(c transport.Conn, algo string, start time.Time, st *comm.Stats, 
 // gathering into buf in place: chunk c is buf[offs[c]:offs[c+1]], and on
 // entry the caller's own chunks (rank*ChunksPerRank ... ) are valid.
 //
-// Accounting matches the hand-written collectives: a send counts only
+// Accounting matches comm's collectives: a send counts only
 // once the transport accepted it, every receive counts its actual bytes,
 // so summed over ranks Msgs == Recvs and BytesSent == BytesRecvd.
 func Execute(c transport.Conn, buf []byte, offs []int, s *Schedule) (st comm.Stats, err error) {

@@ -10,6 +10,7 @@ import (
 
 	"cucc/internal/comm"
 	"cucc/internal/metrics"
+	"cucc/internal/simnet"
 	"cucc/internal/transport"
 )
 
@@ -50,6 +51,16 @@ func fill(rankOffs []int, r int) []byte {
 	return buf
 }
 
+// uniformOffsets builds the per-rank offset table of a balanced Allgather
+// (every rank contributes chunkBytes).
+func uniformOffsets(n int, chunkBytes int) []int {
+	offs := make([]int, n+1)
+	for r := 0; r <= n; r++ {
+		offs[r] = r * chunkBytes
+	}
+	return offs
+}
+
 // reference computes the expected post-Allgather buffer.
 func reference(rankOffs []int, n int) []byte {
 	buf := make([]byte, rankOffs[n])
@@ -62,8 +73,9 @@ func reference(rankOffs []int, n int) []byte {
 }
 
 // TestExecuteMatchesReference: every generated schedule gathers exactly
-// the bytes the hand-written ring would, for balanced and imbalanced
-// contributions, including empty chunks.
+// the concatenation of the ranks' chunks, for balanced and imbalanced
+// contributions, including empty chunks, and sends as many messages as
+// Eval prices.
 func TestExecuteMatchesReference(t *testing.T) {
 	type gen struct {
 		name  string
@@ -76,10 +88,10 @@ func TestExecuteMatchesReference(t *testing.T) {
 		{"recdouble", GenRecDouble},
 		{"twolevel", GenTwoLevel},
 	}
-	for _, n := range []int{1, 2, 3, 4, 5, 8} {
+	for _, n := range []int{1, 2, 3, 4, 5, 8, 16} {
 		// Balanced and imbalanced (incl. an empty chunk) offset tables.
 		tables := map[string][]int{
-			"balanced": UniformOffsets(n, 64),
+			"balanced": uniformOffsets(n, 64),
 		}
 		imb := make([]int, n+1)
 		for r := 0; r < n; r++ {
@@ -111,17 +123,9 @@ func TestExecuteMatchesReference(t *testing.T) {
 					if total.Msgs != total.Recvs || total.BytesSent != total.BytesRecvd {
 						t.Errorf("asymmetric stats: %+v", total)
 					}
-					// Message count matches the schedule's own send count.
-					var wantMsgs int64
-					for r := 0; r < n; r++ {
-						for _, step := range s.Steps[r] {
-							if step.Op == OpSend {
-								wantMsgs++
-							}
-						}
-					}
-					if total.Msgs != wantMsgs {
-						t.Errorf("measured %d msgs, schedule has %d sends", total.Msgs, wantMsgs)
+					// The simulated clock prices exactly the messages sent.
+					if ev := Eval(s, offs, simnet.IB100()); total.Msgs != ev.Msgs {
+						t.Errorf("measured %d msgs, Eval models %d", total.Msgs, ev.Msgs)
 					}
 				})
 			}
@@ -148,7 +152,7 @@ func TestExecuteUnderBenignFaults(t *testing.T) {
 					Seed: 1, Delay: 0.3, Duplicate: 0.3, MaxDelay: 200 * time.Microsecond,
 				})
 				defer net.Close()
-				rankOffs := UniformOffsets(n, 96)
+				rankOffs := uniformOffsets(n, 96)
 				offs := SplitOffsets(rankOffs, s.ChunksPerRank)
 				want := reference(rankOffs, n)
 				bufs, _ := runSchedule(t, net, s, offs, func(r int) []byte { return fill(rankOffs, r) })
@@ -158,6 +162,51 @@ func TestExecuteUnderBenignFaults(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestExecuteRingOverTransports: the ring schedule, which every launch that
+// sets no collective runs, gathers bitwise over the in-process transport
+// (where a forwarded slice is shared by every rank downstream), TCP, and a
+// fault layer that delays and duplicates frames — balanced and ragged, one
+// rank contributing nothing.
+func TestExecuteRingOverTransports(t *testing.T) {
+	nets := []struct {
+		name string
+		mk   func(n int) (transport.Network, error)
+	}{
+		{"inproc", func(n int) (transport.Network, error) { return transport.NewInproc(n), nil }},
+		{"tcp", func(n int) (transport.Network, error) { return transport.NewTCP(n) }},
+		{"faulty", func(n int) (transport.Network, error) {
+			return transport.NewFaulty(transport.NewInproc(n), transport.FaultConfig{
+				Seed: 1, Delay: 0.3, Duplicate: 0.3, MaxDelay: 200 * time.Microsecond}), nil
+		}},
+	}
+	for _, nw := range nets {
+		for _, n := range []int{2, 3, 5, 8} {
+			for _, ragged := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/n=%d/ragged=%v", nw.name, n, ragged), func(t *testing.T) {
+					rankOffs := uniformOffsets(n, 96)
+					if ragged {
+						for r := 0; r < n; r++ {
+							rankOffs[r+1] = rankOffs[r] + (r*37)%101 // rank 0 contributes nothing
+						}
+					}
+					net, err := nw.mk(n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer net.Close()
+					want := reference(rankOffs, n)
+					bufs, _ := runSchedule(t, net, GenRing(n, 1), rankOffs, func(r int) []byte { return fill(rankOffs, r) })
+					for r := 0; r < n; r++ {
+						if !bytes.Equal(bufs[r], want) {
+							t.Errorf("rank %d buffer differs from the concatenation of the chunks", r)
+						}
+					}
+				})
+			}
 		}
 	}
 }
@@ -172,7 +221,7 @@ func TestExecuteMetrics(t *testing.T) {
 	net := transport.NewMetered(transport.NewInproc(n), reg)
 	defer net.Close()
 	s := GenRing(n, 2)
-	rankOffs := UniformOffsets(n, 128)
+	rankOffs := uniformOffsets(n, 128)
 	offs := SplitOffsets(rankOffs, 2)
 	_, stats := runSchedule(t, net, s, offs, func(r int) []byte { return fill(rankOffs, r) })
 	var total comm.Stats
@@ -201,10 +250,13 @@ func TestExecuteValidation(t *testing.T) {
 	net := transport.NewInproc(2)
 	defer net.Close()
 	s := GenRing(2, 1)
-	good := UniformOffsets(2, 8)
+	good := uniformOffsets(2, 8)
 	buf := make([]byte, 16)
 	if _, err := Execute(net.Conn(0), buf, good[:2], s); err == nil {
 		t.Error("short offset table accepted")
+	}
+	if _, err := Execute(net.Conn(0), buf, []int{-1, 8, 16}, s); err == nil {
+		t.Error("negative offset accepted")
 	}
 	if _, err := Execute(net.Conn(0), buf, []int{0, 12, 8}, s); err == nil {
 		t.Error("non-monotonic offsets accepted")
@@ -230,7 +282,7 @@ func TestExecuteForwardsReceivedSlice(t *testing.T) {
 		{{Op: OpRecv, Peer: 1, Lo: 0, Hi: 1}},
 		{{Op: OpRecv, Peer: 1, Lo: 0, Hi: 1}},
 	}}
-	rankOffs := UniformOffsets(4, 48)
+	rankOffs := uniformOffsets(4, 48)
 	net := transport.NewInproc(4)
 	defer net.Close()
 	bufs, stats := runSchedule(t, net, fan, rankOffs, func(r int) []byte { return fill(rankOffs, r) })
@@ -246,7 +298,7 @@ func TestExecuteForwardsReceivedSlice(t *testing.T) {
 
 	const n, chunk, calls = 8, 64 << 10, 10
 	ring := GenRing(n, 1)
-	offs := UniformOffsets(n, chunk)
+	offs := uniformOffsets(n, chunk)
 	rnet := transport.NewInproc(n)
 	defer rnet.Close()
 	seeds := make([][]byte, n)

@@ -98,8 +98,11 @@ func TestChaosBenignFaults(t *testing.T) {
 func TestChaosLossyFaults(t *testing.T) {
 	// Corruption is detected on receipt (checksum mismatch -> ErrCorrupt),
 	// so failures surface fast instead of waiting out receive deadlines.
+	// Every job's cluster replays the same seeded streams, and VecAdd's
+	// Allgather on 2 nodes is one message each way, so the seed alone
+	// decides the outcome: seed 2 must corrupt one of those two messages.
 	lossy := &transport.FaultConfig{
-		Seed:    7,
+		Seed:    2,
 		Corrupt: 0.3,
 	}
 	responses := chaosResponses(t, lossy, 4)

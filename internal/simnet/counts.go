@@ -1,38 +1,20 @@
 package simnet
 
-// Closed-form total message counts, summed over all ranks, for the
-// collective algorithms the cost models above assume.  They exist so the
-// runtime's measured comm.Stats.Msgs can be cross-checked against the
-// model (the conformance test in internal/comm): a collective whose
-// implementation drifts from the algorithm its cost formula describes
-// would silently skew every simulated-time figure.
-//
-// Counts are pure functions of the rank count — the alpha-beta parameters
-// price messages, they never change how many there are.
+import "math/bits"
 
-// RingAllgatherMsgs: n-1 steps, one send per rank per step.  Also the
-// count for the vector (imbalanced) ring and for the pairwise Alltoall
-// schedules, which all exchange one message per rank per step for n-1
-// steps.
+// Closed-form total message counts, summed over all ranks, for the
+// collectives internal/comm still implements.  They exist so the measured
+// comm.Stats.Msgs can be cross-checked against the algorithm the cost
+// model assumes (the conformance test in internal/comm).  Counts are pure
+// functions of the rank count: the alpha-beta parameters price messages,
+// they never change how many there are.
+
+// RingAllgatherMsgs: n-1 steps, one send per rank per step.
 func RingAllgatherMsgs(nodes int) int64 {
 	if nodes <= 1 {
 		return 0
 	}
 	return int64(nodes) * int64(nodes-1)
-}
-
-// AlltoallMsgs: every rank sends its chunk to each of the n-1 others,
-// under both the XOR pairwise (power-of-two) and ring schedules.
-func AlltoallMsgs(nodes int) int64 { return RingAllgatherMsgs(nodes) }
-
-// RecursiveDoublingAllgatherMsgs: log2(n) rounds, one (doubling) message
-// per rank per round.  Defined only for power-of-two counts, like the
-// algorithm; returns 0 otherwise.
-func RecursiveDoublingAllgatherMsgs(nodes int) int64 {
-	if nodes <= 1 || nodes&(nodes-1) != 0 {
-		return 0
-	}
-	return int64(nodes) * int64(log2(nodes))
 }
 
 // BarrierMsgs: dissemination barrier, ceil(log2 n) rounds, one empty
@@ -41,51 +23,5 @@ func BarrierMsgs(nodes int) int64 {
 	if nodes <= 1 {
 		return 0
 	}
-	return int64(nodes) * int64(ceilLog2(nodes))
-}
-
-// BroadcastMsgs: a binomial tree delivers to each non-root exactly once.
-func BroadcastMsgs(nodes int) int64 {
-	if nodes <= 1 {
-		return 0
-	}
-	return int64(nodes - 1)
-}
-
-// AllReduceMaxMsgs: recursive doubling over the largest power-of-two
-// subgroup p, plus one fold-in and one fold-out message per remainder
-// rank: p*log2(p) + 2*(n-p).
-func AllReduceMaxMsgs(nodes int) int64 {
-	if nodes <= 1 {
-		return 0
-	}
-	p := 1
-	for p*2 <= nodes {
-		p *= 2
-	}
-	return int64(p)*int64(log2(p)) + 2*int64(nodes-p)
-}
-
-// GatherMsgs: every non-root sends once.  Also the Scatter count (the
-// root sends once per non-root).
-func GatherMsgs(nodes int) int64 { return BroadcastMsgs(nodes) }
-
-// ReduceScatterMsgs: ring reduce-scatter, n-1 steps, one chunk per rank
-// per step.
-func ReduceScatterMsgs(nodes int) int64 { return RingAllgatherMsgs(nodes) }
-
-func log2(n int) int {
-	k := 0
-	for 1<<(k+1) <= n {
-		k++
-	}
-	return k
-}
-
-func ceilLog2(n int) int {
-	k := log2(n)
-	if 1<<k < n {
-		k++
-	}
-	return k
+	return int64(nodes) * int64(bits.Len(uint(nodes-1)))
 }

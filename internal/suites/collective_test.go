@@ -8,20 +8,21 @@ import (
 	"cucc/internal/cluster"
 	"cucc/internal/core"
 	"cucc/internal/csched"
+	"cucc/internal/kir"
 	"cucc/internal/machine"
 	"cucc/internal/simnet"
 	"cucc/internal/transport"
 )
 
-// The collective equivalence tests pin the ISSUE 7 acceptance criterion:
-// the schedule executor must leave node memories bitwise identical to the
-// legacy hand-written ring (AllgatherRing/AllgatherVRing) across all three
-// engines and under benign transport faults, for every schedule the
-// compiler can emit.
+// The collective equivalence tests pin the paper's central claim on every
+// schedule the compiler can emit, the zero Choice's ring included: after
+// the Allgather, node memories are bitwise identical to the oracle's (the
+// interpreter on one node), on both engines and under benign transport
+// faults.
 
 // collectiveRun is engineRun with a collective choice layered on the
-// cluster config.
-func collectiveRun(t *testing.T, p *Program, eng cluster.Engine, nodes int, fc *transport.FaultConfig, choice csched.Choice) []byte {
+// cluster config; it returns every node's heap, not only node 0's.
+func collectiveRun(t *testing.T, p *Program, eng cluster.Engine, nodes int, fc *transport.FaultConfig, choice csched.Choice) [][]byte {
 	t.Helper()
 	c, err := cluster.New(cluster.Config{
 		Nodes: nodes, Machine: machine.Intel6226(), Net: simnet.IB100(),
@@ -46,13 +47,18 @@ func collectiveRun(t *testing.T, p *Program, eng cluster.Engine, nodes int, fc *
 	if err := inst.Check(); err != nil {
 		t.Fatalf("engine %s, choice %s, %d nodes: checker: %v", eng, choice, nodes, err)
 	}
-	return heapSnapshot(c)
+	all := cluster.Buffer{Off: 0, Elem: kir.U8, Count: c.BytesPerNode()}
+	heaps := make([][]byte, nodes)
+	for r := range heaps {
+		heaps[r] = append([]byte(nil), c.Region(r, all)...)
+	}
+	return heaps
 }
 
 func collectiveChoices(t *testing.T) []csched.Choice {
 	t.Helper()
 	var out []csched.Choice
-	for _, s := range []string{"auto", "ring", "recdouble", "twolevel", "pipeline", "auto+overlap", "pipeline:2+overlap"} {
+	for _, s := range []string{"", "+overlap", "auto", "ring", "recdouble", "twolevel", "pipeline", "auto+overlap", "pipeline:2+overlap"} {
 		ch, err := csched.ParseChoice(s)
 		if err != nil {
 			t.Fatal(err)
@@ -63,18 +69,19 @@ func collectiveChoices(t *testing.T) []csched.Choice {
 }
 
 // TestCollectiveEquivalenceAcrossEngines: for every program and engine,
-// every schedule heap must match the legacy-ring heap bitwise on four
-// nodes (composite, exercises two-level and recursive doubling).
+// every schedule heap on four nodes (composite, exercises two-level and
+// recursive doubling) must match the 1-node interpreter's heap bitwise.
 func TestCollectiveEquivalenceAcrossEngines(t *testing.T) {
 	choices := collectiveChoices(t)
 	for _, p := range allWithVecAdd() {
 		t.Run(p.Name, func(t *testing.T) {
+			oracle := engineRun(t, p, cluster.EngineInterp, 1, nil)
 			for _, eng := range []cluster.Engine{cluster.EngineInterp, cluster.EngineVMLanes} {
-				ref := collectiveRun(t, p, eng, 4, nil, csched.Choice{})
 				for _, choice := range choices {
-					got := collectiveRun(t, p, eng, 4, nil, choice)
-					if !bytes.Equal(ref, got) {
-						t.Errorf("engine %s choice %s: heap differs from legacy ring", eng, choice)
+					for r, got := range collectiveRun(t, p, eng, 4, nil, choice) {
+						if !bytes.Equal(oracle, got) {
+							t.Errorf("engine %s choice %s: node %d heap differs from the 1-node interpreter", eng, choice, r)
+						}
 					}
 				}
 			}
@@ -84,7 +91,7 @@ func TestCollectiveEquivalenceAcrossEngines(t *testing.T) {
 
 // TestCollectiveEquivalenceUnderBenignFaults repeats the comparison under
 // the chaos tests' benign fault schedule: delayed and duplicated frames
-// must not open any gap between the schedule executor and the legacy ring.
+// must not open any gap between the schedule executor and the oracle.
 func TestCollectiveEquivalenceUnderBenignFaults(t *testing.T) {
 	benign := &transport.FaultConfig{
 		Seed: 1, Delay: 0.3, Duplicate: 0.3, MaxDelay: 200 * time.Microsecond,
@@ -92,11 +99,12 @@ func TestCollectiveEquivalenceUnderBenignFaults(t *testing.T) {
 	choices := collectiveChoices(t)
 	for _, p := range allWithVecAdd() {
 		t.Run(p.Name, func(t *testing.T) {
-			ref := collectiveRun(t, p, cluster.EngineInterp, 4, benign, csched.Choice{})
+			oracle := engineRun(t, p, cluster.EngineInterp, 1, nil)
 			for _, choice := range choices {
-				got := collectiveRun(t, p, cluster.EngineVMLanes, 4, benign, choice)
-				if !bytes.Equal(ref, got) {
-					t.Errorf("choice %s: heap differs from legacy ring under benign faults", choice)
+				for r, got := range collectiveRun(t, p, cluster.EngineVMLanes, 4, benign, choice) {
+					if !bytes.Equal(oracle, got) {
+						t.Errorf("choice %s: node %d heap differs from the 1-node interpreter under benign faults", choice, r)
+					}
 				}
 			}
 		})

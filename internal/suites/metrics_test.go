@@ -154,8 +154,14 @@ func TestMetricsCrossCheck(t *testing.T) {
 	for _, p := range allWithVecAdd() {
 		t.Run(p.Name, func(t *testing.T) {
 			reg := metrics.New()
-			_, _, c := metricsRun(t, p, 4, reg, nil)
-			checkCrossCheck(t, c, reg.Snapshot())
+			st, _, c := metricsRun(t, p, 4, reg, nil)
+			s := reg.Snapshot()
+			checkCrossCheck(t, c, s)
+			// A launch that sets no collective and gathers anything (a few
+			// programs gather nothing at Small scale) runs csched's ring.
+			if calls := s.Counters["comm.sched_ring.calls"]; st.CommMsgs > 0 && (st.CollectiveAlgo != "ring" || calls == 0) {
+				t.Errorf("default launch selected %q and made %d comm.sched_ring calls, want the ring schedule", st.CollectiveAlgo, calls)
+			}
 		})
 	}
 }
