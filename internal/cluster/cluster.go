@@ -453,20 +453,6 @@ func (c *Cluster) RunParallel(fn func(rank int, conn transport.Conn) error) erro
 	return c.FullGroup().RunParallel(fn)
 }
 
-// SyncClocksMax sets every node clock to the cluster-wide maximum plus dt
-// (the semantics of a synchronizing collective costing dt).
-func (c *Cluster) SyncClocksMax(dt float64) {
-	maxClock := 0.0
-	for _, n := range c.nodes {
-		if n.Clock > maxClock {
-			maxClock = n.Clock
-		}
-	}
-	for _, n := range c.nodes {
-		n.Clock = maxClock + dt
-	}
-}
-
 // BytesPerNode reports each node's allocated heap size.
 func (c *Cluster) BytesPerNode() int { return c.heapEnd }
 
@@ -479,14 +465,6 @@ func (c *Cluster) MaxClock() float64 {
 		}
 	}
 	return m
-}
-
-// ResetClocks zeroes all node clocks and communication counters.
-func (c *Cluster) ResetClocks() {
-	for _, n := range c.nodes {
-		n.Clock = 0
-		n.Comm = comm.Stats{}
-	}
 }
 
 // Mem builds an interp.Memory view of node r with the given buffers bound

@@ -146,15 +146,27 @@ func TestClocks(t *testing.T) {
 	if c.MaxClock() != 3.0 {
 		t.Errorf("MaxClock = %g", c.MaxClock())
 	}
-	c.SyncClocksMax(0.5)
+	g := c.FullGroup()
+	if g.MaxClock() != 3.0 {
+		t.Errorf("Group.MaxClock = %g", g.MaxClock())
+	}
+	g.SyncClocksMax(0.5)
 	for r := 0; r < 3; r++ {
 		if c.Node(r).Clock != 3.5 {
 			t.Errorf("node %d clock = %g, want 3.5", r, c.Node(r).Clock)
 		}
 	}
-	c.ResetClocks()
-	if c.MaxClock() != 0 {
-		t.Error("ResetClocks did not zero clocks")
+	// A subgroup syncs its members only: node 1 is not one.
+	sub, err := c.AdoptSubgroup([]int{0, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Node(1).Clock = 9.0
+	sub.SyncClocksMax(1)
+	for r, want := range []float64{4.5, 9.0, 4.5} {
+		if c.Node(r).Clock != want {
+			t.Errorf("after subgroup sync: node %d clock = %g, want %g", r, c.Node(r).Clock, want)
+		}
 	}
 }
 

@@ -315,6 +315,39 @@ func TestLaunchValidation(t *testing.T) {
 	}
 }
 
+// TestVerifyConsistencyParamOrder: with two bound buffers diverging on node
+// 1, the consistency error names the lower parameter every time — src, even
+// though dest sits lower in node memory.
+func TestVerifyConsistencyParamOrder(t *testing.T) {
+	prog := MustCompile(vecCopySrc)
+	c := newCluster(t, 2)
+	dest := c.Alloc(kir.U8, 64)
+	src := c.Alloc(kir.U8, 64)
+	sess := NewSession(c, prog)
+	st, err := sess.resolve(LaunchSpec{Kernel: "vec_copy", Grid: interp.Dim1(1), Block: interp.Dim1(64),
+		Args: []Arg{BufArg(src), BufArg(dest), IntArg(64)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Region(1, src)[3] ^= 1
+	c.Region(1, dest)[5] ^= 1
+	first := ""
+	for i := 0; i < 20; i++ {
+		err := sess.verifyConsistency(st)
+		if err == nil {
+			t.Fatal("diverged buffers passed verification")
+		}
+		if i == 0 {
+			first = err.Error()
+			if !strings.Contains(first, "on src:") {
+				t.Fatalf("error %q does not name src", first)
+			}
+		} else if err.Error() != first {
+			t.Fatalf("call %d: error %q, first call said %q", i, err, first)
+		}
+	}
+}
+
 func TestStatsTiming(t *testing.T) {
 	stats, _ := runVecCopy(t, 4)
 	if stats.TotalSec <= 0 {

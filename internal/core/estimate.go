@@ -7,14 +7,16 @@ import (
 )
 
 // Estimate computes the launch statistics of a kernel without executing it
-// or touching node memory.  It follows exactly the same path as Launch —
-// same block partitioning, same metadata-derived Allgather sizes, same
-// machine and network models — but takes the per-block work from the
-// registered native's analytic BlockWork instead of measuring it.
+// or touching node memory.  It takes Launch's decisions from the same
+// functions — distributed, partition and planGathers — and keeps only the
+// closed-form clock, pricing every block at the registered native's
+// analytic BlockWork instead of measuring it.
 //
-// Launch and Estimate return identical Stats whenever a native is
-// registered (tested); Estimate exists so the figure benchmarks can sweep
-// paper-scale problem sizes whose real data would not fit in this process.
+// Launch and Estimate return the same Stats, up to float round-off in the
+// per-block average and the overlapped clock, whenever a native is
+// registered (suites.TestEstimateMatchesLaunch).  Estimate exists so the
+// figure benchmarks can sweep paper-scale problem sizes whose real data
+// would not fit in this process.
 // Pointer arguments may therefore be "virtual" buffers: descriptors with
 // the right element type and count but no backing allocation.
 func (s *Session) Estimate(spec LaunchSpec) (*Stats, error) {
@@ -27,56 +29,34 @@ func (s *Session) Estimate(spec LaunchSpec) (*Stats, error) {
 	}
 	spec = st.spec // resolve may rewrite the launch geometry (BlockSplit)
 	c := s.Cluster
-	n := c.N()
-	totalBlocks := spec.Grid.Count()
-	md := st.md
 	perBlock := st.native.BlockWork(st.argVals, spec.Grid, spec.Block)
-
-	distributable := md != nil && md.Distributable && !spec.ForceTrivial && n > 1
-	if md != nil && md.TailDivergent && spec.Grid.Y > 1 {
-		distributable = false
-	}
+	cost := func(blocks int) float64 { return c.Machine().PhaseTime(blocks, perBlock, s.execConfig(st)) }
 
 	stats := &Stats{Work: perBlock}
-	if !distributable {
-		stats.CallbackBlocks = totalBlocks
-		stats.CallbackSec = c.Machine().PhaseTime(totalBlocks, perBlock, s.execConfig(st))
-		stats.TotalSec = stats.CallbackSec + KernelLaunchOverheadSec
+	if !st.distributed(c.N()) {
+		stats.CallbackBlocks = spec.Grid.Count()
+		stats.CallbackSec = cost(stats.CallbackBlocks)
+		stats.TotalSec = KernelLaunchOverheadSec + stats.CallbackSec
 		return stats, nil
 	}
-
-	tail := 0
-	if md.TailDivergent {
-		tail = 1
-		stats.TailDivergent = true
-	}
-	part := partitionBlocks(totalBlocks, tail, n, spec.Remainder)
-	callbacks := totalBlocks - part.distEnd
-	stats.Distributed = true
-	stats.BlocksByNode = append([]int(nil), part.counts...)
-	stats.BlocksPerNode = maxCount(part.counts)
-	stats.CallbackBlocks = callbacks
-
+	part := st.partition(c.N(), stats)
 	if stats.BlocksPerNode > 0 {
 		// Phase 1 ends when the slowest node finishes, i.e. the one with
 		// the most blocks (they only differ under RemainderImbalanced).
-		stats.Phase1Sec = c.Machine().PhaseTime(stats.BlocksPerNode, perBlock, s.execConfig(st))
+		stats.Phase1Sec = cost(stats.BlocksPerNode)
 	}
-	if callbacks > 0 {
-		stats.CallbackSec = c.Machine().PhaseTime(callbacks, perBlock, s.execConfig(st))
+	if stats.CallbackBlocks > 0 {
+		stats.CallbackSec = cost(stats.CallbackBlocks)
 	}
 
-	plan, err := s.planGathers(st, stats, part, n)
+	plan, err := s.planGathers(st, stats, part, c.N())
 	if err != nil {
 		return nil, err
 	}
 	if plan.overlap {
 		// Overlapped phases 2+3: callbacks start at firstRecvSec and run
 		// concurrently with the collective's tail (Launch's clock model).
-		span := stats.CommSec
-		if cb := plan.firstRecvSec + stats.CallbackSec; cb > span {
-			span = cb
-		}
+		span := max(stats.CommSec, plan.firstRecvSec+stats.CallbackSec)
 		stats.OverlapSec = (stats.CommSec + stats.CallbackSec) - span
 		stats.TotalSec = stats.Phase1Sec + KernelLaunchOverheadSec + span
 	} else {

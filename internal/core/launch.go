@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,7 +13,12 @@ import (
 
 	"cucc/internal/analysis"
 	"cucc/internal/cluster"
-	"cucc/internal/comm"
+	// Imported directly, though nothing here names it: without the import
+	// go1.24 does not inline comm.Stats.Add into the gather loop, and its
+	// out-of-line copy shifts all code linked after comm, the interpreter's
+	// block loop included, by 32 bytes, which slowed 1-node interpreted
+	// launches by about 5% on the 2-vCPU reference VM.
+	_ "cucc/internal/comm"
 	"cucc/internal/csched"
 	"cucc/internal/interp"
 	"cucc/internal/kir"
@@ -31,8 +38,10 @@ type blockRunner interface {
 
 // Launch executes one kernel on the cluster using the three-phase workflow
 // when the kernel is Allgather distributable, and trivial replicated
-// execution otherwise.  It returns simulated-time statistics; the data in
-// the cluster's node memories is really computed and really synchronized.
+// execution otherwise: the callback phase alone, every node running every
+// block (paper §6.1, "trivial Allgather distributable").  It returns
+// simulated-time statistics; the data in the cluster's node memories is
+// really computed and really synchronized.
 func (s *Session) Launch(spec LaunchSpec) (stats *Stats, err error) {
 	if reg := s.registry(); reg != nil {
 		registerVMGauges(reg)
@@ -51,67 +60,69 @@ func (s *Session) Launch(spec LaunchSpec) (stats *Stats, err error) {
 	if err != nil {
 		return nil, err
 	}
-	spec = st.spec // resolve may rewrite the launch geometry (BlockSplit)
 	c := s.Cluster
-	n := c.N()
-	totalBlocks := spec.Grid.Count()
-	md := st.md
-
-	distributable := md != nil && md.Distributable && !spec.ForceTrivial && n > 1
-	// Tail divergence is defined over the flattened 1D grid.
-	if md != nil && md.TailDivergent && spec.Grid.Y > 1 {
-		distributable = false
-	}
-
-	stats = &Stats{Work: machine.BlockWork{}}
+	dist := st.distributed(c.N())
+	stats = &Stats{}
 	startClock := c.MaxClock()
 
 	if s.Obs.On() {
 		s.Obs.Record(obs.EvLaunchPhase, -1, st.kernel.Name,
-			fmt.Sprintf("start: blocks=%d nodes=%d distributed=%v", totalBlocks, n, distributable))
+			fmt.Sprintf("start: blocks=%d nodes=%d distributed=%v", st.spec.Grid.Count(), c.N(), dist))
 	}
 
-	if !distributable {
-		s.registry().Counter(MetricLaunchesTrivial).Inc()
-		if err := s.runTrivial(st, stats); err != nil {
+	done := "trivial replicated execution complete"
+	if dist {
+		s.registry().Counter(MetricLaunchesDistributed).Inc()
+		if err := s.runDistributed(st, stats, c.ActiveGroup()); err != nil {
 			return nil, err
 		}
-		stats.TotalSec = c.MaxClock() - startClock
-		if s.Verify {
-			if err := s.verifyConsistency(st); err != nil {
-				return nil, err
-			}
+		done = fmt.Sprintf("distributed execution complete: restores=%d", stats.Restores)
+	} else {
+		s.registry().Counter(MetricLaunchesTrivial).Inc()
+		g := c.ActiveGroup()
+		s.chargeLaunch(st, g)
+		stats.CallbackBlocks = st.spec.Grid.Count()
+		if err := s.runCallbacks(st, stats, g, 0, "trivial: all "); err != nil {
+			s.emitFailure(st.kernel.Name, err)
+			return nil, err
 		}
-		if s.Obs.On() {
-			s.Obs.Record(obs.EvLaunchPhase, -1, st.kernel.Name, "trivial replicated execution complete")
-		}
-		return stats, nil
 	}
 
-	tail := 0
-	if md.TailDivergent {
-		tail = 1
-		stats.TailDivergent = true
+	stats.TotalSec = c.MaxClock() - startClock
+	if s.Verify {
+		if err := s.verifyConsistency(st); err != nil {
+			return nil, err
+		}
 	}
-	stats.Distributed = true
-	s.registry().Counter(MetricLaunchesDistributed).Inc()
+	if s.Obs.On() {
+		s.Obs.Record(obs.EvLaunchPhase, -1, st.kernel.Name, done)
+	}
+	return stats, nil
+}
 
+// chargeLaunch pays the host-side launch overhead once on every member of g,
+// as its own span: the timeline must tile each node's clock advance, so that
+// per-node span sums reproduce TotalSec.
+func (s *Session) chargeLaunch(st *launchState, g *cluster.Group) {
+	for _, node := range g.Nodes() {
+		n := s.Cluster.Node(node)
+		s.emit(trace.Event{StartSec: n.Clock, DurSec: KernelLaunchOverheadSec,
+			Node: node, Phase: trace.PhaseLaunch, Kernel: st.kernel.Name})
+		n.Clock += KernelLaunchOverheadSec
+	}
+}
+
+// runDistributed runs the three-phase workflow on g: launch overhead, then
+// attempts until one completes, then the repair of any node recovery lost.
+func (s *Session) runDistributed(st *launchState, stats *Stats, g *cluster.Group) error {
+	c := s.Cluster
 	pol := s.EffectiveRecovery()
 	regions, err := writtenRegions(st)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	recEnabled := pol.Enabled && len(regions) > 0
-
-	g := c.ActiveGroup()
-
-	// Host-side launch overhead is paid once per launch on every
-	// participating node.
-	for _, node := range g.Nodes() {
-		s.emit(trace.Event{StartSec: c.Node(node).Clock, DurSec: KernelLaunchOverheadSec,
-			Node: node, Phase: trace.PhaseLaunch, Kernel: st.kernel.Name})
-		c.Node(node).Clock += KernelLaunchOverheadSec
-	}
+	s.chargeLaunch(st, g)
 
 	// Checkpoint the launch-entry barrier: before phase 1 touches them,
 	// all participating nodes hold identical written-buffer contents, so
@@ -128,36 +139,34 @@ func (s *Session) Launch(spec LaunchSpec) (stats *Stats, err error) {
 	// replays — re-partitioned when replaying from the start cursor.
 	// Deterministic block execution over checkpointed barrier state makes
 	// the recovered result bitwise identical to a fault-free run.
-	restores := 0
 	for {
-		aerr := s.runPhases(st, stats, g, totalBlocks, tail, cp, regions)
+		aerr := s.runPhases(st, stats, g, cp, regions)
 		if aerr == nil {
 			break
 		}
 		if !recEnabled {
 			s.emitFailure(st.kernel.Name, aerr)
-			return nil, aerr
+			return aerr
 		}
 		failed, ok := recovery.Classify(aerr)
 		surv := recovery.Survivors(g.Nodes(), failed)
 		if ok && s.Obs.On() {
 			s.Obs.RecordEvent(recovery.RankLossEvent(st.kernel.Name, failed, surv))
 		}
-		if !ok || restores >= pol.EffectiveMaxRestores() ||
+		if !ok || stats.Restores >= pol.EffectiveMaxRestores() ||
 			len(surv) == 0 || len(surv) < pol.EffectiveMinRanks() {
 			s.emitFailure(st.kernel.Name, aerr)
-			return nil, aerr
+			return aerr
 		}
 		ng, gerr := c.AdoptSubgroup(surv)
 		if gerr != nil {
 			s.emitFailure(st.kernel.Name, aerr)
-			return nil, errors.Join(aerr, gerr)
+			return errors.Join(aerr, gerr)
 		}
 		g = ng
 		s.restoreCheckpoint(cp, g)
-		restores++
-		stats.Restores = restores
-		stats.LostNodes = missingNodes(n, g.Nodes())
+		stats.Restores++
+		stats.LostNodes = missingNodes(c.N(), g.Nodes())
 		s.registry().Counter(recovery.MetricRestores).Inc()
 		if cp.Cursor == recovery.CursorStart {
 			s.registry().Counter(recovery.MetricRepartitions).Inc()
@@ -185,25 +194,14 @@ func (s *Session) Launch(spec LaunchSpec) (stats *Stats, err error) {
 			c.Node(node).Clock = top
 		}
 		if err := c.RejoinAll(); err != nil {
-			return nil, fmt.Errorf("core: rejoining after recovery: %w", err)
+			return fmt.Errorf("core: rejoining after recovery: %w", err)
 		}
 		s.registry().Counter(recovery.MetricRejoins).Add(int64(len(stats.LostNodes)))
 		if s.Obs.On() {
 			s.Obs.RecordEvent(recovery.RejoinEvent(st.kernel.Name, stats.LostNodes))
 		}
 	}
-
-	stats.TotalSec = c.MaxClock() - startClock
-	if s.Verify {
-		if err := s.verifyConsistency(st); err != nil {
-			return nil, err
-		}
-	}
-	if s.Obs.On() {
-		s.Obs.Record(obs.EvLaunchPhase, -1, st.kernel.Name,
-			fmt.Sprintf("distributed execution complete: restores=%d", stats.Restores))
-	}
-	return stats, nil
+	return nil
 }
 
 // runPhases executes one attempt of the three-phase workflow on the group
@@ -214,11 +212,10 @@ func (s *Session) Launch(spec LaunchSpec) (stats *Stats, err error) {
 // non-overlapped path when callback blocks remain), and the callbacks.
 // Transport ranks are member indices; g.NodeOf maps them to cluster nodes for
 // memory, clocks, and trace attribution.
-func (s *Session) runPhases(st *launchState, stats *Stats, g *cluster.Group, totalBlocks, tail int, cp *recovery.Checkpoint, regions []recovery.Region) error {
+func (s *Session) runPhases(st *launchState, stats *Stats, g *cluster.Group, cp *recovery.Checkpoint, regions []recovery.Region) error {
 	c := s.Cluster
-	n := g.Size()
-	spec := st.spec
 	reg := s.registry()
+	total := st.spec.Grid.Count()
 
 	if cp != nil && cp.Cursor == recovery.CursorGathered {
 		// Phases 1-2 completed at the checkpointed barrier — possibly
@@ -226,100 +223,104 @@ func (s *Session) runPhases(st *launchState, stats *Stats, g *cluster.Group, tot
 		// recorded in the checkpoint.  Only the callback range replays;
 		// the pre-barrier stats figures stand from the attempt that
 		// reached the barrier.
-		stats.CallbackBlocks = totalBlocks - cp.DistEnd
-		return s.runCallbacks(st, stats, g, cp.DistEnd, totalBlocks)
+		stats.CallbackBlocks = total - cp.DistEnd
+		return s.runCallbacks(st, stats, g, cp.DistEnd, "")
 	}
 
 	// Phase figures describe one attempt from the start cursor: a replay
 	// overwrites the failed attempt's partial numbers.
-	stats.Phase1Sec, stats.CommSec, stats.CallbackSec, stats.OverlapSec = 0, 0, 0, 0
-	stats.CommBytesPerNode, stats.CommMsgs = 0, 0
-	stats.CollectiveAlgo = ""
-	stats.Work = machine.BlockWork{}
-
-	part := partitionBlocks(totalBlocks, tail, n, spec.Remainder)
-	callbacks := totalBlocks - part.distEnd
-	stats.BlocksByNode = append([]int(nil), part.counts...)
-	stats.BlocksPerNode = maxCount(part.counts)
-	stats.CallbackBlocks = callbacks
+	*stats = Stats{Restores: stats.Restores, LostNodes: stats.LostNodes}
+	part := st.partition(g.Size(), stats)
+	callbacks := stats.CallbackBlocks
 
 	// --- Phase 1: partial block execution ---
-	workPerNode := make([]machine.BlockWork, n)
-	workerCounts := make([][]int, n)
 	if part.distEnd > 0 {
-		wallStart := time.Now()
-		err := g.RunParallel(func(m int, _ transport.Conn) error {
-			lo := part.starts[m]
-			w, wc, err := s.runBlocks(st, g.NodeOf(m), lo, lo+part.counts[m])
-			if err != nil {
-				return err
-			}
-			workPerNode[m] = w
-			workerCounts[m] = wc
-			return nil
+		runs, err := s.runRanges(st, g, MetricPartialWallSec, func(m int) (int, int) {
+			return part.starts[m], part.starts[m] + part.counts[m]
 		})
-		reg.Histogram(MetricPartialWallSec).Observe(time.Since(wallStart).Seconds())
 		if err != nil {
 			return err
 		}
-		// Advance clocks by the modeled phase time.
-		for m := 0; m < n; m++ {
+		for m, run := range runs {
 			cnt := part.counts[m]
 			if cnt == 0 {
 				continue
 			}
 			node := g.NodeOf(m)
-			per := workPerNode[m].Scale(1 / float64(cnt))
-			dt := c.Machine().PhaseTime(cnt, per, s.execConfig(st))
-			s.emit(trace.Event{StartSec: c.Node(node).Clock, DurSec: dt, Node: node,
-				Phase: trace.PhasePartial, Kernel: st.kernel.Name,
-				Detail: fmt.Sprintf("%d blocks", cnt)})
-			s.emitWorkerSpans(c.Node(node).Clock, dt, node, st.kernel.Name, workerCounts[m])
-			reg.Histogram(MetricPartialSimSec).Observe(dt)
-			recordWorkerCounts(reg, workerCounts[m])
-			c.Node(node).Clock += dt
+			clock := &c.Node(node).Clock
+			dt, per := s.chargeBlocks(st, node, trace.PhasePartial, *clock, cnt, run, fmt.Sprintf("%d blocks", cnt))
+			*clock += dt
 			if m == 0 {
-				stats.Phase1Sec = dt
-				stats.Work = per
+				stats.Phase1Sec, stats.Work = dt, per
 			}
 		}
 	}
 
 	// --- Phase 2: in-place Allgather per written buffer ---
-	plan, err := s.planGathers(st, stats, part, n)
+	plan, err := s.planGathers(st, stats, part, g.Size())
 	if err != nil {
 		return err
 	}
-	runGather := func(m int, conn transport.Conn, op gatherOp) (comm.Stats, error) {
-		region := nodeBytes(c, g.NodeOf(m), op.regionStart, op.regionLen)
-		return csched.Execute(conn, region, op.sel.Offs, op.sel.Schedule)
-	}
-	allgatherDetail := fmt.Sprintf("%d bytes/node, %d msgs", stats.CommBytesPerNode, stats.CommMsgs)
-	if stats.CollectiveAlgo != "" {
-		allgatherDetail += ", " + stats.CollectiveAlgo
-	}
-
-	if !plan.overlap {
+	// gather runs member m's side of every planned Allgather in plan order,
+	// so each peer's messages arrive in the same order on both paths below.
+	gather := func(m int, conn transport.Conn) error {
+		node := g.NodeOf(m)
 		for _, op := range plan.ops {
-			err := g.RunParallel(func(m int, conn transport.Conn) error {
-				cs, err := runGather(m, conn, op)
-				if err != nil {
-					return err
-				}
-				c.Node(g.NodeOf(m)).Comm.Add(cs)
-				return nil
-			})
+			cs, err := csched.Execute(conn, nodeBytes(c, node, op.regionStart, op.regionLen), op.sel.Offs, op.sel.Schedule)
 			if err != nil {
 				return err
 			}
+			c.Node(node).Comm.Add(cs)
 		}
+		return nil
+	}
+	var cb []blockRun
+	if plan.overlap {
+		// --- Overlapped phases 2+3: each rank drives its collective
+		// schedule while a concurrent goroutine executes the callback
+		// blocks.  Safe because callbacks write only block regions past
+		// part.distEnd — disjoint from every gathered chunk — and the
+		// readsWritten gate proved they never load gathered data; the
+		// result is bitwise identical to the barrier ordering.  The
+		// checkpoint is not advanced mid-flight: a failure here replays
+		// from the start cursor.
+		cb = make([]blockRun, g.Size())
+		wallStart := time.Now()
+		err = g.RunParallel(func(m int, conn transport.Conn) error {
+			var wg sync.WaitGroup
+			var cbErr error
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				cb[m], cbErr = s.runBlocks(st, g.NodeOf(m), part.distEnd, total)
+			}()
+			commErr := gather(m, conn)
+			// Always join the callback goroutine before returning: the
+			// cluster may tear the launch down on error, and the blocks
+			// must not outlive it.
+			wg.Wait()
+			return errors.Join(commErr, cbErr)
+		})
+		reg.Histogram(MetricCallbackWallSec).Observe(time.Since(wallStart).Seconds())
+	} else {
+		err = g.RunParallel(gather)
+	}
+	if err != nil {
+		return err
+	}
+	detail := fmt.Sprintf("%d bytes/node, %d msgs", stats.CommBytesPerNode, stats.CommMsgs)
+	if stats.CollectiveAlgo != "" {
+		detail += ", " + stats.CollectiveAlgo
+	}
+	base := g.MaxClock()
+	s.emit(trace.Event{StartSec: base, DurSec: stats.CommSec, Node: -1,
+		Phase: trace.PhaseAllgather, Kernel: st.kernel.Name, Detail: detail})
+	reg.Histogram(MetricAllgatherSimSec).Observe(stats.CommSec)
+
+	if !plan.overlap {
 		// The Allgather synchronizes the nodes: clocks meet at the maximum,
 		// then all pay the collective cost.
-		s.emit(trace.Event{StartSec: g.MaxClock(), DurSec: stats.CommSec, Node: -1,
-			Phase: trace.PhaseAllgather, Kernel: st.kernel.Name,
-			Detail: allgatherDetail})
 		g.SyncClocksMax(stats.CommSec)
-		reg.Histogram(MetricAllgatherSimSec).Observe(stats.CommSec)
 
 		// Gathered barrier: every member holds identical written-buffer
 		// contents again.  Advance the checkpoint in place so a failure in
@@ -331,82 +332,22 @@ func (s *Session) runPhases(st *launchState, stats *Stats, g *cluster.Group, tot
 		}
 
 		// --- Phase 3: callback block execution on every node ---
-		return s.runCallbacks(st, stats, g, part.distEnd, totalBlocks)
+		return s.runCallbacks(st, stats, g, part.distEnd, "")
 	}
 
-	// --- Overlapped phases 2+3: each rank drives its collective
-	// schedule while a concurrent goroutine executes the callback
-	// blocks.  Safe because callbacks write only block regions past
-	// part.distEnd — disjoint from every gathered chunk — and the
-	// readsWritten gate proved they never load gathered data; the
-	// result is bitwise identical to the barrier ordering.  The
-	// checkpoint is not advanced mid-flight: a failure here replays
-	// from the start cursor.
-	cbWork := make([]machine.BlockWork, n)
-	cbCounts := make([][]int, n)
-	wallStart := time.Now()
-	err = g.RunParallel(func(m int, conn transport.Conn) error {
-		var wg sync.WaitGroup
-		var cbErr error
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w, wc, err := s.runBlocks(st, g.NodeOf(m), part.distEnd, totalBlocks)
-			if err != nil {
-				cbErr = err
-				return
-			}
-			cbWork[m] = w
-			cbCounts[m] = wc
-		}()
-		var commErr error
-		for _, op := range plan.ops {
-			cs, err := runGather(m, conn, op)
-			if err != nil {
-				commErr = err
-				break
-			}
-			c.Node(g.NodeOf(m)).Comm.Add(cs)
-		}
-		// Always join the callback goroutine before returning: the
-		// cluster may tear the launch down on error, and the blocks
-		// must not outlive it.
-		wg.Wait()
-		return errors.Join(commErr, cbErr)
-	})
-	reg.Histogram(MetricCallbackWallSec).Observe(time.Since(wallStart).Seconds())
-	if err != nil {
-		return err
-	}
-	// Clock model: the collective still synchronizes every rank at
-	// phase-1 max, but callbacks start at firstRecvSec — the modeled
+	// Overlapped clock model: the collective still synchronizes every rank
+	// at phase-1 max, but callbacks start at firstRecvSec — the modeled
 	// point every rank has its first chunk — instead of after the full
 	// collective; each rank finishes at whichever of the two overlapped
 	// activities ends later.
-	base := g.MaxClock()
-	s.emit(trace.Event{StartSec: base, DurSec: stats.CommSec, Node: -1,
-		Phase: trace.PhaseAllgather, Kernel: st.kernel.Name,
-		Detail: allgatherDetail})
-	reg.Histogram(MetricAllgatherSimSec).Observe(stats.CommSec)
+	start := base + plan.firstRecvSec
 	maxDt := 0.0
-	for m := 0; m < n; m++ {
+	for m, run := range cb {
 		node := g.NodeOf(m)
-		per := cbWork[m].Scale(1 / float64(callbacks))
-		dt := c.Machine().PhaseTime(callbacks, per, s.execConfig(st))
-		s.emit(trace.Event{StartSec: base + plan.firstRecvSec, DurSec: dt, Node: node,
-			Phase: trace.PhaseCallback, Kernel: st.kernel.Name,
-			Detail: fmt.Sprintf("%d blocks (overlapped)", callbacks)})
-		s.emitWorkerSpans(base+plan.firstRecvSec, dt, node, st.kernel.Name, cbCounts[m])
-		reg.Histogram(MetricCallbackSimSec).Observe(dt)
-		recordWorkerCounts(reg, cbCounts[m])
-		end := base + stats.CommSec
-		if cb := base + plan.firstRecvSec + dt; cb > end {
-			end = cb
-		}
-		c.Node(node).Clock = end
-		if dt > maxDt {
-			maxDt = dt
-		}
+		dt, _ := s.chargeBlocks(st, node, trace.PhaseCallback, start, callbacks, run,
+			fmt.Sprintf("%d blocks (overlapped)", callbacks))
+		c.Node(node).Clock = max(base+stats.CommSec, start+dt)
+		maxDt = max(maxDt, dt)
 		if m == 0 {
 			stats.CallbackSec = dt
 		}
@@ -492,49 +433,87 @@ func (s *Session) planGathers(st *launchState, stats *Stats, part partition, n i
 	return plan, nil
 }
 
-// runCallbacks executes the phase-3 callback range [distEnd, totalBlocks)
-// on every group member — the barriered (non-overlapped) variant, shared by
-// the normal path and the gathered-checkpoint resume.
-func (s *Session) runCallbacks(st *launchState, stats *Stats, g *cluster.Group, distEnd, totalBlocks int) error {
-	callbacks := totalBlocks - distEnd
-	if callbacks <= 0 {
+// runCallbacks executes the callback range [lo, total) on every member of g
+// at a barrier: phase 3 of a non-overlapped launch, the replay of a gathered
+// checkpoint, and — with lo = 0 — the whole of a trivial launch.  label
+// prefixes the spans' block count.  With lo = 0 no phase 1 measured the
+// per-block work, so rank 0's callbacks report it.
+func (s *Session) runCallbacks(st *launchState, stats *Stats, g *cluster.Group, lo int, label string) error {
+	total := st.spec.Grid.Count()
+	cnt := total - lo
+	if cnt <= 0 {
 		return nil
 	}
-	c := s.Cluster
-	n := g.Size()
-	reg := s.registry()
-	cbWork := make([]machine.BlockWork, n)
-	cbCounts := make([][]int, n)
-	wallStart := time.Now()
-	err := g.RunParallel(func(m int, _ transport.Conn) error {
-		w, wc, err := s.runBlocks(st, g.NodeOf(m), distEnd, totalBlocks)
-		if err != nil {
-			return err
-		}
-		cbWork[m] = w
-		cbCounts[m] = wc
-		return nil
-	})
-	reg.Histogram(MetricCallbackWallSec).Observe(time.Since(wallStart).Seconds())
+	runs, err := s.runRanges(st, g, MetricCallbackWallSec, func(int) (int, int) { return lo, total })
 	if err != nil {
 		return err
 	}
-	for m := 0; m < n; m++ {
+	detail := fmt.Sprintf("%s%d blocks", label, cnt)
+	for m, run := range runs {
 		node := g.NodeOf(m)
-		per := cbWork[m].Scale(1 / float64(callbacks))
-		dt := c.Machine().PhaseTime(callbacks, per, s.execConfig(st))
-		s.emit(trace.Event{StartSec: c.Node(node).Clock, DurSec: dt, Node: node,
-			Phase: trace.PhaseCallback, Kernel: st.kernel.Name,
-			Detail: fmt.Sprintf("%d blocks", callbacks)})
-		s.emitWorkerSpans(c.Node(node).Clock, dt, node, st.kernel.Name, cbCounts[m])
-		reg.Histogram(MetricCallbackSimSec).Observe(dt)
-		recordWorkerCounts(reg, cbCounts[m])
-		c.Node(node).Clock += dt
+		clock := &s.Cluster.Node(node).Clock
+		dt, per := s.chargeBlocks(st, node, trace.PhaseCallback, *clock, cnt, run, detail)
+		*clock += dt
 		if m == 0 {
 			stats.CallbackSec = dt
+			if lo == 0 {
+				stats.Work = per
+			}
 		}
 	}
 	return nil
+}
+
+// blockRun is what one node's execution of a block range measured: the
+// summed work, and how many blocks each pool worker executed.
+type blockRun struct {
+	work    machine.BlockWork
+	workers []int
+}
+
+// runRanges executes member m's block range rng(m) on every member of g at
+// once, observing the wall time under wallMetric.
+func (s *Session) runRanges(st *launchState, g *cluster.Group, wallMetric string, rng func(m int) (lo, hi int)) ([]blockRun, error) {
+	runs := make([]blockRun, g.Size())
+	wallStart := time.Now()
+	err := g.RunParallel(func(m int, _ transport.Conn) error {
+		lo, hi := rng(m)
+		var err error
+		runs[m], err = s.runBlocks(st, g.NodeOf(m), lo, hi)
+		return err
+	})
+	s.registry().Histogram(wallMetric).Observe(time.Since(wallStart).Seconds())
+	return runs, err
+}
+
+// chargeBlocks models node's execution of cnt blocks as one phase span from
+// start, priced at run's per-block average work, and records the span, one
+// sub-span per pool worker that executed blocks (none for a single-worker
+// pool, keeping sequential timelines identical to the pre-pool runtime's),
+// the phase's simulated-time histogram and the worker counts.  The caller
+// moves the clock.  It returns the modeled time and the per-block work.
+func (s *Session) chargeBlocks(st *launchState, node int, phase string, start float64, cnt int, run blockRun, detail string) (float64, machine.BlockWork) {
+	per := run.work.Scale(1 / float64(cnt))
+	dt := s.Cluster.Machine().PhaseTime(cnt, per, s.execConfig(st))
+	s.emit(trace.Event{StartSec: start, DurSec: dt, Node: node,
+		Phase: phase, Kernel: st.kernel.Name, Detail: detail})
+	if s.Trace != nil && len(run.workers) > 1 {
+		for w, n := range run.workers {
+			if n > 0 {
+				s.emit(trace.Event{StartSec: start, DurSec: dt, Node: node,
+					Phase: trace.PhaseWorker, Kernel: st.kernel.Name,
+					Detail: fmt.Sprintf("worker %d/%d: %d blocks", w, len(run.workers), n)})
+			}
+		}
+	}
+	reg := s.registry()
+	metric := MetricCallbackSimSec
+	if phase == trace.PhasePartial {
+		metric = MetricPartialSimSec
+	}
+	reg.Histogram(metric).Observe(dt)
+	recordWorkerCounts(reg, run.workers)
+	return dt, per
 }
 
 // writtenRegions lists the heap spans of every buffer the kernel writes —
@@ -616,15 +595,30 @@ type partition struct {
 	distEnd        int
 }
 
-// maxCount returns the largest element (0 for an empty slice).
-func maxCount(counts []int) int {
-	m := 0
-	for _, c := range counts {
-		if c > m {
-			m = c
-		}
+// distributed reports whether a launch on n nodes runs the three-phase
+// workflow; otherwise it is trivial.  Launch and Estimate both ask here.
+func (st *launchState) distributed(n int) bool {
+	md := st.md
+	// Tail divergence is defined over the flattened 1D grid.
+	return md != nil && md.Distributable && !st.spec.ForceTrivial && n > 1 &&
+		!(md.TailDivergent && st.spec.Grid.Y > 1)
+}
+
+// partition splits the grid over n ranks — the tail-divergent block, if
+// any, stays a callback — and records the launch shape in stats.
+func (st *launchState) partition(n int, stats *Stats) partition {
+	tail := 0
+	if st.md.TailDivergent {
+		tail = 1
 	}
-	return m
+	total := st.spec.Grid.Count()
+	part := partitionBlocks(total, tail, n, st.spec.Remainder)
+	stats.Distributed = true
+	stats.TailDivergent = st.md.TailDivergent
+	stats.BlocksByNode = append([]int(nil), part.counts...)
+	stats.BlocksPerNode = slices.Max(part.counts)
+	stats.CallbackBlocks = total - part.distEnd
+	return part
 }
 
 // partitionBlocks splits the non-tail blocks across nodes under the chosen
@@ -657,54 +651,6 @@ func partitionBlocks(total, tail, n int, strategy RemainderStrategy) partition {
 	return part
 }
 
-// runTrivial executes every block on every node (the correct fallback for
-// non-distributable kernels; paper §6.1 "trivial Allgather distributable").
-func (s *Session) runTrivial(st *launchState, stats *Stats) error {
-	c := s.Cluster
-	total := st.spec.Grid.Count()
-	stats.CallbackBlocks = total
-	works := make([]machine.BlockWork, c.N())
-	wkCounts := make([][]int, c.N())
-	reg := s.registry()
-	wallStart := time.Now()
-	err := c.RunParallel(func(rank int, _ transport.Conn) error {
-		w, wc, err := s.runBlocks(st, rank, 0, total)
-		if err != nil {
-			return err
-		}
-		works[rank] = w
-		wkCounts[rank] = wc
-		return nil
-	})
-	reg.Histogram(MetricCallbackWallSec).Observe(time.Since(wallStart).Seconds())
-	if err != nil {
-		s.emitFailure(st.kernel.Name, err)
-		return err
-	}
-	for rank := 0; rank < c.N(); rank++ {
-		per := works[rank].Scale(1 / float64(total))
-		dt := c.Machine().PhaseTime(total, per, s.execConfig(st))
-		// Launch overhead gets its own span, exactly like the distributed
-		// path: the timeline must tile each node's clock advance, so that
-		// per-node span sums reproduce TotalSec.
-		s.emit(trace.Event{StartSec: c.Node(rank).Clock, DurSec: KernelLaunchOverheadSec,
-			Node: rank, Phase: trace.PhaseLaunch, Kernel: st.kernel.Name})
-		c.Node(rank).Clock += KernelLaunchOverheadSec
-		s.emit(trace.Event{StartSec: c.Node(rank).Clock, DurSec: dt,
-			Node: rank, Phase: trace.PhaseCallback, Kernel: st.kernel.Name,
-			Detail: fmt.Sprintf("trivial: all %d blocks", total)})
-		s.emitWorkerSpans(c.Node(rank).Clock, dt, rank, st.kernel.Name, wkCounts[rank])
-		reg.Histogram(MetricCallbackSimSec).Observe(dt)
-		recordWorkerCounts(reg, wkCounts[rank])
-		c.Node(rank).Clock += dt
-		if rank == 0 {
-			stats.CallbackSec = dt
-			stats.Work = per
-		}
-	}
-	return nil
-}
-
 // runBlocks executes the linearized block range [lo, hi) on one node and
 // returns the summed work plus how many blocks each pool worker executed.
 // Linearization is row-major over (by, bx), matching the analysis' Linear2D
@@ -720,10 +666,10 @@ func (s *Session) runTrivial(st *launchState, stats *Stats) error {
 // order, so the returned BlockWork — and every simulated-time figure
 // derived from it — is bitwise identical to the single-worker (sequential)
 // execution.
-func (s *Session) runBlocks(st *launchState, rank, lo, hi int) (machine.BlockWork, []int, error) {
+func (s *Session) runBlocks(st *launchState, rank, lo, hi int) (blockRun, error) {
 	n := hi - lo
 	if n <= 0 {
-		return machine.BlockWork{}, nil, nil
+		return blockRun{}, nil
 	}
 	mem := s.Cluster.Mem(rank, st.binds)
 	gdx := st.spec.Grid.X
@@ -797,12 +743,12 @@ func (s *Session) runBlocks(st *launchState, rank, lo, hi int) (machine.BlockWor
 		// Fast path: no goroutine or scheduling overhead.
 		exec, err := mkExec()
 		if err != nil {
-			return machine.BlockWork{}, counts, err
+			return blockRun{}, err
 		}
 		for l := 0; l < n; l++ {
 			w, err := exec(lo + l)
 			if err != nil {
-				return machine.BlockWork{}, counts, err
+				return blockRun{}, err
 			}
 			works[l] = w
 		}
@@ -839,7 +785,7 @@ func (s *Session) runBlocks(st *launchState, rank, lo, hi int) (machine.BlockWor
 		wg.Wait()
 		for _, err := range errs {
 			if err != nil {
-				return machine.BlockWork{}, counts, err
+				return blockRun{}, err
 			}
 		}
 	}
@@ -851,24 +797,7 @@ func (s *Session) runBlocks(st *launchState, rank, lo, hi int) (machine.BlockWor
 		total.Add(works[i])
 	}
 	s.registry().Counter(blockMetric).Add(int64(n))
-	return total, counts, nil
-}
-
-// emitWorkerSpans records one trace sub-span per pool worker that executed
-// blocks during a partial/callback phase.  Single-worker pools emit nothing,
-// keeping sequential timelines identical to the pre-pool runtime's.
-func (s *Session) emitWorkerSpans(start, dur float64, rank int, kernel string, counts []int) {
-	if s.Trace == nil || len(counts) <= 1 {
-		return
-	}
-	for w, cnt := range counts {
-		if cnt == 0 {
-			continue
-		}
-		s.emit(trace.Event{StartSec: start, DurSec: dur, Node: rank,
-			Phase: trace.PhaseWorker, Kernel: kernel,
-			Detail: fmt.Sprintf("worker %d/%d: %d blocks", w, len(counts), cnt)})
-	}
+	return blockRun{total, counts}, nil
 }
 
 // emitFailure records a cluster-wide abort/timeout event so failed
@@ -917,11 +846,12 @@ func (s *Session) execConfig(st *launchState) machine.ExecConfig {
 }
 
 // verifyConsistency checks the cross-node consistency invariant on every
-// buffer the kernel wrote (and, for safety, every bound buffer).
+// buffer the kernel wrote (and, for safety, every bound buffer), in
+// parameter order, so the error names the first diverging parameter.
 func (s *Session) verifyConsistency(st *launchState) error {
-	for _, b := range st.binds {
-		if err := s.Cluster.VerifyIdentical(b); err != nil {
-			return fmt.Errorf("core: kernel %s violated consistency: %w", st.kernel.Name, err)
+	for _, p := range slices.Sorted(maps.Keys(st.binds)) {
+		if err := s.Cluster.VerifyIdentical(st.binds[p]); err != nil {
+			return fmt.Errorf("core: kernel %s violated consistency on %s: %w", st.kernel.Name, st.kernel.Params[p].Name, err)
 		}
 	}
 	return nil

@@ -76,7 +76,7 @@ func registerVMProfileGauges(r *metrics.Registry) {
 // recordWorkerCounts observes the per-worker block counts of one node-phase
 // and the pool's balance ratio (1.0 = every worker executed the same block
 // count as the busiest one).  Single-worker pools record nothing, matching
-// emitWorkerSpans.
+// chargeBlocks' worker sub-spans.
 func recordWorkerCounts(r *metrics.Registry, counts []int) {
 	if r == nil || len(counts) <= 1 {
 		return

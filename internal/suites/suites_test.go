@@ -2,11 +2,14 @@ package suites
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"cucc/internal/cluster"
 	"cucc/internal/core"
+	"cucc/internal/csched"
 	"cucc/internal/interp"
 	"cucc/internal/machine"
 	"cucc/internal/pgas"
@@ -171,38 +174,95 @@ func TestInterpMatchesNative(t *testing.T) {
 	}
 }
 
+// relDiff is |a-b| relative to the larger magnitude (0 when both are 0).
+func relDiff(a, b float64) float64 {
+	if a == b {
+		return 0
+	}
+	return math.Abs(a-b) / math.Max(math.Abs(a), math.Abs(b))
+}
+
 // TestEstimateMatchesLaunch verifies that the cost-model-only path returns
 // the same statistics as real execution (the property that justifies
-// paper-scale sweeps via Estimate).
+// paper-scale sweeps via Estimate), for every program on 1-5 nodes under
+// every collective family, both remainder strategies, and ForceTrivial.
+// The launch shape and phase times agree exactly; only the overlapped clock
+// (a difference of close values) and the measured per-block average (rank
+// 0's summed work divided back by its block count) may differ by round-off.
 func TestEstimateMatchesLaunch(t *testing.T) {
 	for _, p := range allWithVecAdd() {
 		t.Run(p.Name, func(t *testing.T) {
-			for _, n := range []int{1, 2, 4} {
-				c := newCluster(t, n)
-				inst, err := p.Build(c, p.Small)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sess := core.NewSession(c, p.Compiled)
-				got, err := sess.Estimate(inst.Spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := sess.Launch(inst.Spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got.Distributed != want.Distributed ||
-					got.BlocksPerNode != want.BlocksPerNode ||
-					got.CallbackBlocks != want.CallbackBlocks ||
-					got.CommBytesPerNode != want.CommBytesPerNode {
-					t.Errorf("n=%d: Estimate %+v != Launch %+v", n, got, want)
-				}
-				if rel := math.Abs(got.TotalSec-want.TotalSec) / want.TotalSec; rel > 1e-9 {
-					t.Errorf("n=%d: TotalSec differs by %.2g (%g vs %g)", n, rel, got.TotalSec, want.TotalSec)
+			for _, n := range []int{1, 2, 3, 4, 5} {
+				for _, coll := range []string{"", "+overlap", "auto", "auto+overlap"} {
+					choice, err := csched.ParseChoice(coll)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, rem := range []core.RemainderStrategy{core.RemainderCallback, core.RemainderImbalanced} {
+						for _, trivial := range []bool{false, true} {
+							c := newCluster(t, n)
+							inst, err := p.Build(c, p.Small)
+							if err != nil {
+								t.Fatal(err)
+							}
+							inst.Spec.Remainder, inst.Spec.ForceTrivial = rem, trivial
+							sess := core.NewSession(c, p.Compiled)
+							sess.Collective = choice
+							got, err := sess.Estimate(inst.Spec)
+							if err != nil {
+								t.Fatal(err)
+							}
+							want, err := sess.Launch(inst.Spec)
+							if err != nil {
+								t.Fatal(err)
+							}
+							name := fmt.Sprintf("n=%d %q remainder=%d trivial=%v", n, coll, rem, trivial)
+							checkEstimate(t, name, got, want, choice.Overlap)
+						}
+					}
 				}
 			}
 		})
+	}
+}
+
+// checkEstimate holds an Estimate to the Launch it models, at the
+// tolerances TestEstimateMatchesLaunch documents.
+func checkEstimate(t *testing.T, name string, got, want *core.Stats, overlap bool) {
+	t.Helper()
+	if got.Distributed != want.Distributed || got.TailDivergent != want.TailDivergent ||
+		!slices.Equal(got.BlocksByNode, want.BlocksByNode) || got.BlocksPerNode != want.BlocksPerNode ||
+		got.CallbackBlocks != want.CallbackBlocks || got.CommBytesPerNode != want.CommBytesPerNode ||
+		got.CommMsgs != want.CommMsgs || got.CollectiveAlgo != want.CollectiveAlgo {
+		t.Errorf("%s: shape differs:\n  Estimate %+v\n  Launch   %+v", name, got, want)
+	}
+	for _, f := range []struct {
+		field     string
+		got, want float64
+	}{{"Phase1Sec", got.Phase1Sec, want.Phase1Sec}, {"CommSec", got.CommSec, want.CommSec}, {"CallbackSec", got.CallbackSec, want.CallbackSec}} {
+		if f.got != f.want {
+			t.Errorf("%s: %s = %v, Launch %v", name, f.field, f.got, f.want)
+		}
+	}
+	totalTol := 0.0
+	if overlap {
+		totalTol = 1e-15
+	}
+	for _, f := range []struct {
+		field     string
+		got, want float64
+		tol       float64
+	}{
+		{"TotalSec", got.TotalSec, want.TotalSec, totalTol},
+		{"OverlapSec", got.OverlapSec, want.OverlapSec, 1e-12},
+		{"Work.VecFlops", got.Work.VecFlops, want.Work.VecFlops, 1e-15},
+		{"Work.SerialFlops", got.Work.SerialFlops, want.Work.SerialFlops, 1e-15},
+		{"Work.IntOps", got.Work.IntOps, want.Work.IntOps, 1e-15},
+		{"Work.Bytes", got.Work.Bytes, want.Work.Bytes, 1e-15},
+	} {
+		if rel := relDiff(f.got, f.want); rel > f.tol {
+			t.Errorf("%s: %s = %v, Launch %v (relative %.2g > %.0g)", name, f.field, f.got, f.want, rel, f.tol)
+		}
 	}
 }
 
