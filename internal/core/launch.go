@@ -674,11 +674,14 @@ func (s *Session) runBlocks(st *launchState, rank, lo, hi int) (blockRun, error)
 	mem := s.Cluster.Mem(rank, st.binds)
 	gdx := st.spec.Grid.X
 
-	// mkExec builds one per-worker block executor.  The IR path allocates
-	// worker-private runner state (launch validation, rounded scalar args,
-	// shared-memory arenas, VM register files) once here instead of once
-	// per block, so each pool worker must call it for its own executor.
-	var mkExec func() (func(l int) (machine.BlockWork, error), error)
+	// mkExec builds one per-worker block executor and the function that
+	// releases its runner state once the worker's block loop ends.  The IR path
+	// sets up worker-private runner state (launch validation, rounded
+	// scalar args, shared-memory arenas, VM register files) once here
+	// instead of once per block, so each pool worker must call it for its
+	// own executor; releasing hands the VM's register files to the next
+	// launch of the kernel.
+	var mkExec func() (exec func(l int) (machine.BlockWork, error), release func(), err error)
 	blockMetric := MetricBlocksNative
 	if st.native != nil {
 		perBlock := st.native.BlockWork(st.argVals, st.spec.Grid, st.spec.Block)
@@ -689,7 +692,7 @@ func (s *Session) runBlocks(st *launchState, rank, lo, hi int) (blockRun, error)
 			}
 			return perBlock, nil
 		}
-		mkExec = func() (func(l int) (machine.BlockWork, error), error) { return exec, nil }
+		mkExec = func() (func(l int) (machine.BlockWork, error), func(), error) { return exec, func() {}, nil }
 	} else {
 		// "vm" and "vm-lanes" name the same register machine; the counter
 		// keeps the name the launch resolved to.
@@ -702,7 +705,7 @@ func (s *Session) runBlocks(st *launchState, rank, lo, hi int) (blockRun, error)
 		default:
 			blockMetric = MetricBlocksVMLanes
 		}
-		mkExec = func() (func(l int) (machine.BlockWork, error), error) {
+		mkExec = func() (func(l int) (machine.BlockWork, error), func(), error) {
 			l := &interp.Launch{
 				Kernel: st.kernel,
 				Grid:   st.spec.Grid,
@@ -712,15 +715,18 @@ func (s *Session) runBlocks(st *launchState, rank, lo, hi int) (blockRun, error)
 			}
 			var r blockRunner
 			var err error
+			release := func() {}
 			if engine == cluster.EngineInterp {
 				r, err = interp.NewRunner(l)
 			} else {
 				// The profiling decision was latched at resolve time so
 				// every worker's runner agrees (see launchState.vmProfile).
-				r, err = vm.NewRunnerProfiled(l, st.vmProfile)
+				var vr *vm.Runner
+				vr, err = vm.NewRunnerProfiled(l, st.vmProfile)
+				r, release = vr, vr.Release
 			}
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			return func(li int) (machine.BlockWork, error) {
 				bx, by := li%gdx, li/gdx
@@ -729,7 +735,7 @@ func (s *Session) runBlocks(st *launchState, rank, lo, hi int) (blockRun, error)
 					return machine.BlockWork{}, err
 				}
 				return interpToBlockWork(w, st.spec.SIMDFraction), nil
-			}, nil
+			}, release, nil
 		}
 	}
 
@@ -741,10 +747,11 @@ func (s *Session) runBlocks(st *launchState, rank, lo, hi int) (blockRun, error)
 	works := make([]machine.BlockWork, n)
 	if workers == 1 {
 		// Fast path: no goroutine or scheduling overhead.
-		exec, err := mkExec()
+		exec, release, err := mkExec()
 		if err != nil {
 			return blockRun{}, err
 		}
+		defer release()
 		for l := 0; l < n; l++ {
 			w, err := exec(lo + l)
 			if err != nil {
@@ -761,12 +768,13 @@ func (s *Session) runBlocks(st *launchState, rank, lo, hi int) (blockRun, error)
 			wg.Add(1)
 			go func(wk int) {
 				defer wg.Done()
-				exec, err := mkExec()
+				exec, release, err := mkExec()
 				if err != nil {
 					errs[wk] = err
 					atomic.StoreInt32(&failed, 1)
 					return
 				}
+				defer release()
 				for l := wk; l < n; l += workers {
 					if atomic.LoadInt32(&failed) != 0 {
 						return

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"cucc/internal/cluster"
@@ -192,6 +193,9 @@ var launchShapes = []launchShape{
 	{"tail33", shapeLoopSrc, "shape_loop", 32, 33, floatInOut(16)},
 	{"tail255", shapeLoopSrc, "shape_loop", 8, 255, floatInOut(16)},
 	{"barrier", shapeBarrierSrc, "shape_barrier", 8, 128, floatInOut(24)},
+	// A block above the default lane-width cap: the barrier rounds run a
+	// full 256-lane batch and a 44-lane tail.
+	{"barrier-wide", strings.Replace(shapeBarrierSrc, "tile[128]", "tile[300]", 1), "shape_barrier", 4, 300, floatInOut(24)},
 	{"diverge", shapeDivergeSrc, "shape_diverge", 16, 64, floatInOut(0)},
 	{"uniform-heavy", shapeUniformSrc, "shape_uniform", 32, 64, floatInOut(24)},
 	{"all-variant", shapeVariantSrc, "shape_variant", 32, 64, floatInOut(0)},
@@ -244,7 +248,7 @@ func nodeHeap(c *cluster.Cluster, node int) []byte {
 // TestLaunchShapesMatchInterp: on every shape the default engine leaves
 // each node's heap bitwise equal to the interpreter's and reports the same
 // Stats (so the same Work), on one node and across four with a worker pool,
-// at lane widths 1, 4 and the default 32.
+// at lane widths 1, 4 and 32 and at the unset default.
 func TestLaunchShapesMatchInterp(t *testing.T) {
 	for _, sh := range launchShapes {
 		t.Run(sh.name, func(t *testing.T) {
@@ -259,7 +263,7 @@ func TestLaunchShapesMatchInterp(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%d nodes, interp: %v", nodes, err)
 				}
-				for _, width := range []int{1, 4, 32} {
+				for _, width := range []int{1, 4, 32, vm.LaneWidth()} {
 					sess, spec := shapeSession(t, sh, nodes, workers, cluster.EngineDefault)
 					sess.Verify = true
 					prev := vm.SetLaneWidth(width)
@@ -297,6 +301,85 @@ func BenchmarkLaunchShapes(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkLaneWidth times one single-node, single-worker launch of each
+// suite program on the lane VM, natives off, at lane-width caps 32 to 256:
+// the sweep the default cap is chosen from.
+func BenchmarkLaneWidth(b *testing.B) {
+	progs := append([]*suites.Program{suites.VecAdd()}, suites.All()...)
+	for _, p := range progs {
+		for _, w := range []int{32, 64, 128, 256} {
+			b.Run(fmt.Sprintf("%s/w%d", p.Name, w), func(b *testing.B) {
+				defer vm.SetLaneWidth(vm.SetLaneWidth(w))
+				c, err := cluster.New(cluster.Config{Nodes: 1, Machine: machine.Intel6226(), Net: simnet.IB100()})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer c.Close()
+				inst, err := p.Build(c, p.Small)
+				if err != nil {
+					b.Fatal(err)
+				}
+				inst.Spec.UseInterp = true
+				sess := core.NewSession(c, p.Compiled)
+				sess.Host.Workers = 1
+				sess.Host.Engine = cluster.EngineVMLanes
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := sess.Launch(inst.Spec); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestSourceLaunchAllocBudget: once a kernel has run, a launch of it takes
+// its lane batch contexts from the kernel's free list.  A warm 4-node launch
+// of MatMul compiled from source (no native: every block on the lane VM, one
+// Runner per node and phase) allocates the Allgather's buffers and launch
+// bookkeeping, 274 KiB; its eight Runners' batch contexts, 49 KiB each at
+// the default width, would add 394 KiB.
+func TestSourceLaunchAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
+	p, _ := suites.ByName("MatMul")
+	prog, err := core.Compile(p.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := cluster.New(cluster.Config{Nodes: 4, Machine: machine.Intel6226(), Net: simnet.IB100()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	inst, err := p.Build(c, p.Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := core.NewSession(c, prog)
+	sess.Host.Workers = 1
+	launch := func() {
+		if _, err := sess.Launch(inst.Spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs, budget = 5, 340 << 10
+	launch()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		launch()
+	}
+	runtime.ReadMemStats(&after)
+	if perLaunch := (after.TotalAlloc - before.TotalAlloc) / runs; perLaunch >= budget {
+		t.Errorf("warm source-mode MatMul launch at 4 nodes allocated %d bytes, budget is %d", perLaunch, budget)
+	} else {
+		t.Logf("warm source-mode MatMul launch at 4 nodes: %d bytes allocated", perLaunch)
 	}
 }
 

@@ -58,9 +58,10 @@ func Compile(k *kir.Kernel) (*CompiledKernel, error) {
 	if c.err != nil {
 		return nil, c.err
 	}
-	p.code = fuse(c.code, k.NumSlots, c.tiBase, c.tfBase)
+	p.code = fuse(c.code, fuser{numSlots: k.NumSlots, tiBase: c.tiBase, tfBase: c.tfBase, zeroI: c.zeroI})
 	p.numI = c.maxTI
 	p.numF = c.maxTF
+	p.free = new(batchFree)
 	// Every slot write is a Decl or an Assign of both fields, and the
 	// classifier moved exactly those slots off clsConst.
 	for s, sl := range c.slots {
@@ -72,42 +73,65 @@ func Compile(k *kir.Kernel) (*CompiledKernel, error) {
 	return p, nil
 }
 
+// fuser is what the peephole pass needs to know of the register layout:
+// where the temporaries start in each file, how many variable slots there
+// are, and the int zero constant.
+type fuser struct {
+	numSlots, tiBase, tfBase int
+	zeroI                    uint16
+}
+
 // fuse is the post-compile peephole pass emitting superinstructions for the
-// hot adjacent pairs the PR-5 opcode profiler surfaced (assignment move
-// pairs, multiply-add chains, compare+branch loop conditions).  A pair
-// [i, i+1] fuses only when no jump targets i+1 (the pair always executes
-// together) and, for the value-forwarding fusions, when the intermediate is
-// a temporary register: the compiler allocates each temporary for exactly
+// hot adjacent pairs the opcode profiler surfaced (assignment move
+// pairs, multiply-add chains, compare+branch loop conditions), and then for
+// the accumulate triple those pairs leave in the FIR/Conv2D/MatMul inner
+// loops.  For the value-forwarding fusions the intermediates must be
+// temporary registers: the compiler allocates each temporary for exactly
 // one consuming read before the next statement rewrites it, so dropping the
-// intermediate write is safe.  The halves must also agree on being
-// scalar-executed, and a per-lane pair fuses only into a scalar-operand form
-// the fused opcode has (see scalarForms); a pair left apart keeps the forms
-// of its halves.  Jump targets are remapped to the shortened instruction
+// intermediate write is safe.  The parts must also agree on being
+// scalar-executed, and per-lane parts fuse only into a scalar-operand form
+// the fused opcode has (see scalarForms); parts left apart keep their own
+// forms.
+func fuse(code []instr, f fuser) []instr {
+	code = fuseRuns(code, 2, f.pair)
+	// Most kernels have no accumulate: the second pass runs only where its
+	// first instruction, an offset-indexed float load, is present.
+	if !slices.ContainsFunc(code, func(in instr) bool { return in.op == opLdGF && in.u == uC }) {
+		return code
+	}
+	return fuseRuns(code, 3, f.accumulate)
+}
+
+// fuseRuns replaces, left to right, each run of n adjacent instructions that
+// match turns into one superinstruction.  A run fuses only when no jump
+// targets any but its first instruction (the run always executes
+// together).  Jump targets are remapped to the shortened instruction
 // stream, exactly like the profiler's instrumentation pass.
-func fuse(code []instr, numSlots, tiBase, tfBase int) []instr {
-	n := len(code)
-	target := make([]bool, n+1)
+func fuseRuns(code []instr, n int, match func([]instr) (instr, bool)) []instr {
+	target := make([]bool, len(code)+1)
 	for _, in := range code {
 		if isJump(in.op) {
 			target[in.imm] = true
 		}
 	}
-	out := make([]instr, 0, n)
-	oldToNew := make([]int32, n+1)
-	for i := 0; i < n; i++ {
+	out := make([]instr, 0, len(code))
+	oldToNew := make([]int32, len(code)+1)
+	for i := 0; i < len(code); {
 		oldToNew[i] = int32(len(out))
-		in := code[i]
-		if i+1 < n && !target[i+1] {
-			if f, ok := fusePair(in, code[i+1], numSlots, tiBase, tfBase); ok {
+		if end := i + n; end <= len(code) && !slices.Contains(target[i+1:end], true) {
+			if f, ok := match(code[i:end]); ok {
+				for j := i + 1; j < end; j++ {
+					oldToNew[j] = int32(len(out))
+				}
 				out = append(out, f)
-				i++
-				oldToNew[i] = int32(len(out) - 1)
+				i = end
 				continue
 			}
 		}
-		out = append(out, in)
+		out = append(out, code[i])
+		i++
 	}
-	oldToNew[n] = int32(len(out))
+	oldToNew[len(code)] = int32(len(out))
 	for i := range out {
 		if isJump(out[i].op) {
 			out[i].imm = oldToNew[out[i].imm]
@@ -116,9 +140,41 @@ func fuse(code []instr, numSlots, tiBase, tfBase int) []instr {
 	return out
 }
 
-// fusePair matches one superinstruction pattern against an adjacent
+// accumulate matches ld_fma's triple: a float load indexed by a per-lane
+// row plus a batch scalar, a multiply-add with the loaded temporary as its
+// per-lane factor and a batch scalar as the other, and the assignment of the
+// sum to the variable slot that was the addend — `sum += s * x[idx + off]`,
+// or any of its operand orders.
+func (f fuser) accumulate(run []instr) (instr, bool) {
+	ld, ma, mv := run[0], run[1], run[2]
+	if ld.op != opLdGF || ld.u != uC || int(ld.d) < f.tfBase || int(ld.b) > fmaMaxParam ||
+		ma.op != opMulAddF || int(ma.d) < f.tfBase ||
+		mv.op != opMovVar || mv.u != 0 || mv.a != f.zeroI || mv.b != ma.d ||
+		ma.imm&0xffff != int32(mv.d) {
+		return instr{}, false
+	}
+	imm := ma.imm & mulAddSwapBit
+	s, x := ma.a, ma.b
+	switch ma.u {
+	case uA:
+	case uB:
+		s, x = ma.b, ma.a
+		imm |= fmaScalarSecond
+	default:
+		return instr{}, false
+	}
+	if x != ld.d {
+		return instr{}, false
+	}
+	imm |= int32(s) | int32(ld.b)<<fmaParamShift
+	return instr{op: opLdFMA, u: uB | uC, d: mv.d, a: ld.a, b: uint16(ld.imm), imm: imm}, true
+}
+
+// pair matches one superinstruction pattern against an adjacent
 // instruction pair.
-func fusePair(in, nx instr, numSlots, tiBase, tfBase int) (instr, bool) {
+func (f fuser) pair(run []instr) (instr, bool) {
+	in, nx := run[0], run[1]
+	numSlots, tiBase, tfBase := f.numSlots, f.tiBase, f.tfBase
 	switch {
 	case in.op == opMovI && nx.op == opMovF && in.u == nx.u &&
 		int(nx.d) < numSlots && int(in.d) == int(nx.d)+numReservedI:
@@ -891,7 +947,7 @@ func (c *compiler) movPair(di, df, i, f uint16, src, dst class) {
 // scalarForms lists, per opcode, the operands a per-lane instruction may
 // read from a lane-0 cell (lanes.go has a loop for each).  They are the
 // forms the suite's inner loops are made of; everything else gets its batch
-// scalars through row.  The fused opcodes' forms are fusePair's.
+// scalars through row.  The fused opcodes' forms are fuser.pair's.
 var scalarForms = [numOps]uint8{
 	opAddI: uB, opMulI: uB, opSubI: uA | uB,
 	opLtI: uB, opLeI: uB, opGtI: uB, opGeI: uB, opEqI: uB, opNeI: uB,

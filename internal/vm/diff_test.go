@@ -39,12 +39,23 @@ func atLaneWidth(w int, f func()) {
 // Work, and the first error.
 func runEngine(eng engineFn, k *kir.Kernel, grid, block interp.Dim3,
 	args []interp.Value, init []*interp.HostBuffer, maxIters int64) ([]byte, interp.Work, error) {
+	return runEngineOn(eng, k, grid, block, args, init, maxIters, nil)
+}
+
+// runEngineOn is runEngine with the engine seeing the host memory through
+// wrap (nil: directly).
+func runEngineOn(eng engineFn, k *kir.Kernel, grid, block interp.Dim3, args []interp.Value,
+	init []*interp.HostBuffer, maxIters int64, wrap func(*interp.HostMem) interp.Memory) ([]byte, interp.Work, error) {
 	mem := interp.NewHostMem()
 	for i, b := range init {
 		cp := &interp.HostBuffer{Elem: b.Elem, Data: append([]byte(nil), b.Data...)}
 		mem.Bind(i, cp)
 	}
-	l := &interp.Launch{Kernel: k, Grid: grid, Block: block, Args: args, Mem: mem,
+	var seen interp.Memory = mem
+	if wrap != nil {
+		seen = wrap(mem)
+	}
+	l := &interp.Launch{Kernel: k, Grid: grid, Block: block, Args: args, Mem: seen,
 		MaxLoopIters: maxIters}
 	r, err := eng(l)
 	if err != nil {
@@ -108,8 +119,14 @@ func diffRun(t *testing.T, src string, grid, block interp.Dim3) {
 // register machine departs from the interpreter: error, Work, memory.  ""
 // means none.
 func divergence(k *kir.Kernel, grid, block interp.Dim3, args []interp.Value, init []*interp.HostBuffer) string {
-	mi, wi, ei := runEngine(interpEngine, k, grid, block, args, init, 0)
-	mv, wv, ev := runEngine(vmEngine, k, grid, block, args, init, 0)
+	return divergenceOn(k, grid, block, args, init, nil)
+}
+
+// divergenceOn is divergence with both engines seeing memory through wrap.
+func divergenceOn(k *kir.Kernel, grid, block interp.Dim3, args []interp.Value, init []*interp.HostBuffer,
+	wrap func(*interp.HostMem) interp.Memory) string {
+	mi, wi, ei := runEngineOn(interpEngine, k, grid, block, args, init, 0, wrap)
+	mv, wv, ev := runEngineOn(vmEngine, k, grid, block, args, init, 0, wrap)
 	if !sameError(ei, ev) {
 		return fmt.Sprintf("error divergence: interp=%v vm=%v", ei, ev)
 	}
@@ -370,7 +387,8 @@ func TestDiffFuzz(t *testing.T) {
 // lane-safe random kernels (divergence, loops, atomics, barriers) across
 // lane widths and deliberately odd block sizes, so partial tail batches,
 // split/reconverge paths, and per-batch barrier suspension all get
-// exercised.
+// exercised.  Each kernel also runs at a cap of 64 or 128, above every block
+// size drawn here: one batch exactly as wide as the block.
 func TestDiffFuzzLanes(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	widths := []int{4, 8, 16, 32}
@@ -393,10 +411,11 @@ func TestDiffFuzzLanes(t *testing.T) {
 			}
 			grid = interp.Dim1(rng.Intn(2) + 1)
 		}
-		w := widths[iter%len(widths)]
-		t.Run(fmt.Sprintf("iter%03d_mode%d_w%d", iter, mode, w), func(t *testing.T) {
-			atLaneWidth(w, func() { diffRun(t, src, grid, block) })
-		})
+		for _, w := range []int{widths[iter%len(widths)], []int{64, 128}[iter%2]} {
+			t.Run(fmt.Sprintf("iter%03d_mode%d_w%d", iter, mode, w), func(t *testing.T) {
+				atLaneWidth(w, func() { diffRun(t, src, grid, block) })
+			})
+		}
 	}
 }
 
@@ -414,6 +433,7 @@ __global__ void fz(float* out, float* a, int* ib, int n, float s) {
 }`
 	for _, tc := range []struct{ w, block int }{
 		{8, 13}, {8, 5}, {16, 17}, {16, 3}, {4, 7}, {32, 33},
+		{64, 200}, {128, 129}, {128, 256}, {256, 257},
 	} {
 		t.Run(fmt.Sprintf("w%d_block%d", tc.w, tc.block), func(t *testing.T) {
 			atLaneWidth(tc.w, func() { diffRun(t, src, interp.Dim1(2), interp.Dim1(tc.block)) })
@@ -889,8 +909,15 @@ func uniformGeometry(rng *rand.Rand) (grid, block interp.Dim3) {
 	return grid, block
 }
 
+// wideBlocks are one-block launches past the 64 and 128 lane caps, each
+// leaving a tail batch at one of them or both, and up to the default cap;
+// their ids stay inside the fuzz buffers.
+var wideBlocks = []int{100, 129, 200, 256}
+
 // TestDiffUniformFuzz runs the value-class generator against the
-// interpreter at lane widths 1, 4, 8 and 32.
+// interpreter at lane widths 1, 4, 8 and 32, and each kernel again at a cap
+// of 64, 128 or 256 over one of wideBlocks: full batches and a tail, or the
+// whole block in one batch.
 func TestDiffUniformFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261003))
 	iters := 600
@@ -904,6 +931,10 @@ func TestDiffUniformFuzz(t *testing.T) {
 		w := widths[iter%len(widths)]
 		t.Run(fmt.Sprintf("iter%03d_w%d", iter, w), func(t *testing.T) {
 			atLaneWidth(w, func() { diffRun(t, src, grid, block) })
+		})
+		w, wide := []int{64, 128, 256}[iter%3], wideBlocks[iter/3%len(wideBlocks)]
+		t.Run(fmt.Sprintf("iter%03d_w%d_block%d", iter, w, wide), func(t *testing.T) {
+			atLaneWidth(w, func() { diffRun(t, src, interp.Dim1(1), interp.Dim1(wide)) })
 		})
 	}
 }
@@ -1084,13 +1115,43 @@ __global__ void fz(float* out, float* a, int* ib, int n, float s) {
     int z = n - n;
     ib[id] = n % z;
 }`},
+	// The accumulate that is one ld_fma instruction, with an index that
+	// leaves the buffer part-way through a dense batch.  Its pass adds into
+	// the slot it reads, so it cannot restart at lane 0: the lanes before
+	// the failing one would add twice, fail the check against a second,
+	// unfused computation of the same sum, and report a lower thread's
+	// error.
+	{"accumulate-oob-mid-batch", `
+__global__ void fz(float* out, float* a, int* ib, int n, float s) {
+    ` + shapeID + `
+    float acc = a[id % n];
+    for (int j = 0; j < 4; j++) {
+        float old = acc;
+        acc += s * a[id * 3 + j * 40];
+        float chk = old + s * a[id * 3 + j * 40];
+        if (acc != chk) { ib[id] = n / (n - n); }
+    }
+    out[id] = acc;
+}`},
+	// The same accumulate issued to a divergent lane subset, with lanes
+	// failing inside it: the exact loop alone, keeping the survivors.
+	{"accumulate-oob-divergent", `
+__global__ void fz(float* out, float* a, int* ib, int n, float s) {
+    ` + shapeID + `
+    float acc = a[id % n];
+    for (int j = 0; j < 4; j++) {
+        if (id % 3 != 1) { acc = a[id * 3 + j * 40] * s + acc; }
+    }
+    out[id] = acc;
+}`},
 }
 
 // TestUniformShapes runs the named shapes at lane widths 1, 4 and 32 with a
-// block that leaves a tail batch at 4 and at 32.
+// block that leaves a tail batch at 4 and at 32, and at the default cap,
+// where the block is one batch.
 func TestUniformShapes(t *testing.T) {
 	for _, sh := range uniformShapes {
-		for _, w := range []int{1, 4, 32} {
+		for _, w := range []int{1, 4, 32, vm.LaneWidth()} {
 			t.Run(fmt.Sprintf("%s_w%d", sh.name, w), func(t *testing.T) {
 				atLaneWidth(w, func() { diffRun(t, sh.src, interp.Dim1(2), interp.Dim1(50)) })
 			})

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"sync"
 
 	"cucc/internal/interp"
 	"cucc/internal/kir"
@@ -12,7 +13,8 @@ import (
 // interp.Runner behind core's executor seam: launch validation, compilation
 // (cached per kernel), buffer-length caching, and the float32 rounding of
 // scalar arguments all happen once in NewRunner; lane register slabs and
-// shared arenas are scratch reused across blocks.
+// shared arenas are reused across blocks, and Release passes the slabs on
+// to the kernel's next Runner.
 //
 // A Runner is not safe for concurrent use; the intra-node worker pool gives
 // each worker its own Runner over the shared Launch.  Cross-runner safety
@@ -40,13 +42,15 @@ type Runner struct {
 	sharedI []int64
 	sharedF []float64
 
-	w int // lane width
+	w int // lane width: threads per block, capped at LaneWidth()
 
-	// batches are the batch contexts, allocated on demand and reused across
-	// blocks.  A barrier-free block runs its batches one after another
-	// through batches[0]; a barrier block needs one context per batch, so
-	// every lane's state survives across rounds.
+	// batches are the batch contexts, taken on demand from free (the
+	// kernel's free list for width w) and reused across blocks.  A
+	// barrier-free block runs its batches one after another through
+	// batches[0]; a barrier block needs one context per batch, so every
+	// lane's state survives across rounds.
 	batches []*laneBatch
+	free    *sync.Pool
 }
 
 // NewRunner compiles (or fetches the cached program for) the launch's
@@ -69,7 +73,8 @@ func NewRunnerProfiled(l *interp.Launch, profiled bool) (*Runner, error) {
 	if err := checkLaunch(l); err != nil {
 		return nil, err
 	}
-	r := &Runner{p: p, mem: l.Mem, w: LaneWidth()}
+	r := &Runner{p: p, mem: l.Mem, w: min(l.Block.Count(), LaneWidth())}
+	r.free = p.free.of(r.w)
 	if profiled {
 		r.p, r.prof = instrumentCached(l.Kernel, p)
 	}
@@ -144,6 +149,7 @@ func ExecBlock(l *interp.Launch, bx, by int) (interp.Work, error) {
 	if err != nil {
 		return interp.Work{}, err
 	}
+	defer r.Release()
 	return r.ExecBlock(bx, by)
 }
 

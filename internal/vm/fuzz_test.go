@@ -129,10 +129,11 @@ func memImage(k *kir.Kernel, mem *interp.HostMem) []byte {
 // block 1 of a two-block launch, against the interpreter: memory, Work and
 // error.  Lane width 1 is the interpreter's own thread order, so a
 // barrier-free kernel must agree there whatever it does; kernels whose
-// threads cannot observe one another (orderFree) must also agree in lockstep
-// batches of 8, tail batch included, which is where a misclassified value
-// shows.  A barrier kernel that is not orderFree is skipped: the interpreter
-// runs its threads as goroutines, so a mutated-in race has no one answer.
+// threads cannot observe one another (orderFree) must also agree at the
+// default lane width, where the block is one lockstep batch, which is where
+// a misclassified value shows.  A barrier kernel that is not orderFree is
+// skipped: the interpreter runs its threads as goroutines, so a mutated-in
+// race has no one answer.
 func FuzzCompileMatchesInterp(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string, blockSize byte) {
 		if len(src) > 4096 {
@@ -167,7 +168,7 @@ func FuzzCompileMatchesInterp(f *testing.F) {
 
 		widths := []int{1}
 		if free && (ei != nil || !sc.twice) {
-			widths = append(widths, 8)
+			widths = append(widths, vm.LaneWidth())
 		}
 		for _, w := range widths {
 			memV, lv := fuzzLaunch(k, block)

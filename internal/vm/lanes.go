@@ -20,6 +20,17 @@ import (
 // thread-at-a-time loop.  Registers live in structure-of-arrays slabs —
 // slab[reg*W + lane] — so the per-lane loops walk contiguous memory.
 //
+// W is the launch's threads per block, capped at LaneWidth (256 unless a
+// test sets it): a block up to the cap is one batch, so a batch-scalar
+// instruction runs once per block — the block-to-loop transform's hoisting
+// of thread-invariant work out of the thread loop — and a block smaller
+// than the cap gets slabs no wider than itself.  Every cap below 256 was
+// slower on the suite's 256-thread blocks (EXPERIMENTS.md, "One batch per
+// block"; BenchmarkLaneWidth in internal/core re-measures it).  Batch
+// contexts outlive their Runner: Release hands them to the kernel's free
+// list, keyed by width, and the next Runner refills their rows with its own
+// launch's image instead of allocating new slabs.
+//
 // Divergence is handled by an active-lane set plus a min-pc scheduler: the
 // lanes at the smallest program counter always run first, so groups split
 // by a conditional jump naturally reconverge at the compiler's jump-lowered
@@ -64,29 +75,45 @@ import (
 //
 // tick (per-thread iteration budgets), stores, atomics, barriers and opErr
 // always run per lane.
+//
+// The accumulate of the FIR, Conv2D and MatMul inner loops, `sum += s *
+// x[idx + off]`, is one instruction, opLdFMA: the load, the multiply-add and
+// the write-back in one pass over the row.
 
-// laneWidth is the process-default batch width for new Runners.
+// laneWidth caps the batch width of new Runners.
 var laneWidth atomic.Int32
 
-func init() { laneWidth.Store(32) }
+func init() { laneWidth.Store(maxLaneWidth) }
 
-// SetLaneWidth sets the default lane-batch width for Runners created from
-// now on, clamped to [1, 64], and returns the previous width.  It
-// exists for tests that exercise partial tail batches and divergence at
-// odd widths; the default of 32 balances dispatch amortization against
-// divergence cost.
+// maxLaneWidth is the default cap and SetLaneWidth's bound: no suite
+// program or benchmark launch has blocks wider than 256 threads, so a
+// larger cap could not be measured.
+const maxLaneWidth = 256
+
+// SetLaneWidth sets the lane-width cap for Runners created from now on,
+// clamped to [1, 256], and returns the previous cap.  It exists for tests
+// that exercise partial tail batches and divergence at odd widths, and for
+// BenchmarkLaneWidth, which re-measures the default.
 func SetLaneWidth(w int) int {
-	if w < 1 {
-		w = 1
-	}
-	if w > 64 {
-		w = 64
-	}
-	return int(laneWidth.Swap(int32(w)))
+	return int(laneWidth.Swap(int32(min(max(w, 1), maxLaneWidth))))
 }
 
-// LaneWidth reports the current default lane-batch width.
+// LaneWidth reports the current lane-width cap.
 func LaneWidth() int { return int(laneWidth.Load()) }
+
+// batchFree is a kernel's free list of batch contexts, one sync.Pool per
+// lane width (a context's slabs are its width times the kernel's register
+// counts).  sync.Pool drops idle entries across GC cycles, so the contexts
+// of a kernel that is not launched again go back to the collector.
+type batchFree struct{ byWidth sync.Map } // int -> *sync.Pool of *laneBatch
+
+func (f *batchFree) of(w int) *sync.Pool {
+	if p, ok := f.byWidth.Load(w); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := f.byWidth.LoadOrStore(w, new(sync.Pool))
+	return p.(*sync.Pool)
+}
 
 // Lane status values.
 const (
@@ -113,13 +140,10 @@ type laneBatch struct {
 	one []int  // {0}: the active set of a scalar-executed instruction
 }
 
-// newBatch allocates a batch context and replicates the launch-level
-// register images across all lanes.  Constants, scalar arguments, and the
-// grid/block-dim builtins never change after this; resetBatch refreshes
-// only the per-block and per-thread rows.
+// newBatch allocates a batch context of the Runner's width.
 func (r *Runner) newBatch() *laneBatch {
 	p, W := r.p, r.w
-	b := &laneBatch{
+	return &laneBatch{
 		li:    make([]int64, p.numI*W),
 		lf:    make([]float64, p.numF*W),
 		pcs:   make([]int32, W),
@@ -130,6 +154,14 @@ func (r *Runner) newBatch() *laneBatch {
 		tkn:   make([]bool, W),
 		one:   []int{0},
 	}
+}
+
+// fillBatch replicates the launch-level register images across all lanes of
+// a batch context, fresh or recycled.  Constants, scalar arguments, and the
+// grid/block-dim builtins never change after this; resetBatch refreshes
+// only the per-block and per-thread rows.
+func (r *Runner) fillBatch(b *laneBatch) {
+	W := r.w
 	for reg, v := range r.baseI {
 		row := b.li[reg*W : (reg+1)*W]
 		for i := range row {
@@ -142,7 +174,6 @@ func (r *Runner) newBatch() *laneBatch {
 			row[i] = v
 		}
 	}
-	return b
 }
 
 // resetBatch points a batch context at threads [base, base+cnt) of the
@@ -198,12 +229,28 @@ func (r *Runner) resetBatch(b *laneBatch, base, cnt int) {
 	b.base, b.cnt = base, cnt
 }
 
-// batch returns the i-th batch context, allocating contexts up to it.
+// batch returns the i-th batch context, taking contexts up to it from the
+// kernel's free list, or allocating them when it is empty.
 func (r *Runner) batch(i int) *laneBatch {
 	for len(r.batches) <= i {
-		r.batches = append(r.batches, r.newBatch())
+		b, _ := r.free.Get().(*laneBatch)
+		if b == nil {
+			b = r.newBatch()
+		}
+		r.fillBatch(b)
+		r.batches = append(r.batches, b)
 	}
 	return r.batches[i]
+}
+
+// Release returns the Runner's batch contexts to its kernel's free list.
+// Call it once the Runner has executed its last block; a Runner used after
+// Release takes or allocates contexts afresh.
+func (r *Runner) Release() {
+	for _, b := range r.batches {
+		r.free.Put(b)
+	}
+	r.batches = nil
 }
 
 // lanesStraight runs a barrier-free block batch by batch.  A batch with an
@@ -358,6 +405,69 @@ func filterRun(b *laneBatch, act []int) []int {
 		}
 	}
 	return keep
+}
+
+// fmaRow is ld_fma's dense pass over the raw view, lanes [0, len(c)): c[ln]
+// = f32(c[ln] + s*x), x the float at index idx[ln]+off, in the operand
+// order order encodes (see opLdFMA).  Each product is rounded to float32
+// before the add, as the unfused muladd_f's operands are.  It stops at the
+// first lane whose index is out of range and returns how many lanes it
+// finished.
+func fmaRow(c []float64, idx []int64, raw []byte, off int64, lim uint, s float32, order int32) int {
+	idx = idx[:len(c)]
+	switch order {
+	case 0:
+		for ln := range c {
+			i := int(idx[ln] + off)
+			if uint(i) >= lim {
+				return ln
+			}
+			x := math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+			c[ln] = float64(float32(c[ln]) + float32(s*x))
+		}
+	case mulAddSwapBit:
+		for ln := range c {
+			i := int(idx[ln] + off)
+			if uint(i) >= lim {
+				return ln
+			}
+			x := math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+			c[ln] = float64(float32(s*x) + float32(c[ln]))
+		}
+	case fmaScalarSecond:
+		for ln := range c {
+			i := int(idx[ln] + off)
+			if uint(i) >= lim {
+				return ln
+			}
+			x := math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+			c[ln] = float64(float32(c[ln]) + float32(x*s))
+		}
+	default:
+		for ln := range c {
+			i := int(idx[ln] + off)
+			if uint(i) >= lim {
+				return ln
+			}
+			x := math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
+			c[ln] = float64(float32(x*s) + float32(c[ln]))
+		}
+	}
+	return len(c)
+}
+
+// fmaLane is fmaRow's arithmetic for one lane.
+func fmaLane(order int32, s, x, c float32) float32 {
+	switch order {
+	case 0:
+		return c + float32(s*x)
+	case mulAddSwapBit:
+		return float32(s*x) + c
+	case fmaScalarSecond:
+		return c + float32(x*s)
+	default:
+		return float32(x*s) + c
+	}
 }
 
 // runBatch drives one batch until no lane is runnable: all lanes have
@@ -1323,6 +1433,48 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 			}
 			act = keep
 			glb += 4 * nl
+		case opLdFMA:
+			// ld_gf (uC), muladd_f and mov_var in one pass.  Unlike the
+			// load's, the dense pass is not idempotent — it adds into the
+			// slot it reads — so when it stops at an out-of-bounds lane the
+			// exact loop resumes at that lane, not at lane 0.
+			fd, id, ia := int(in.d)*W, (numReservedI+int(in.d))*W, int(in.a)*W
+			prm := int(in.imm >> fmaParamShift)
+			raw := raws[prm]
+			lim := uint(lens[prm])
+			off := li[int(in.b)*W]
+			s := float32(lf[int(in.imm&0xffff)*W])
+			order := in.imm & fmaOrderMask
+			intops += nl
+			glb += 4 * nl
+			flops += 2 * nl
+			done := 0
+			if n := len(act); raw != nil && act[n-1] == n-1 {
+				done = fmaRow(lf[fd:fd+n], li[ia:ia+n], raw, off, lim, s, order)
+				clear(li[id : id+done])
+				if done == n {
+					break
+				}
+			}
+			keep := act[:done]
+			for _, ln := range act[done:] {
+				idx := int(li[ia+ln] + off)
+				if uint(idx) >= lim {
+					b.stat[ln] = stDead
+					b.errs[ln] = r.oobGlobal("load", prm, idx)
+					continue
+				}
+				var x float32
+				if raw != nil {
+					x = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*idx:]))
+				} else {
+					x = mem.LoadF32(prm, idx)
+				}
+				lf[fd+ln] = float64(fmaLane(order, s, x, float32(lf[fd+ln])))
+				li[id+ln] = 0
+				keep = append(keep, ln)
+			}
+			act = keep
 		case opLdGI:
 			id, ia := int(in.d)*W, int(in.a)*W
 			prm := int(in.b)

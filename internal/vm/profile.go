@@ -384,7 +384,7 @@ var opNames = [numOps]string{
 	opAtSAdd: "at_sadd", opAtSMax: "at_smax",
 	opProf:   "prof",
 	opMovVar: "mov_var", opMulAddF: "muladd_f", opMulAddI: "muladd_i",
-	opCJmpI: "cjmp_i", opCJmpF: "cjmp_f",
+	opCJmpI: "cjmp_i", opCJmpF: "cjmp_f", opLdFMA: "ld_fma",
 }
 
 // String returns the opcode's stable profile name.

@@ -331,7 +331,7 @@ func slotWriters(code []instr, numSlots int) (mutI, mutF []int) {
 	seenF := make([]bool, numSlots)
 	for _, in := range code {
 		switch in.op {
-		case opMovVar:
+		case opMovVar, opLdFMA:
 			// Writes int slot d and float slot d directly.
 			seenI[in.d] = true
 			seenF[in.d] = true

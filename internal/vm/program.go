@@ -165,6 +165,18 @@ const (
 	opCJmpI
 	// opCJmpF is opCJmpI over float operands (Flops++).
 	opCJmpF
+	// opLdFMA is the accumulate `slot += s * x[idx + off]` of the FIR,
+	// Conv2D and MatMul inner loops as one row pass: the adjacent triple
+	// opLdGF (uC) → opMulAddF (one factor the loaded temporary, the other a
+	// batch scalar) → opMovVar writing the addend's slot, the slot's int
+	// half from the zero constant.  d is the slot, a the per-lane index
+	// row, b the batch-scalar offset register (uB), and imm packs the
+	// batch-scalar factor register (uC), the muladd's add-order swap bit,
+	// whether s is the product's second factor, and the parameter index
+	// (see fmaParamShift).  rf[d] = f32(rf[d] + s*x) in the unfused
+	// operand order; ri[numReservedI+d] = 0.  Charges the triple's Work:
+	// IntOps += 1, GlobalLoadBytes += 4, Flops += 2.  See fuser.accumulate.
+	opLdFMA
 
 	numOps // sentinel: number of opcodes
 )
@@ -175,6 +187,17 @@ const cjmpSenseBit = 1 << 3
 // muladd imm encoding: low 16 bits are the addend register, bit 16 flips
 // the float add's operand order.
 const mulAddSwapBit = 1 << 16
+
+// ld_fma imm encoding: low 16 bits are the scalar factor's register, bit 16
+// is mulAddSwapBit, bit 17 puts the scalar second in the product (x*s, the
+// muladd's uB form), and bits 18 up hold the parameter index — a pointer
+// parameter past fmaMaxParam leaves the triple unfused.
+const (
+	fmaScalarSecond = 1 << 17
+	fmaOrderMask    = mulAddSwapBit | fmaScalarSecond
+	fmaParamShift   = 18
+	fmaMaxParam     = 1<<(31-fmaParamShift) - 1
+)
 
 // instr is one register-machine instruction.  u holds the uniformity flags
 // the compiler derived from the operand classes; it sits in the padding
@@ -195,11 +218,12 @@ const (
 	uExec uint8 = 1 << iota
 	// uA, uB, uC: on a per-lane instruction, operand a / b / the third
 	// operand named by imm (the muladd addend; on opLdGF an offset added to
-	// the index, a fused opAddI) is uniform and is read from its lane-0
-	// cell.  Only the opcodes listed in scalarForms, and the fusions
-	// fusePair makes of them, accept the flags; every other consumer of a
-	// batch scalar is preceded by a broadcast (an opMovI/opMovF carrying uA
-	// whose imm names the consumer's opcode for the profiler).
+	// the index, a fused opAddI; on opLdFMA the scalar factor) is uniform
+	// and is read from its lane-0 cell.  Only the opcodes listed in
+	// scalarForms, and the fusions fuse makes of them, accept the flags;
+	// every other consumer of a batch scalar is preceded by a broadcast (an
+	// opMovI/opMovF carrying uA whose imm names the consumer's opcode for
+	// the profiler).
 	uA
 	uB
 	uC
@@ -258,6 +282,11 @@ type CompiledKernel struct {
 	// batches; Runner.resetBatch skips the rest, which for
 	// read-only-argument kernels is all of them.
 	mutI, mutF []int
+
+	// free recycles batch contexts between Runners (lanes.go).  It is a
+	// pointer so the profiler's instrumented copy, whose register layout is
+	// the same, shares it.
+	free *batchFree
 }
 
 // NumInstructions returns the length of the compiled instruction stream.
