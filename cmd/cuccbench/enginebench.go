@@ -10,6 +10,7 @@ import (
 	"cucc/internal/core"
 	"cucc/internal/csched"
 	"cucc/internal/machine"
+	"cucc/internal/metrics"
 	"cucc/internal/prof"
 	"cucc/internal/serve"
 	"cucc/internal/simnet"
@@ -72,7 +73,9 @@ type collectiveBenchResult struct {
 // 1-node cluster under both IR engines (the lane-batched register machine
 // and the reference interpreter) and writes a JSON report.  The IR path is
 // forced with UseInterp so the native backends don't mask engine cost.
-func writeEngineBench(path string, workers int) error {
+// Every cluster it builds reports into reg (nil = metrics off), and so do
+// the sessions on them.
+func writeEngineBench(path string, workers int, reg *metrics.Registry) error {
 	if workers <= 0 {
 		// Engine cost is a per-worker property; W=1 isolates it from
 		// pool scheduling.
@@ -95,7 +98,7 @@ func writeEngineBench(path string, workers int) error {
 	for _, p := range progs {
 		perEngine := map[cluster.Engine]float64{}
 		for _, eng := range engines {
-			res, err := timeEngine(p, eng, workers)
+			res, err := timeEngine(p, eng, workers, reg)
 			if err != nil {
 				return fmt.Errorf("engine bench %s/%s: %w", p.Name, eng, err)
 			}
@@ -109,7 +112,7 @@ func writeEngineBench(path string, workers int) error {
 			VMOverInterp: perEngine[cluster.EngineInterp] / perEngine[cluster.EngineVMLanes],
 		})
 	}
-	coll, err := collectiveBench(progs)
+	coll, err := collectiveBench(progs, reg)
 	if err != nil {
 		return err
 	}
@@ -137,7 +140,7 @@ func writeEngineBench(path string, workers int) error {
 // ring schedule, the auto-selected schedule, and auto with phase-3 overlap, per
 // node count.  Pure cost model (core.Estimate), so the rows are exact and
 // deterministic; non-distributed programs (no phase 2) are skipped.
-func collectiveBench(progs []*suites.Program) ([]collectiveBenchResult, error) {
+func collectiveBench(progs []*suites.Program, reg *metrics.Registry) ([]collectiveBenchResult, error) {
 	choices := []string{"", "auto", "auto+overlap"}
 	var out []collectiveBenchResult
 	for _, p := range progs {
@@ -148,7 +151,7 @@ func collectiveBench(progs []*suites.Program) ([]collectiveBenchResult, error) {
 				if err != nil {
 					return nil, err
 				}
-				c, err := cluster.New(cluster.Config{Nodes: nodes, Machine: machine.Intel6226(), Net: simnet.IB100()})
+				c, err := cluster.New(cluster.Config{Nodes: nodes, Machine: machine.Intel6226(), Net: simnet.IB100(), Metrics: reg})
 				if err != nil {
 					return nil, err
 				}
@@ -187,8 +190,8 @@ func collectiveBench(progs []*suites.Program) ([]collectiveBenchResult, error) {
 
 // timeEngine runs one program repeatedly under one engine until the sample
 // is long enough to trust (>=3 iterations and >=200ms of kernel time).
-func timeEngine(p *suites.Program, eng cluster.Engine, workers int) (engineBenchResult, error) {
-	c, err := cluster.New(cluster.Config{Nodes: 1, Machine: machine.Intel6226(), Net: simnet.IB100()})
+func timeEngine(p *suites.Program, eng cluster.Engine, workers int, reg *metrics.Registry) (engineBenchResult, error) {
+	c, err := cluster.New(cluster.Config{Nodes: 1, Machine: machine.Intel6226(), Net: simnet.IB100(), Metrics: reg})
 	if err != nil {
 		return engineBenchResult{}, err
 	}

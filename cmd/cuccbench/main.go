@@ -12,15 +12,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
-	"cucc/internal/cluster"
-	"cucc/internal/core"
-	"cucc/internal/csched"
 	"cucc/internal/experiments"
 	"cucc/internal/machine"
 	"cucc/internal/metrics"
-	"cucc/internal/recovery"
 	"cucc/internal/suites"
 )
 
@@ -28,40 +23,19 @@ func main() {
 	fig := flag.Int("fig", 0, "figure number to regenerate (0 = all)")
 	table := flag.Int("table", 0, "table number to regenerate")
 	csvDir := flag.String("csv", "", "also write per-figure CSV data files into this directory")
-	workers := flag.Int("workers", 0, "intra-node worker-pool width for really-executed experiments (0 = all CPUs)")
-	recvTimeout := flag.Duration("recv-timeout", 2*time.Minute, "transport receive deadline for really-executed experiments; a hung rank fails the sweep instead of wedging it (0 = no deadline)")
-	engine := flag.String("engine", "vm-lanes", "IR execution engine for really-executed experiments: vm-lanes (lane-batched register machine; vm is accepted as another name for it) or interp (reference interpreter)")
-	collective := flag.String("collective", "", "phase-2 collective schedule: auto, ring, recdouble, twolevel, pipeline[:N]; append +overlap to start callbacks while chunks are in flight (default: the ring schedule)")
-	recover := flag.Bool("recover", false, "enable elastic fault recovery for really-executed experiments (checkpoint + re-partition + replay on rank loss)")
+	workers := flag.Int("workers", 0, "intra-node worker-pool width of the -json engine microbenchmark (0 = 1)")
 	jsonOut := flag.String("json", "", "instead of figures, run the engine microbenchmark (vm-lanes vs interp over the evaluation suite) and write a JSON report to this file")
-	metricsOut := flag.String("metrics-out", "", "enable the metrics registry for the whole run and write its JSON snapshot to this file")
+	metricsOut := flag.String("metrics-out", "", "with -json, enable the metrics registry for the engine microbenchmark and write its JSON snapshot to this file")
 	flag.Parse()
 
-	// Sessions and clusters are created deep inside the experiment
-	// sweeps; the process-wide defaults carry the flags there without
-	// plumbing.
-	core.DefaultWorkers = *workers
-	cluster.DefaultRecvTimeout = *recvTimeout
-	eng, err := cluster.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+	// The figures only run the cost model, which records no metrics.
+	if *metricsOut != "" && *jsonOut == "" {
+		fmt.Fprintln(os.Stderr, "-metrics-out needs -json: the figures record no metrics")
 		os.Exit(2)
 	}
-	core.DefaultEngine = eng
-	coll, err := csched.ParseChoice(*collective)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	core.DefaultCollective = coll
-	if *recover {
-		core.DefaultRecovery = recovery.Policy{Enabled: true}
-	}
+	var reg *metrics.Registry
 	if *metricsOut != "" {
-		// Same mechanism: clusters built inside the sweeps inherit the
-		// process default registry.
-		reg := metrics.New()
-		metrics.SetDefault(reg)
+		reg = metrics.New()
 		defer func() {
 			data, err := reg.Snapshot().JSON()
 			if err == nil {
@@ -76,7 +50,7 @@ func main() {
 	}
 
 	if *jsonOut != "" {
-		if err := writeEngineBench(*jsonOut, *workers); err != nil {
+		if err := writeEngineBench(*jsonOut, *workers, reg); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

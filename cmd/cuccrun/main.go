@@ -39,7 +39,6 @@ func main() {
 	list := flag.Bool("list", false, "list available programs")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON timeline to this file (-real runs)")
 	workers := flag.Int("workers", 0, "intra-node worker-pool width for -real execution (0 = all CPUs)")
-	engine := flag.String("engine", "vm-lanes", "IR execution engine for -real runs: vm-lanes (lane-batched register machine; vm is accepted as another name for it) or interp (reference interpreter)")
 	collective := flag.String("collective", "", "phase-2 collective schedule: auto, ring, recdouble, twolevel, pipeline[:N]; append +overlap to start callbacks while chunks are in flight (default: the ring schedule)")
 	recover := flag.Bool("recover", false, "enable elastic fault recovery: checkpoint at Allgather barriers, and on a rank loss re-partition over the survivors and replay (bitwise-identical results)")
 	recvTimeout := flag.Duration("recv-timeout", time.Minute, "transport receive deadline; a hung rank fails the run instead of deadlocking it (0 = no deadline)")
@@ -48,28 +47,17 @@ func main() {
 	metricsHTTP := flag.String("metrics-http", "", "serve /metrics and /debug/vars on this address (e.g. localhost:8090) for the duration of the run")
 	flag.Parse()
 
-	eng, err := cluster.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	core.DefaultEngine = eng
 	coll, err := csched.ParseChoice(*collective)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	core.DefaultCollective = coll
-	if *recover {
-		core.DefaultRecovery = recovery.Policy{Enabled: true}
-	}
 
-	// Any metrics flag enables the process-wide registry; clusters and
-	// sessions pick it up via metrics.Default().
+	// Any metrics flag enables the cluster's registry; the session reports
+	// into it too.
 	var reg *metrics.Registry
 	if *showMetrics || *metricsOut != "" || *metricsHTTP != "" {
 		reg = metrics.New()
-		metrics.SetDefault(reg)
 		defer func() {
 			if *showMetrics {
 				fmt.Print(reg.Snapshot().Table())
@@ -120,11 +108,11 @@ func main() {
 	if strings.EqualFold(*mach, "thread") {
 		m = machine.AMD7713()
 	}
-	rt := *recvTimeout
-	if rt == 0 {
-		rt = -1 // 0 on the flag means "no deadline", not "library default"
+	cfg := cluster.Config{Nodes: *nodes, Machine: m, Net: simnet.IB100(), RecvTimeout: *recvTimeout, Metrics: reg}
+	if *recover {
+		cfg.Recovery = recovery.Policy{Enabled: true}
 	}
-	c, err := cluster.New(cluster.Config{Nodes: *nodes, Machine: m, Net: simnet.IB100(), RecvTimeout: rt})
+	c, err := cluster.New(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -142,6 +130,7 @@ func main() {
 
 	sess := core.NewSession(c, prog.Compiled)
 	sess.Host.Workers = *workers
+	sess.Collective = coll
 	var rec *trace.Recorder
 	if *traceOut != "" {
 		rec = trace.New()

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"cucc/internal/comm"
-	"cucc/internal/csched"
 	"cucc/internal/interp"
 	"cucc/internal/kir"
 	"cucc/internal/machine"
@@ -55,35 +54,25 @@ type Config struct {
 	// panics past the cap, catching accidental paper-scale allocations
 	// that should have used virtual buffers and Estimate.
 	MaxBytesPerNode int
-	// Engine selects the IR execution engine for sessions on this cluster
-	// that do not set one themselves (EngineDefault = inherit).
-	Engine Engine
-	// Collective selects the phase-2 collective schedule for sessions on
-	// this cluster that do not set one themselves (the zero value = inherit,
-	// ultimately csched's ring schedule).  See csched.ParseChoice for the
-	// accepted algorithms and the +overlap modifier.
-	Collective csched.Choice
 	// RecvTimeout bounds every transport receive, so a rank that stops
 	// participating in a collective surfaces as ErrTimeout instead of a
-	// deadlock.  0 selects DefaultRecvTimeout; negative disables the
-	// deadline.
+	// deadlock.  0 or negative sets no deadline.
 	RecvTimeout time.Duration
 	// Fault, when non-nil, wraps the transport in the fault-injecting
 	// decorator (transport.Faulty) for chaos testing.
 	Fault *transport.FaultConfig
-	// Recovery is the cluster-level elastic-recovery policy for sessions
-	// that do not set one themselves: when enabled, launches checkpoint at
-	// Allgather barriers and, on rank loss, re-partition over the
-	// surviving ranks and replay from the last barrier (see
-	// internal/recovery).  The zero value inherits (ultimately disabled).
+	// Recovery is the elastic-recovery policy of every launch on the
+	// cluster: when enabled, launches checkpoint at Allgather barriers and,
+	// on rank loss, re-partition over the surviving ranks and replay from
+	// the last barrier (see internal/recovery).  The zero value disables it.
 	Recovery recovery.Policy
 	// Metrics, when non-nil, attaches the observability registry: the
 	// transport is wrapped in the metered decorator (outermost, above fault
 	// injection, so it observes exactly the operations the comm layer
 	// performs), the comm collectives record per-op counters into it, and
 	// cluster-level gauges (node count, heap bytes, injected-fault totals)
-	// are registered.  Nil falls back to metrics.Default(); when that is
-	// also nil, metrics are fully disabled and the transport is unwrapped.
+	// are registered.  Sessions without a registry of their own report into
+	// it too.  Nil disables metrics and leaves the transport unwrapped.
 	Metrics *metrics.Registry
 	// Journal, when enabled, records cluster-level lifecycle events (abort,
 	// subgroup regroup) into the structured event journal.  The zero Scope
@@ -91,17 +80,10 @@ type Config struct {
 	Journal obs.Scope
 }
 
-// DefaultRecvTimeout is the process-wide default receive deadline applied
-// when Config.RecvTimeout is zero (0 = no deadline).  CLI tools
-// (cuccrun/cuccbench -recv-timeout) set it so clusters created deep inside
-// experiment sweeps inherit the flag.
-var DefaultRecvTimeout time.Duration
-
 // Cluster is a set of nodes plus their interconnect.
 type Cluster struct {
-	cfg     Config
-	nodes   []*Node
-	metrics *metrics.Registry
+	cfg   Config
+	nodes []*Node
 
 	// heapEnd is the per-node address space Alloc has reserved; backed is
 	// how much of it every node's memory currently covers (len(Node.mem)),
@@ -156,16 +138,12 @@ func New(cfg Config) (*Cluster, error) {
 		cfg:   cfg,
 		nodes: make([]*Node, cfg.Nodes),
 	}
-	c.metrics = cfg.Metrics
-	if c.metrics == nil {
-		c.metrics = metrics.Default()
-	}
 	net, err := c.buildNetwork(cfg.Nodes, false)
 	if err != nil {
 		return nil, err
 	}
 	c.network = net
-	if c.metrics != nil {
+	if c.cfg.Metrics != nil {
 		c.registerGauges()
 	}
 	for r := 0; r < cfg.Nodes; r++ {
@@ -205,14 +183,10 @@ func (c *Cluster) buildNetwork(n int, disarmKill bool) (transport.Network, error
 		c.netMu.Unlock()
 		net = f
 	}
-	if c.metrics != nil {
-		net = transport.NewMetered(net, c.metrics)
+	if c.cfg.Metrics != nil {
+		net = transport.NewMetered(net, c.cfg.Metrics)
 	}
-	to := c.cfg.RecvTimeout
-	if to == 0 {
-		to = DefaultRecvTimeout
-	}
-	if to > 0 {
+	if to := c.cfg.RecvTimeout; to > 0 {
 		for r := 0; r < n; r++ {
 			net.Conn(r).SetRecvTimeout(to)
 		}
@@ -229,13 +203,7 @@ func (c *Cluster) Machine() machine.CPU { return c.cfg.Machine }
 // Net returns the interconnect model.
 func (c *Cluster) Net() simnet.Model { return c.cfg.Net }
 
-// Engine returns the cluster-level IR engine preference.
-func (c *Cluster) Engine() Engine { return c.cfg.Engine }
-
-// Collective returns the cluster-level collective-schedule preference.
-func (c *Cluster) Collective() csched.Choice { return c.cfg.Collective }
-
-// Recovery returns the cluster-level elastic-recovery policy.
+// Recovery returns the cluster's elastic-recovery policy.
 func (c *Cluster) Recovery() recovery.Policy { return c.cfg.Recovery }
 
 // Node returns node r.
@@ -298,12 +266,12 @@ func (c *Cluster) Faults() *transport.FaultStats {
 
 // Metrics returns the registry the cluster reports into (nil when metrics
 // are disabled).
-func (c *Cluster) Metrics() *metrics.Registry { return c.metrics }
+func (c *Cluster) Metrics() *metrics.Registry { return c.cfg.Metrics }
 
 // registerGauges attaches cluster-level gauge functions: topology, heap
 // usage, and — under fault injection — the injected-fault totals by kind.
 func (c *Cluster) registerGauges() {
-	r := c.metrics
+	r := c.cfg.Metrics
 	r.GaugeFunc("cluster.nodes", func() float64 { return float64(c.cfg.Nodes) })
 	r.GaugeFunc("cluster.heap_bytes_per_node", func() float64 { return float64(c.heapEnd) })
 	if c.cfg.Fault != nil {

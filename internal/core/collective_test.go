@@ -11,7 +11,6 @@ import (
 	"cucc/internal/interp"
 	"cucc/internal/kir"
 	"cucc/internal/machine"
-	"cucc/internal/simnet"
 )
 
 // The collective-schedule tests pin the schedule compiler's contract: every
@@ -219,36 +218,6 @@ func TestCollectiveOverlapGate(t *testing.T) {
 		if st.TotalSec <= 0 {
 			t.Errorf("choice %s: degenerate total", choice)
 		}
-	}
-}
-
-// TestCollectiveLayering: session beats cluster beats process default,
-// first non-zero choice wins whole.
-func TestCollectiveLayering(t *testing.T) {
-	c, err := cluster.New(cluster.Config{
-		Nodes: 2, Machine: machine.Intel6226(), Net: simnet.IB100(),
-		Collective: csched.Choice{Algo: csched.AlgoRing},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	prog := MustCompile(collectiveScaleSrc)
-	sess := NewSession(c, prog)
-	if got := sess.EffectiveCollective(); got.Algo != csched.AlgoRing {
-		t.Errorf("cluster-level choice not inherited: %+v", got)
-	}
-	sess.Collective = csched.Choice{Algo: csched.AlgoPipeline, Chunks: 2}
-	if got := sess.EffectiveCollective(); got.Algo != csched.AlgoPipeline || got.Chunks != 2 {
-		t.Errorf("session-level choice not preferred: %+v", got)
-	}
-	sess.Collective = csched.Choice{}
-	old := DefaultCollective
-	DefaultCollective = csched.Choice{Algo: csched.AlgoAuto}
-	defer func() { DefaultCollective = old }()
-	// Cluster still wins over the process default.
-	if got := sess.EffectiveCollective(); got.Algo != csched.AlgoRing {
-		t.Errorf("cluster-level choice lost to process default: %+v", got)
 	}
 }
 

@@ -161,47 +161,13 @@ const (
 type ExecConfig struct {
 	// Workers is the width of the per-node worker pool runBlocks fans a
 	// block range over (the CuPBoP-style block-to-thread transform).
-	// 0 selects DefaultWorkers, then runtime.NumCPU().
+	// 0 selects runtime.NumCPU().
 	Workers int
 	// Engine selects the IR execution engine for kernels without a native
-	// implementation.  EngineDefault falls through to the cluster's
-	// configured engine, then DefaultEngine, then the lane-batched register
+	// implementation.  EngineDefault selects the lane-batched register
 	// machine.  Both engines produce bitwise-identical memory and Work
 	// counters; the interpreter is kept as the differential-testing oracle.
 	Engine cluster.Engine
-}
-
-// DefaultWorkers is the process-wide default worker-pool width used when a
-// Session's Host.Workers is zero (0 = runtime.NumCPU()).  CLI tools
-// (cuccrun/cuccbench -workers) set it so sessions created deep inside
-// experiment sweeps inherit the flag.
-var DefaultWorkers int
-
-// DefaultEngine is the process-wide default IR engine used when neither the
-// session nor the cluster picks one.  CLI tools set it from -engine;
-// unset, the runtime uses the lane-batched register machine.
-var DefaultEngine cluster.Engine
-
-// DefaultCollective is the process-wide default phase-2 collective schedule
-// used when neither the session nor the cluster picks one.  CLI tools set
-// it from -collective; unset, the runtime runs csched's ring schedule.
-var DefaultCollective csched.Choice
-
-// DefaultRecovery is the process-wide default elastic-recovery policy used
-// when neither the session nor the cluster sets one.  CLI tools set it from
-// -recover; unset, launches fail on rank loss as before.
-var DefaultRecovery recovery.Policy
-
-// EffectiveWorkers resolves the configured width to a concrete worker
-// count (>= 1).
-func (e ExecConfig) EffectiveWorkers() int {
-	if e.Workers > 0 {
-		return e.Workers
-	}
-	if DefaultWorkers > 0 {
-		return DefaultWorkers
-	}
-	return runtime.NumCPU()
 }
 
 // Stats reports one launch's execution.
@@ -255,20 +221,17 @@ type Session struct {
 	Exec machine.ExecConfig
 	// Host tunes real intra-node execution (worker-pool width).
 	Host ExecConfig
-	// Collective selects the phase-2 collective schedule (the zero value
-	// defers to the cluster, then DefaultCollective, then csched's ring
-	// schedule).
+	// Collective selects the phase-2 collective schedule (the zero value is
+	// csched's ring schedule).  The elastic-recovery policy is the
+	// cluster's (cluster.Config.Recovery), since recovery regroups it.
 	Collective csched.Choice
-	// Recovery selects the elastic-recovery policy (the zero value defers
-	// to the cluster, then DefaultRecovery, ultimately disabled).
-	Recovery recovery.Policy
 	// Verify re-checks cross-node memory consistency after every launch.
 	Verify bool
 	// Trace, when non-nil, records a simulated-time timeline of every
 	// launch (see internal/trace).
 	Trace *trace.Recorder
 	// Metrics, when non-nil, is the registry launches report into; nil
-	// falls back to the cluster's registry, then metrics.Default().
+	// falls back to the cluster's registry (cluster.Config.Metrics).
 	// Recording never changes a simulated figure or the computed data —
 	// the suites-level equivalence test enforces it.
 	Metrics *metrics.Registry
@@ -284,58 +247,6 @@ func NewSession(c *cluster.Cluster, p *Program) *Session {
 	return &Session{Cluster: c, Prog: p, Exec: machine.DefaultConfig()}
 }
 
-// EffectiveEngine resolves the layered engine preference (session, then
-// cluster, then process default) to a concrete engine; the lane-batched
-// register machine (EngineVMLanes) when nothing is configured.
-func (s *Session) EffectiveEngine() cluster.Engine {
-	if s.Host.Engine != cluster.EngineDefault {
-		return s.Host.Engine
-	}
-	if s.Cluster != nil {
-		if e := s.Cluster.Engine(); e != cluster.EngineDefault {
-			return e
-		}
-	}
-	if DefaultEngine != cluster.EngineDefault {
-		return DefaultEngine
-	}
-	return cluster.EngineVMLanes
-}
-
-// EffectiveCollective resolves the layered collective-schedule preference
-// (session, then cluster, then process default) to a concrete choice; the
-// zero value — which Select runs as the ring — when nothing is configured.
-// The first non-zero layer wins entirely, including its Overlap/Chunks
-// modifiers, mirroring EffectiveEngine.
-func (s *Session) EffectiveCollective() csched.Choice {
-	if s.Collective != (csched.Choice{}) {
-		return s.Collective
-	}
-	if s.Cluster != nil {
-		if c := s.Cluster.Collective(); c != (csched.Choice{}) {
-			return c
-		}
-	}
-	return DefaultCollective
-}
-
-// EffectiveRecovery resolves the layered elastic-recovery policy (session,
-// then cluster, then process default); the zero value — disabled — when
-// nothing is configured.  The first non-zero layer wins entirely, so an
-// explicit Policy{Enabled: false} at a higher layer overrides an enabled
-// default below it, mirroring EffectiveCollective.
-func (s *Session) EffectiveRecovery() recovery.Policy {
-	if s.Recovery != (recovery.Policy{}) {
-		return s.Recovery
-	}
-	if s.Cluster != nil {
-		if p := s.Cluster.Recovery(); p != (recovery.Policy{}) {
-			return p
-		}
-	}
-	return DefaultRecovery
-}
-
 // launchState carries the resolved launch context.
 type launchState struct {
 	kernel  *kir.Kernel
@@ -345,6 +256,17 @@ type launchState struct {
 	argVals []interp.Value
 	env     analysis.Env
 	native  *Native
+
+	// The launch settings, each read once from its one source at resolve
+	// time: the engine (Host.Engine, unset = vm-lanes), the pool width
+	// (Host.Workers, 0 = runtime.NumCPU()), the phase-2 schedule
+	// (Session.Collective), the recovery policy (the cluster's) and the
+	// registry (Session.Metrics, else the cluster's; nil = disabled).
+	engine     cluster.Engine
+	workers    int
+	collective csched.Choice
+	recovery   recovery.Policy
+	reg        *metrics.Registry
 
 	// vmProfile latches the VM opcode profiler's on/off switch once per
 	// launch, at resolve time, so every worker's Runner — across ranks,
@@ -365,7 +287,10 @@ type launchState struct {
 	readsWritten bool
 }
 
-func (s *Session) resolve(spec LaunchSpec) (*launchState, error) {
+// resolve validates spec against the kernel and latches the launch's
+// settings.  reg is the registry Launch resolved (Estimate records nothing
+// and passes nil).
+func (s *Session) resolve(spec LaunchSpec, reg *metrics.Registry) (*launchState, error) {
 	k := s.Prog.Kernel(spec.Kernel)
 	if k == nil {
 		return nil, fmt.Errorf("core: no kernel %q", spec.Kernel)
@@ -396,11 +321,22 @@ func (s *Session) resolve(spec LaunchSpec) (*launchState, error) {
 		spec.Block.X /= spec.BlockSplit
 	}
 	st := &launchState{
-		kernel:  k,
-		md:      md,
-		spec:    spec,
-		binds:   map[int]cluster.Buffer{},
-		argVals: make([]interp.Value, len(spec.Args)),
+		kernel:     k,
+		md:         md,
+		spec:       spec,
+		binds:      map[int]cluster.Buffer{},
+		argVals:    make([]interp.Value, len(spec.Args)),
+		engine:     s.Host.Engine,
+		workers:    s.Host.Workers,
+		collective: s.Collective,
+		recovery:   s.Cluster.Recovery(),
+		reg:        reg,
+	}
+	if st.engine == cluster.EngineDefault {
+		st.engine = cluster.EngineVMLanes
+	}
+	if st.workers <= 0 {
+		st.workers = runtime.NumCPU()
 	}
 	params := map[string]int64{}
 	for i, a := range spec.Args {

@@ -325,7 +325,7 @@ func TestVerifyConsistencyParamOrder(t *testing.T) {
 	src := c.Alloc(kir.U8, 64)
 	sess := NewSession(c, prog)
 	st, err := sess.resolve(LaunchSpec{Kernel: "vec_copy", Grid: interp.Dim1(1), Block: interp.Dim1(64),
-		Args: []Arg{BufArg(src), BufArg(dest), IntArg(64)}})
+		Args: []Arg{BufArg(src), BufArg(dest), IntArg(64)}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

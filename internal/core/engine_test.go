@@ -46,9 +46,6 @@ func vecCopyLaunch(t *testing.T, eng cluster.Engine) (*Session, LaunchSpec, clus
 // core.blocks.vm_lanes; the name "vm" selects the same loop (same memory,
 // same Stats) and only moves the count to core.blocks.vm.
 func TestDefaultEngineIsLaneVM(t *testing.T) {
-	if DefaultEngine != cluster.EngineDefault {
-		t.Fatalf("DefaultEngine = %s, want unset", DefaultEngine)
-	}
 	type outcome struct {
 		stats    *Stats
 		dest     []byte

@@ -20,7 +20,7 @@ import (
 // Pointer arguments may therefore be "virtual" buffers: descriptors with
 // the right element type and count but no backing allocation.
 func (s *Session) Estimate(spec LaunchSpec) (*Stats, error) {
-	st, err := s.resolve(spec)
+	st, err := s.resolve(spec, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -68,7 +68,7 @@ func (s *Session) Estimate(spec LaunchSpec) (*Stats, error) {
 // EstimateWork exposes the analytic per-block work of a registered native,
 // used by the GPU comparison figures.
 func (s *Session) EstimateWork(spec LaunchSpec) (machine.BlockWork, error) {
-	st, err := s.resolve(spec)
+	st, err := s.resolve(spec, nil)
 	if err != nil {
 		return machine.BlockWork{}, err
 	}

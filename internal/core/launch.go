@@ -43,7 +43,14 @@ type blockRunner interface {
 // simulated-time statistics; the data in the cluster's node memories is
 // really computed and really synchronized.
 func (s *Session) Launch(spec LaunchSpec) (stats *Stats, err error) {
-	if reg := s.registry(); reg != nil {
+	// The one registry lookup of the launch.  It precedes resolve so that a
+	// spec resolve rejects still counts as a launch error; resolve latches it
+	// for the phases.
+	reg := s.Metrics
+	if reg == nil {
+		reg = s.Cluster.Metrics()
+	}
+	if reg != nil {
 		registerVMGauges(reg)
 		defer func(start time.Time) {
 			registerVMProfileGauges(reg)
@@ -56,7 +63,7 @@ func (s *Session) Launch(spec LaunchSpec) (stats *Stats, err error) {
 			}
 		}(time.Now())
 	}
-	st, err := s.resolve(spec)
+	st, err := s.resolve(spec, reg)
 	if err != nil {
 		return nil, err
 	}
@@ -72,13 +79,13 @@ func (s *Session) Launch(spec LaunchSpec) (stats *Stats, err error) {
 
 	done := "trivial replicated execution complete"
 	if dist {
-		s.registry().Counter(MetricLaunchesDistributed).Inc()
+		reg.Counter(MetricLaunchesDistributed).Inc()
 		if err := s.runDistributed(st, stats, c.ActiveGroup()); err != nil {
 			return nil, err
 		}
 		done = fmt.Sprintf("distributed execution complete: restores=%d", stats.Restores)
 	} else {
-		s.registry().Counter(MetricLaunchesTrivial).Inc()
+		reg.Counter(MetricLaunchesTrivial).Inc()
 		g := c.ActiveGroup()
 		s.chargeLaunch(st, g)
 		stats.CallbackBlocks = st.spec.Grid.Count()
@@ -116,7 +123,7 @@ func (s *Session) chargeLaunch(st *launchState, g *cluster.Group) {
 // attempts until one completes, then the repair of any node recovery lost.
 func (s *Session) runDistributed(st *launchState, stats *Stats, g *cluster.Group) error {
 	c := s.Cluster
-	pol := s.EffectiveRecovery()
+	pol := st.recovery
 	regions, err := writtenRegions(st)
 	if err != nil {
 		return err
@@ -129,7 +136,7 @@ func (s *Session) runDistributed(st *launchState, stats *Stats, g *cluster.Group
 	// one snapshot restores any of them.
 	var cp *recovery.Checkpoint
 	if recEnabled {
-		cp = s.captureCheckpoint(st.kernel.Name, recovery.CursorStart, 0, regions, g)
+		cp = s.captureCheckpoint(st, recovery.CursorStart, 0, regions, g)
 	}
 
 	// Attempt loop: each iteration runs the three phases from the current
@@ -167,9 +174,9 @@ func (s *Session) runDistributed(st *launchState, stats *Stats, g *cluster.Group
 		s.restoreCheckpoint(cp, g)
 		stats.Restores++
 		stats.LostNodes = missingNodes(c.N(), g.Nodes())
-		s.registry().Counter(recovery.MetricRestores).Inc()
+		st.reg.Counter(recovery.MetricRestores).Inc()
 		if cp.Cursor == recovery.CursorStart {
-			s.registry().Counter(recovery.MetricRepartitions).Inc()
+			st.reg.Counter(recovery.MetricRepartitions).Inc()
 		}
 		s.emit(trace.Event{StartSec: g.MaxClock(), Node: -1, Phase: trace.PhaseRecovery,
 			Kernel: st.kernel.Name,
@@ -196,7 +203,7 @@ func (s *Session) runDistributed(st *launchState, stats *Stats, g *cluster.Group
 		if err := c.RejoinAll(); err != nil {
 			return fmt.Errorf("core: rejoining after recovery: %w", err)
 		}
-		s.registry().Counter(recovery.MetricRejoins).Add(int64(len(stats.LostNodes)))
+		st.reg.Counter(recovery.MetricRejoins).Add(int64(len(stats.LostNodes)))
 		if s.Obs.On() {
 			s.Obs.RecordEvent(recovery.RejoinEvent(st.kernel.Name, stats.LostNodes))
 		}
@@ -214,7 +221,6 @@ func (s *Session) runDistributed(st *launchState, stats *Stats, g *cluster.Group
 // memory, clocks, and trace attribution.
 func (s *Session) runPhases(st *launchState, stats *Stats, g *cluster.Group, cp *recovery.Checkpoint, regions []recovery.Region) error {
 	c := s.Cluster
-	reg := s.registry()
 	total := st.spec.Grid.Count()
 
 	if cp != nil && cp.Cursor == recovery.CursorGathered {
@@ -301,7 +307,7 @@ func (s *Session) runPhases(st *launchState, stats *Stats, g *cluster.Group, cp 
 			wg.Wait()
 			return errors.Join(commErr, cbErr)
 		})
-		reg.Histogram(MetricCallbackWallSec).Observe(time.Since(wallStart).Seconds())
+		st.reg.Histogram(MetricCallbackWallSec).Observe(time.Since(wallStart).Seconds())
 	} else {
 		err = g.RunParallel(gather)
 	}
@@ -315,7 +321,7 @@ func (s *Session) runPhases(st *launchState, stats *Stats, g *cluster.Group, cp 
 	base := g.MaxClock()
 	s.emit(trace.Event{StartSec: base, DurSec: stats.CommSec, Node: -1,
 		Phase: trace.PhaseAllgather, Kernel: st.kernel.Name, Detail: detail})
-	reg.Histogram(MetricAllgatherSimSec).Observe(stats.CommSec)
+	st.reg.Histogram(MetricAllgatherSimSec).Observe(stats.CommSec)
 
 	if !plan.overlap {
 		// The Allgather synchronizes the nodes: clocks meet at the maximum,
@@ -328,7 +334,7 @@ func (s *Session) runPhases(st *launchState, stats *Stats, g *cluster.Group, cp 
 		// launch.  With no callback blocks nothing runs past this point, so
 		// nothing could restore from the copy and none is taken.
 		if cp != nil && callbacks > 0 {
-			*cp = *s.captureCheckpoint(st.kernel.Name, recovery.CursorGathered, part.distEnd, regions, g)
+			*cp = *s.captureCheckpoint(st, recovery.CursorGathered, part.distEnd, regions, g)
 		}
 
 		// --- Phase 3: callback block execution on every node ---
@@ -382,7 +388,7 @@ type gatherPlan struct {
 // prices the callbacks that selection may hide the collective behind.
 func (s *Session) planGathers(st *launchState, stats *Stats, part partition, n int) (*gatherPlan, error) {
 	c := s.Cluster
-	choice := s.EffectiveCollective()
+	choice := st.collective
 	callbacks := st.spec.Grid.Count() - part.distEnd
 	wantOverlap := choice.Overlap && callbacks > 0 && !st.readsWritten
 	cbHint := 0.0
@@ -482,7 +488,7 @@ func (s *Session) runRanges(st *launchState, g *cluster.Group, wallMetric string
 		runs[m], err = s.runBlocks(st, g.NodeOf(m), lo, hi)
 		return err
 	})
-	s.registry().Histogram(wallMetric).Observe(time.Since(wallStart).Seconds())
+	st.reg.Histogram(wallMetric).Observe(time.Since(wallStart).Seconds())
 	return runs, err
 }
 
@@ -506,13 +512,12 @@ func (s *Session) chargeBlocks(st *launchState, node int, phase string, start fl
 			}
 		}
 	}
-	reg := s.registry()
 	metric := MetricCallbackSimSec
 	if phase == trace.PhasePartial {
 		metric = MetricPartialSimSec
 	}
-	reg.Histogram(metric).Observe(dt)
-	recordWorkerCounts(reg, run.workers)
+	st.reg.Histogram(metric).Observe(dt)
+	recordWorkerCounts(st.reg, run.workers)
 	return dt, per
 }
 
@@ -541,15 +546,15 @@ func writtenRegions(st *launchState) ([]recovery.Region, error) {
 // member — every member holds identical contents at a barrier, so one copy
 // serves all — and counts and journals the capture together, so the counter
 // and the event stream cannot disagree about how many were taken.
-func (s *Session) captureCheckpoint(kernel string, cur recovery.Cursor, distEnd int, regions []recovery.Region, g *cluster.Group) *recovery.Checkpoint {
+func (s *Session) captureCheckpoint(st *launchState, cur recovery.Cursor, distEnd int, regions []recovery.Region, g *cluster.Group) *recovery.Checkpoint {
 	c := s.Cluster
 	src := g.NodeOf(0)
 	cp := recovery.Capture(cur, distEnd, regions, func(r recovery.Region) []byte {
 		return c.HeapBytes(src, r.Off, r.Len)
 	})
-	s.registry().Counter(recovery.MetricCheckpoints).Inc()
+	st.reg.Counter(recovery.MetricCheckpoints).Inc()
 	if s.Obs.On() {
-		s.Obs.RecordEvent(recovery.CheckpointEvent(kernel, cp))
+		s.Obs.RecordEvent(recovery.CheckpointEvent(st.kernel.Name, cp))
 	}
 	return cp
 }
@@ -656,7 +661,7 @@ func partitionBlocks(total, tail, n int, strategy RemainderStrategy) partition {
 // Linearization is row-major over (by, bx), matching the analysis' Linear2D
 // convention.
 //
-// The range is fanned over Session.Host.EffectiveWorkers() goroutines (the
+// The range is fanned over the launch's st.workers goroutines (the
 // CuPBoP-style block-to-thread transform executing migrated GPU blocks
 // across the node's CPU cores).  Assignment is static block-cyclic — worker
 // w executes blocks lo+w, lo+w+W, … — so the per-worker block counts (and
@@ -696,8 +701,7 @@ func (s *Session) runBlocks(st *launchState, rank, lo, hi int) (blockRun, error)
 	} else {
 		// "vm" and "vm-lanes" name the same register machine; the counter
 		// keeps the name the launch resolved to.
-		engine := s.EffectiveEngine()
-		switch engine {
+		switch st.engine {
 		case cluster.EngineInterp:
 			blockMetric = MetricBlocksInterp
 		case cluster.EngineVM:
@@ -716,7 +720,7 @@ func (s *Session) runBlocks(st *launchState, rank, lo, hi int) (blockRun, error)
 			var r blockRunner
 			var err error
 			release := func() {}
-			if engine == cluster.EngineInterp {
+			if st.engine == cluster.EngineInterp {
 				r, err = interp.NewRunner(l)
 			} else {
 				// The profiling decision was latched at resolve time so
@@ -739,10 +743,7 @@ func (s *Session) runBlocks(st *launchState, rank, lo, hi int) (blockRun, error)
 		}
 	}
 
-	workers := s.Host.EffectiveWorkers()
-	if workers > n {
-		workers = n
-	}
+	workers := min(st.workers, n)
 	counts := make([]int, workers)
 	works := make([]machine.BlockWork, n)
 	if workers == 1 {
@@ -804,7 +805,7 @@ func (s *Session) runBlocks(st *launchState, rank, lo, hi int) (blockRun, error)
 	for i := range works {
 		total.Add(works[i])
 	}
-	s.registry().Counter(blockMetric).Add(int64(n))
+	st.reg.Counter(blockMetric).Add(int64(n))
 	return blockRun{total, counts}, nil
 }
 

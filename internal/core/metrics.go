@@ -32,21 +32,6 @@ const (
 	MetricWorkerUtilization   = "core.worker.utilization"
 )
 
-// registry resolves the session's metrics destination: the session's own
-// registry, then the cluster's, then the process default.  Nil means
-// metrics are disabled; every recording helper is a no-op then.
-func (s *Session) registry() *metrics.Registry {
-	if s.Metrics != nil {
-		return s.Metrics
-	}
-	if s.Cluster != nil {
-		if r := s.Cluster.Metrics(); r != nil {
-			return r
-		}
-	}
-	return metrics.Default()
-}
-
 // registerVMGauges bridges the VM's always-on compile-cache counters into
 // the registry as snapshot-time gauges.  GaugeFunc replaces, so calling
 // once per launch is idempotent.

@@ -270,10 +270,10 @@ func TestLaunchShapesMatchInterp(t *testing.T) {
 					got, err := sess.Launch(spec)
 					vm.SetLaneWidth(prev)
 					if err != nil {
-						t.Fatalf("%d nodes, %s, width %d: %v", nodes, sess.EffectiveEngine(), width, err)
+						t.Fatalf("%d nodes, %s, width %d: %v", nodes, cluster.EngineVMLanes, width, err)
 					}
 					if !reflect.DeepEqual(got, want) {
-						t.Errorf("%d nodes, width %d: stats differ\n%s %+v\ninterp %+v", nodes, width, sess.EffectiveEngine(), got, want)
+						t.Errorf("%d nodes, width %d: stats differ\n%s %+v\ninterp %+v", nodes, width, cluster.EngineVMLanes, got, want)
 					}
 					for node := 0; node < nodes; node++ {
 						if !bytes.Equal(nodeHeap(sess.Cluster, node), nodeHeap(ref.Cluster, node)) {

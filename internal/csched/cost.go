@@ -13,9 +13,8 @@ import (
 type Algo uint8
 
 const (
-	// AlgoDefault is the zero value, "unset": a session or cluster layer
-	// holding it defers to the next (core.Session.EffectiveCollective), and
-	// Select runs it as AlgoRing.
+	// AlgoDefault is the zero value, "unset": a session that sets no
+	// schedule holds it, and Select runs it as AlgoRing.
 	AlgoDefault Algo = iota
 	// AlgoAuto costs every applicable candidate schedule with the network
 	// model and picks the cheapest.

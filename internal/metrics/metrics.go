@@ -491,16 +491,3 @@ func (s Snapshot) Table() string {
 	}
 	return b.String()
 }
-
-// defaultRegistry is the process-wide registry (nil = metrics disabled).
-// CLI tools set it so clusters and sessions created deep inside experiment
-// sweeps inherit the flag, matching core.DefaultWorkers and
-// cluster.DefaultRecvTimeout.
-var defaultRegistry atomic.Pointer[Registry]
-
-// SetDefault installs the process-wide default registry (nil disables).
-func SetDefault(r *Registry) { defaultRegistry.Store(r) }
-
-// Default returns the process-wide default registry, nil when metrics are
-// disabled.
-func Default() *Registry { return defaultRegistry.Load() }

@@ -50,7 +50,7 @@ type Config struct {
 	// Workers is the default intra-node worker width (0 = all CPUs).
 	Workers int
 	// RecvTimeout is each job cluster's transport receive deadline
-	// (0 = cluster default).
+	// (0 = none; the job deadline still aborts a hung job).
 	RecvTimeout time.Duration
 	// DefaultDeadline bounds jobs that do not set one (queue wait +
 	// execution).  <= 0 selects 30s.

@@ -20,16 +20,14 @@ import (
 // interpreter on one node), on both engines and under benign transport
 // faults.
 
-// collectiveRun is engineRun with a collective choice layered on the
-// cluster config; it returns every node's heap, not only node 0's.
+// collectiveRun is engineRun with a collective choice set on the session;
+// it returns every node's heap, not only node 0's.
 func collectiveRun(t *testing.T, p *Program, eng cluster.Engine, nodes int, fc *transport.FaultConfig, choice csched.Choice) [][]byte {
 	t.Helper()
 	c, err := cluster.New(cluster.Config{
 		Nodes: nodes, Machine: machine.Intel6226(), Net: simnet.IB100(),
 		RecvTimeout: 5 * time.Second,
 		Fault:       fc,
-		Engine:      eng,
-		Collective:  choice,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -41,6 +39,8 @@ func collectiveRun(t *testing.T, p *Program, eng cluster.Engine, nodes int, fc *
 	}
 	inst.Spec.UseInterp = true
 	sess := core.NewSession(c, p.Compiled)
+	sess.Host.Engine = eng
+	sess.Collective = choice
 	if _, err := sess.Launch(inst.Spec); err != nil {
 		t.Fatalf("engine %s, choice %s, %d nodes: %v", eng, choice, nodes, err)
 	}

@@ -27,7 +27,6 @@ func engineRun(t *testing.T, p *Program, eng cluster.Engine, nodes int, fc *tran
 		Nodes: nodes, Machine: machine.Intel6226(), Net: simnet.IB100(),
 		RecvTimeout: 5 * time.Second,
 		Fault:       fc,
-		Engine:      eng,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -39,6 +38,7 @@ func engineRun(t *testing.T, p *Program, eng cluster.Engine, nodes int, fc *tran
 	}
 	inst.Spec.UseInterp = true
 	sess := core.NewSession(c, p.Compiled)
+	sess.Host.Engine = eng
 	if _, err := sess.Launch(inst.Spec); err != nil {
 		t.Fatalf("engine %s, %d nodes: %v", eng, nodes, err)
 	}

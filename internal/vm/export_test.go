@@ -9,6 +9,17 @@ import "cucc/internal/kir"
 // switch it off again.
 func ForceAllUniform(on bool) { forceUniform = on }
 
+// SetCompileCacheCap changes the cache bound (n <= 0 means unbounded) and
+// returns the previous bound.  Shrinking evicts immediately.
+func SetCompileCacheCap(n int) int {
+	cache.mu.Lock()
+	defer cache.mu.Unlock()
+	prev := cache.cap
+	cache.cap = n
+	cache.evictLocked()
+	return prev
+}
+
 // StaticOps counts the instructions of k's compiled program whose opcode
 // has the given profile name.
 func StaticOps(k *kir.Kernel, name string) (int, error) {

@@ -367,17 +367,6 @@ func ReadCacheStats() CacheStats {
 	}
 }
 
-// SetCompileCacheCap changes the cache bound (n <= 0 means unbounded) and
-// returns the previous bound.  Shrinking evicts immediately.
-func SetCompileCacheCap(n int) int {
-	cache.mu.Lock()
-	defer cache.mu.Unlock()
-	prev := cache.cap
-	cache.cap = n
-	cache.evictLocked()
-	return prev
-}
-
 // lookup marks the entry as most recently used on hit.
 func (c *compileCache) lookup(k *kir.Kernel) (*CompiledKernel, bool) {
 	c.mu.Lock()
