@@ -1,6 +1,6 @@
 # Tier-1 gate: everything `make check` runs must stay green.  CI and
 # pre-merge checks use this target; see ROADMAP.md.
-.PHONY: check build vet test bench-test bench-smoke race fuzz-smoke chaos bench prof bench-compare slo loc
+.PHONY: check build vet test bench-test bench-smoke race fuzz-smoke chaos prof loc
 
 check: build vet test bench-test race fuzz-smoke bench-smoke
 
@@ -64,42 +64,8 @@ loc:
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); sub(/^\.\//, "", d); n[d] += $$1; sum += $$1 } \
 		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", sum }'
 
-# SLO smoke: a short self-hosted cuccload sweep with the journal and a
-# default objective on, asserting the /slo page renders in both formats and
-# every tenant's error-budget burn comes out finite.
-slo:
-	go run ./cmd/cuccload -rates 40 -jobs 24 -slo-check
-
 # Run-and-diagnose the evaluation suite: critical path, stragglers, and
 # what-if estimates per program, plus the VM opcode profile of one kernel.
 prof:
 	go run ./cmd/cuccprof -suite -nodes 4
 	go run ./cmd/cuccprof -prog FIR -nodes 4 -vmprofile
-
-# Diff the two newest checked-in engine-benchmark reports; fails (exit 1)
-# on any >10% ns/op regression.  A no-op until two reports exist.
-# "Newest" is the date embedded in the filename (BENCH_YYYY-MM-DD.json sorts
-# lexicographically = chronologically), NOT file mtime: a fresh clone or a
-# touch(1) must not flip which report counts as the baseline.
-bench-compare:
-	@files=$$(ls BENCH_*.json 2>/dev/null | grep -v metrics | sort | tail -2); \
-	set -- $$files; \
-	if [ $$# -lt 2 ]; then \
-		echo "bench-compare: need two BENCH_*.json reports, have $$#"; \
-	else \
-		echo "comparing $$1 (old) vs $$2 (new)"; \
-		go run ./cmd/cuccprof -compare -threshold 0.10 "$$1" "$$2"; \
-	fi
-
-# Go benchmarks plus the engine microbenchmark (all IR engines over the
-# evaluation suite), whose JSON report is checked in per run date,
-# alongside the metrics-registry snapshot of the same sweep.  Refuses to
-# silently overwrite an already-checked-in same-day report: delete it first
-# if a rerun is really intended.
-bench:
-	@if [ -e BENCH_$(shell date +%F).json ]; then \
-		echo "bench: BENCH_$(shell date +%F).json already exists; delete it first to rerun today's report"; \
-		exit 1; \
-	fi
-	go test -bench=. -benchmem
-	go run ./cmd/cuccbench -json BENCH_$(shell date +%F).json -metrics-out BENCH_$(shell date +%F).metrics.json

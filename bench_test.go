@@ -311,8 +311,8 @@ func BenchmarkInterpreter(b *testing.B) {
 // evaluation-suite program at reduced scale: 1 node, a single worker,
 // natives disabled, so the measured wall time is pure engine speed.  The
 // lane-batched register machine is required to beat the tree-walking
-// interpreter by >=3x at W=1; `make bench` captures the numbers in a
-// BENCH_<date>.json.
+// interpreter by >=3x at W=1.  A traced run of the repository benchmark
+// probes the same single-worker launches as its <engine>.exec_ms.* rows.
 func BenchmarkEngines(b *testing.B) {
 	engines := []struct {
 		name string

@@ -15,7 +15,6 @@ import (
 
 	"cucc/internal/experiments"
 	"cucc/internal/machine"
-	"cucc/internal/metrics"
 	"cucc/internal/suites"
 )
 
@@ -23,39 +22,7 @@ func main() {
 	fig := flag.Int("fig", 0, "figure number to regenerate (0 = all)")
 	table := flag.Int("table", 0, "table number to regenerate")
 	csvDir := flag.String("csv", "", "also write per-figure CSV data files into this directory")
-	workers := flag.Int("workers", 0, "intra-node worker-pool width of the -json engine microbenchmark (0 = 1)")
-	jsonOut := flag.String("json", "", "instead of figures, run the engine microbenchmark (vm-lanes vs interp over the evaluation suite) and write a JSON report to this file")
-	metricsOut := flag.String("metrics-out", "", "with -json, enable the metrics registry for the engine microbenchmark and write its JSON snapshot to this file")
 	flag.Parse()
-
-	// The figures only run the cost model, which records no metrics.
-	if *metricsOut != "" && *jsonOut == "" {
-		fmt.Fprintln(os.Stderr, "-metrics-out needs -json: the figures record no metrics")
-		os.Exit(2)
-	}
-	var reg *metrics.Registry
-	if *metricsOut != "" {
-		reg = metrics.New()
-		defer func() {
-			data, err := reg.Snapshot().JSON()
-			if err == nil {
-				err = os.WriteFile(*metricsOut, append(data, '\n'), 0o644)
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("metrics snapshot written to %s\n", *metricsOut)
-		}()
-	}
-
-	if *jsonOut != "" {
-		if err := writeEngineBench(*jsonOut, *workers, reg); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *csvDir != "" {
 		if err := experiments.WriteCSVs(*csvDir, suites.All()); err != nil {

@@ -1,57 +1,45 @@
-// Command cuccload is the open-loop load generator for cuccd: it offers
-// jobs at target Poisson rates (arrivals paced by the schedule, never by
-// responses — the discipline that exposes queueing collapse instead of
-// hiding it behind coordinated omission) and reports sustained QPS,
-// latency quantiles, and reject rate per sweep point.
+// Command cuccload is the open-loop load generator for a running cuccd: it
+// offers jobs at target Poisson rates (arrivals paced by the schedule, never
+// by responses — the discipline that exposes queueing collapse instead of
+// hiding it behind coordinated omission) and reports sustained QPS, latency
+// quantiles, and reject rate per sweep point.
 //
 // Usage:
 //
-//	cuccload -addr localhost:9091 -rates 50,200          # drive a running cuccd
-//	cuccload -rates 25,100,400 -jobs 200                 # self-hosted server on loopback
+//	cuccload -rates 50,200                               # drive cuccd on localhost:9091
+//	cuccload -addr host:9091 -rates 25,100,400 -jobs 200
 //	cuccload -mix tenant-a:VecAdd:3,tenant-b:FIR:1       # weighted tenant mix
-//	cuccload -rates 40 -jobs 24 -slo-check               # SLO smoke: fetch /slo,
-//	                                                     # assert finite budgets
 //
 // Each sweep row reports the exact sample quantiles (p50/p99/p999) plus
 // the bucket-resolution histogram quantiles (hp50/hp90/hp99 — upper bound
-// of the log2 bucket, the same estimator the /slo page uses).  With
-// -slo-check the run self-hosts a journaled server, serves its /slo page
-// on loopback, and exits nonzero unless every tenant's error-budget burn
-// is finite and the page renders in both text and JSON.
+// of the log2 bucket, the same estimator the /slo page uses).
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
-	"math"
-	"net"
-	"net/http"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
-	"cucc/internal/obs"
 	"cucc/internal/serve"
 	"cucc/internal/throughput"
 )
 
 func main() {
-	addr := flag.String("addr", "", "cuccd address to drive (empty = boot a server on loopback for the run)")
+	addr := flag.String("addr", "localhost:9091", "cuccd address to drive")
 	ratesFlag := flag.String("rates", "50,200", "comma-separated target rates (jobs/sec) for the saturation sweep")
 	jobs := flag.Int("jobs", 60, "arrivals offered per sweep point")
 	mixFlag := flag.String("mix", "tenant-a:VecAdd:1,tenant-b:FIR:1", "tenant mix as tenant:program:share[,...]")
 	seed := flag.Int64("seed", 1, "seed for the arrival schedule and tenant draws")
 	deadline := flag.Duration("deadline", 10*time.Second, "per-job deadline passed with every submission (0 = server default)")
-	executors := flag.Int("executors", 4, "self-hosted server: jobs run concurrently")
-	queueCap := flag.Int("queue-cap", 32, "self-hosted server: admission queue bound")
-	nodes := flag.Int("nodes", 2, "self-hosted server: default job cluster size")
-	sloCheck := flag.Bool("slo-check", false, "self-host with a journal and SLOs, fetch /slo after the sweep, and fail unless it renders with finite error budgets")
-	sloLatencyMs := flag.Float64("slo-latency-ms", 250, "latency objective applied to every tenant under -slo-check")
-	sloTarget := flag.Float64("slo-target", 0.99, "attainment target under -slo-check")
 	flag.Parse()
 
+	if *jobs < 1 {
+		fmt.Fprintf(os.Stderr, "bad -jobs %d (want at least 1)\n", *jobs)
+		os.Exit(2)
+	}
 	rates, err := parseRates(*ratesFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -62,49 +50,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if *sloCheck && *addr != "" {
-		fmt.Fprintln(os.Stderr, "cuccload: -slo-check needs the self-hosted server (drop -addr)")
-		os.Exit(2)
-	}
 
-	target := *addr
-	var httpBase string
-	if target == "" {
-		cfg := serve.Config{
-			QueueCap:  *queueCap,
-			Executors: *executors,
-			Nodes:     *nodes,
-			Workers:   1,
-		}
-		if *sloCheck {
-			cfg.Journal = obs.NewJournal(0)
-			cfg.SLO = obs.SLOConfig{Default: obs.Objective{LatencyMs: *sloLatencyMs, Target: *sloTarget}}
-			cfg.SampleEvery = 500 * time.Millisecond
-		}
-		srv := serve.NewServer(cfg)
-		bound, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer srv.Drain()
-		target = bound
-		fmt.Printf("cuccload: self-hosted cuccd on %s (queue %d, executors %d)\n",
-			bound, *queueCap, *executors)
-		if *sloCheck {
-			httpSrv := &http.Server{Handler: srv.HTTPMux()}
-			hb, err := serveHTTP(httpSrv)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			defer httpSrv.Close()
-			httpBase = hb
-			fmt.Printf("cuccload: /slo and /events on http://%s\n", hb)
-		}
-	}
-
-	client, err := serve.Dial(target)
+	client, err := serve.Dial(*addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -117,7 +64,7 @@ func main() {
 		Seed:     *seed,
 		Deadline: *deadline,
 	}
-	results := throughput.SweepLoad(serve.ClientSubmitter{Client: client}, base, rates)
+	results := throughput.SweepLoad(clientSubmitter{client}, base, rates)
 
 	fmt.Printf("%8s %8s %10s %10s %10s %10s %9s %9s %9s %8s %8s\n",
 		"rate/s", "offered", "qps", "p50 ms", "p99 ms", "p999 ms",
@@ -128,72 +75,30 @@ func main() {
 			r.Latency.P50()*1e3, r.Latency.P90()*1e3, r.Latency.P99()*1e3,
 			r.RejectRate*100, r.Errors)
 	}
-
-	if *sloCheck {
-		if err := checkSLO(httpBase); err != nil {
-			fmt.Fprintln(os.Stderr, "cuccload: slo check FAILED:", err)
-			os.Exit(1)
-		}
-		fmt.Println("cuccload: slo check ok")
-	}
 }
 
-// serveHTTP binds a loopback listener for the observability mux and serves
-// it in the background, returning the bound address.
-func serveHTTP(srv *http.Server) (string, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
-	}
-	go srv.Serve(ln)
-	return ln.Addr().String(), nil
+// clientSubmitter adapts a serve.Client to the load generator's Submitter
+// interface: every offered job goes end to end through the wire protocol.
+type clientSubmitter struct {
+	client *serve.Client
 }
 
-// checkSLO is the `make slo` smoke assertion: the /slo page renders as
-// text, parses as JSON, lists every tenant that saw traffic, and reports a
-// finite, non-negative error-budget burn for each.
-func checkSLO(base string) error {
-	text, err := httpGet("http://" + base + "/slo")
+func (cs clientSubmitter) Submit(tenant, program string, deadline time.Duration) throughput.JobResult {
+	t0 := time.Now()
+	req := &serve.Request{Tenant: tenant, Program: program}
+	if deadline > 0 {
+		req.DeadlineMs = int(deadline / time.Millisecond)
+	}
+	resp, err := cs.client.Do(req)
+	lat := time.Since(t0).Seconds()
 	if err != nil {
-		return err
+		return throughput.JobResult{LatencySec: lat}
 	}
-	if !strings.Contains(string(text), "tenant") {
-		return fmt.Errorf("/slo page did not render a tenant table:\n%s", text)
+	return throughput.JobResult{
+		OK:         resp.Status == serve.StatusOK,
+		Rejected:   resp.Status == serve.StatusRejected,
+		LatencySec: lat,
 	}
-	body, err := httpGet("http://" + base + "/slo?format=json")
-	if err != nil {
-		return err
-	}
-	rows, err := obs.ParseSLO(body)
-	if err != nil {
-		return err
-	}
-	if len(rows) == 0 {
-		return fmt.Errorf("/slo reported no tenants after the sweep")
-	}
-	for _, row := range rows {
-		if math.IsInf(row.BudgetBurn, 0) || math.IsNaN(row.BudgetBurn) || row.BudgetBurn < 0 {
-			return fmt.Errorf("tenant %s: error-budget burn %v is not finite and non-negative", row.Tenant, row.BudgetBurn)
-		}
-		if row.Attainment < 0 || row.Attainment > 1 {
-			return fmt.Errorf("tenant %s: attainment %v outside [0,1]", row.Tenant, row.Attainment)
-		}
-		fmt.Printf("cuccload: slo %-12s attainment %6.2f%%  burn %.2f\n",
-			row.Tenant, row.Attainment*100, row.BudgetBurn)
-	}
-	return nil
-}
-
-func httpGet(url string) ([]byte, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: %s", url, resp.Status)
-	}
-	return io.ReadAll(resp.Body)
 }
 
 func parseRates(s string) ([]float64, error) {

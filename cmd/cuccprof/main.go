@@ -1,6 +1,6 @@
 // Command cuccprof diagnoses CuCC runs: it extracts the critical path,
 // straggler and load-imbalance reports, and what-if estimates from a
-// recorded timeline, and diffs benchmark/metrics snapshots for regressions.
+// recorded timeline, and diffs metrics snapshots for regressions.
 //
 // Usage:
 //
@@ -9,8 +9,8 @@
 //	cuccprof -prog FIR -nodes 4                      # run the program, then diagnose it
 //	cuccprof -suite -nodes 4                         # run and diagnose every evaluation program
 //	cuccprof -prog FIR -nodes 4 -vmprofile           # also collect the VM opcode profile
-//	cuccprof -compare old.json new.json              # diff two cuccbench -json or metrics
-//	                                                 # snapshots; exit 1 on regressions
+//	cuccprof -compare old.json new.json              # diff two metrics snapshots
+//	                                                 # (-metrics-out); exit 1 on regressions
 //	cuccprof -postmortem postmortem-job7.json        # render a cuccd flight-recorder
 //	                                                 # dump as a failure timeline
 //
@@ -48,7 +48,7 @@ func main() {
 	engine := flag.String("engine", "vm-lanes", "IR engine for -prog/-suite: vm-lanes (vm is accepted as another name for it) or interp")
 	vmProfile := flag.Bool("vmprofile", false, "collect the VM opcode profile during -prog/-suite (forces the IR path)")
 	jsonOut := flag.Bool("json", false, "emit JSON instead of the human table")
-	compare := flag.Bool("compare", false, "compare two report files (cuccbench -json or metrics snapshots): cuccprof -compare old.json new.json")
+	compare := flag.Bool("compare", false, "compare two metrics snapshots (written by -metrics-out): cuccprof -compare old.json new.json")
 	postmortem := flag.String("postmortem", "", "render a cuccd flight-recorder dump (postmortem-job<id>.json) as a failure timeline")
 	threshold := flag.Float64("threshold", 0.10, "fractional regression threshold for -compare (0.10 = 10%)")
 	traceOut := flag.String("trace-out", "", "with -prog/-suite: also write the recorded Chrome trace here")
@@ -346,8 +346,7 @@ func runPostmortem(path string, jsonOut bool) int {
 
 // --- compare mode ---
 
-// runCompare diffs two report files.  The kind (bench report vs metrics
-// snapshot) is detected from the JSON shape; mixing kinds is refused.
+// runCompare diffs two metrics snapshots; a file that is not one is refused.
 func runCompare(oldPath, newPath string, threshold float64, jsonOut bool) int {
 	cmp, err := compareFiles(oldPath, newPath, threshold)
 	if err != nil {
@@ -379,21 +378,13 @@ func compareFiles(oldPath, newPath string, threshold float64) (*prof.Comparison,
 	if err != nil {
 		return nil, err
 	}
-	oldBench, oldErr := prof.ParseBenchReport(oldData)
-	newBench, newErr := prof.ParseBenchReport(newData)
-	switch {
-	case oldErr == nil && newErr == nil:
-		return prof.CompareBench(oldBench, newBench, threshold)
-	case oldErr == nil || newErr == nil:
-		return nil, fmt.Errorf("cuccprof: %s and %s are different report kinds", oldPath, newPath)
+	oldSnap, err := metrics.ParseSnapshot(oldData)
+	if err != nil {
+		return nil, fmt.Errorf("cuccprof: %s: %v", oldPath, err)
 	}
-	oldSnap, oldErr := metrics.ParseSnapshot(oldData)
-	if oldErr != nil {
-		return nil, fmt.Errorf("cuccprof: %s is neither a bench report nor a metrics snapshot: %v", oldPath, oldErr)
-	}
-	newSnap, newErr := metrics.ParseSnapshot(newData)
-	if newErr != nil {
-		return nil, fmt.Errorf("cuccprof: %s is neither a bench report nor a metrics snapshot: %v", newPath, newErr)
+	newSnap, err := metrics.ParseSnapshot(newData)
+	if err != nil {
+		return nil, fmt.Errorf("cuccprof: %s: %v", newPath, err)
 	}
 	return prof.CompareMetrics(oldSnap, newSnap, threshold), nil
 }

@@ -95,20 +95,6 @@ func writeFile(t *testing.T, name, content string) string {
 	return path
 }
 
-func TestCompareFilesBench(t *testing.T) {
-	old := writeFile(t, "old.json",
-		`{"schema_version":1,"results":[{"program":"X","engine":"vm","ns_per_op":100}]}`)
-	new := writeFile(t, "new.json",
-		`{"schema_version":1,"results":[{"program":"X","engine":"vm","ns_per_op":150}]}`)
-	cmp, err := compareFiles(old, new, 0.10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmp.Kind != "bench" || cmp.Regressions() != 1 {
-		t.Errorf("kind=%s regressions=%d, want bench/1", cmp.Kind, cmp.Regressions())
-	}
-}
-
 func TestCompareFilesMetrics(t *testing.T) {
 	old := writeFile(t, "old.json", `{"counters":{"a":1},"gauges":{},"histograms":{}}`)
 	new := writeFile(t, "new.json", `{"counters":{"a":5},"gauges":{},"histograms":{}}`)
@@ -121,15 +107,20 @@ func TestCompareFilesMetrics(t *testing.T) {
 	}
 }
 
+// TestCompareFilesKindMismatch: -compare reads metrics snapshots only; a
+// bench report in the old cuccbench -json format, or garbage, on either
+// side is refused.
 func TestCompareFilesKindMismatch(t *testing.T) {
 	bench := writeFile(t, "bench.json",
-		`{"schema_version":1,"results":[{"program":"X","engine":"vm","ns_per_op":100}]}`)
+		`{"schema_version":4,"results":[{"program":"X","engine":"vm-lanes","ns_per_op":100}]}`)
 	metricsFile := writeFile(t, "metrics.json", `{"counters":{"a":1},"gauges":{},"histograms":{}}`)
-	if _, err := compareFiles(bench, metricsFile, 0.10); err == nil {
-		t.Error("mixing report kinds not refused")
-	}
 	garbage := writeFile(t, "garbage.json", `hello`)
-	if _, err := compareFiles(garbage, garbage, 0.10); err == nil {
-		t.Error("garbage accepted")
+	for _, pair := range [][2]string{
+		{bench, bench}, {bench, metricsFile}, {metricsFile, bench},
+		{garbage, garbage}, {metricsFile, garbage},
+	} {
+		if _, err := compareFiles(pair[0], pair[1], 0.10); err == nil {
+			t.Errorf("compareFiles(%s, %s) accepted a non-snapshot file", filepath.Base(pair[0]), filepath.Base(pair[1]))
+		}
 	}
 }

@@ -12,8 +12,8 @@ import "fmt"
 type Engine uint8
 
 const (
-	// EngineDefault defers the choice to the next configuration layer
-	// (session -> cluster -> process default -> EngineVMLanes).
+	// EngineDefault is the unset value: a launch whose session leaves
+	// Host.Engine at it runs EngineVMLanes.
 	EngineDefault Engine = iota
 	// EngineVM is the register machine under its older name; it runs the
 	// same loop as EngineVMLanes.

@@ -190,7 +190,7 @@ func ExportSLOJSON(rows []TenantSLO) ([]byte, error) {
 }
 
 // ParseSLO loads rows serialized by ExportSLOJSON (the /slo?format=json
-// payload cuccload's -slo-check consumes).
+// payload).
 func ParseSLO(data []byte) ([]TenantSLO, error) {
 	var rows []TenantSLO
 	if err := json.Unmarshal(data, &rows); err != nil {

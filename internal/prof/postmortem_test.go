@@ -102,54 +102,3 @@ func TestPostmortemJSON(t *testing.T) {
 		t.Errorf("round trip lost content: %+v", back)
 	}
 }
-
-// TestCompareBenchSLORows: schema-v4 SLO columns diff like the other
-// service figures — attainment shrink and burn growth flag, and a baseline
-// without the columns (v3) produces no SLO rows at all.
-func TestCompareBenchSLORows(t *testing.T) {
-	old := serviceReport([]ServiceResult{
-		{Scenario: "s", TargetRate: 50, QPS: 48, P99Ms: 10, SLOAttainment: 1.0, SLOBurn: 0},
-		{Scenario: "s", TargetRate: 200, QPS: 120, P99Ms: 20, SLOAttainment: 0.99, SLOBurn: 1.0},
-	})
-	new := serviceReport([]ServiceResult{
-		// Attainment 1.0 -> 0.8 at rate 50 (and a burn appearing from zero):
-		// both flag.  Burn 1.0 -> 2.0 at rate 200: flags.
-		{Scenario: "s", TargetRate: 50, QPS: 48, P99Ms: 10, SLOAttainment: 0.8, SLOBurn: 20},
-		{Scenario: "s", TargetRate: 200, QPS: 120, P99Ms: 20, SLOAttainment: 0.98, SLOBurn: 2.0},
-	})
-	cmp, err := CompareBench(old, new, 0.10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flagged := map[string]bool{}
-	for _, r := range cmp.Rows {
-		if r.Regression {
-			flagged[r.Key] = true
-		}
-	}
-	if !flagged["service:s@50/slo_attainment"] {
-		t.Errorf("attainment collapse not flagged: %+v", cmp.Rows)
-	}
-	if !flagged["service:s@50/slo_burn"] {
-		t.Errorf("burn appearing from zero not flagged: %+v", cmp.Rows)
-	}
-	if !flagged["service:s@200/slo_burn"] {
-		t.Errorf("burn doubling not flagged: %+v", cmp.Rows)
-	}
-	if flagged["service:s@200/slo_attainment"] {
-		t.Errorf("1%% attainment dip within threshold flagged: %+v", cmp.Rows)
-	}
-
-	// v3 baseline: no SLO columns on the old side, so no SLO rows and no
-	// false regressions.
-	v3 := serviceReport([]ServiceResult{{Scenario: "s", TargetRate: 50, QPS: 48, P99Ms: 10}})
-	cmp, err = CompareBench(v3, new, 0.10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range cmp.Rows {
-		if strings.Contains(r.Key, "slo_") {
-			t.Errorf("SLO row produced against a v3 baseline: %+v", r)
-		}
-	}
-}

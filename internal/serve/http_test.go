@@ -47,8 +47,8 @@ func TestEventsPage(t *testing.T) {
 	}
 }
 
-// TestSLOPage: /slo renders tenant rows with finite burns in both formats,
-// applying the per-tenant objectives.
+// TestSLOPage: /slo renders tenant rows with finite burns and attainments in
+// [0, 1] in both formats, applying the per-tenant objectives.
 func TestSLOPage(t *testing.T) {
 	srv := NewServer(Config{
 		Executors: 1, Nodes: 2, Workers: 1,
@@ -88,6 +88,9 @@ func TestSLOPage(t *testing.T) {
 	for _, r := range rows {
 		if math.IsInf(r.BudgetBurn, 0) || math.IsNaN(r.BudgetBurn) || r.BudgetBurn < 0 {
 			t.Errorf("tenant %s: burn %v not finite and non-negative", r.Tenant, r.BudgetBurn)
+		}
+		if r.Attainment < 0 || r.Attainment > 1 {
+			t.Errorf("tenant %s: attainment %v outside [0, 1]", r.Tenant, r.Attainment)
 		}
 		if r.Requests != 1 || r.Completed != 1 {
 			t.Errorf("tenant %s accounting: %+v", r.Tenant, r)

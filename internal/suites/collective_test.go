@@ -89,6 +89,57 @@ func TestCollectiveEquivalenceAcrossEngines(t *testing.T) {
 	}
 }
 
+// TestAutoScheduleNeverWorseThanRing: at paper scale on 8 and 32 nodes, the
+// cost model's pick (auto) and auto with phase-3 overlap never estimate a
+// slower launch than the zero choice's ring, and overlap never hides more
+// than the whole Allgather.
+func TestAutoScheduleNeverWorseThanRing(t *testing.T) {
+	estimate := func(p *Program, nodes int, s string) *core.Stats {
+		t.Helper()
+		choice, err := csched.ParseChoice(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := cluster.New(cluster.Config{Nodes: nodes, Machine: machine.Intel6226(), Net: simnet.IB100()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		sess := core.NewSession(c, p.Compiled)
+		sess.Collective = choice
+		st, err := sess.Estimate(p.Spec(p.Default))
+		if err != nil {
+			t.Fatalf("%s @%d nodes, choice %q: %v", p.Name, nodes, s, err)
+		}
+		return st
+	}
+	compared := 0
+	for _, p := range Registry() {
+		for _, nodes := range []int{8, 32} {
+			ring := estimate(p, nodes, "")
+			if !ring.Distributed || ring.CommSec == 0 {
+				continue // no phase 2, nothing to choose
+			}
+			compared++
+			floor := ring.TotalSec - ring.CommSec
+			for _, s := range []string{"auto", "auto+overlap"} {
+				st := estimate(p, nodes, s)
+				if st.TotalSec > ring.TotalSec*(1+1e-9) {
+					t.Errorf("%s @%d nodes: %s (%s) total %.9gs, worse than the ring's %.9gs",
+						p.Name, nodes, s, st.CollectiveAlgo, st.TotalSec, ring.TotalSec)
+				}
+				if s == "auto+overlap" && st.TotalSec < floor {
+					t.Errorf("%s @%d nodes: %s total %.9gs below the free-Allgather floor %.9gs",
+						p.Name, nodes, s, st.TotalSec, floor)
+				}
+			}
+		}
+	}
+	if compared == 0 {
+		t.Fatal("no program has a phase 2 at paper scale")
+	}
+}
+
 // TestCollectiveEquivalenceUnderBenignFaults repeats the comparison under
 // the chaos tests' benign fault schedule: delayed and duplicated frames
 // must not open any gap between the schedule executor and the oracle.
