@@ -36,6 +36,9 @@ type fpCase struct {
 	collective                  string // csched.ParseChoice syntax
 	remainder                   core.RemainderStrategy
 	trivial, ir, estimate, kill bool
+	// interp runs the IR path on the reference interpreter instead of the
+	// default register machine.
+	interp bool
 }
 
 func (fc fpCase) String() string {
@@ -51,7 +54,7 @@ func (fc fpCase) String() string {
 	for _, f := range []struct {
 		on   bool
 		name string
-	}{{fc.trivial, "trivial"}, {fc.ir, "ir"}, {fc.estimate, "estimate"}, {fc.kill, "kill"}} {
+	}{{fc.trivial, "trivial"}, {fc.ir, "ir"}, {fc.estimate, "estimate"}, {fc.kill, "kill"}, {fc.interp, "interp"}} {
 		if f.on {
 			s += "/" + f.name
 		}
@@ -62,7 +65,8 @@ func (fc fpCase) String() string {
 // fingerprintCases is the launch matrix: every program on 1, 3 and 4 nodes
 // under the default collective, ring+overlap and auto+overlap, both
 // remainder strategies, one and three pool workers, and Estimate; plus
-// ForceTrivial, the IR engine, and a rank kill recovered on four nodes.
+// ForceTrivial, the IR engine, and a rank kill recovered on four nodes; plus
+// the reference interpreter on one and four nodes, one and three workers.
 func fingerprintCases() []fpCase {
 	var cases []fpCase
 	for _, p := range allWithVecAdd() {
@@ -88,6 +92,11 @@ func fingerprintCases() []fpCase {
 		}
 		for _, coll := range []string{"", "+overlap"} {
 			cases = append(cases, fpCase{p: p, nodes: 4, workers: 1, collective: coll, kill: true})
+		}
+		for _, n := range []int{1, 4} {
+			for _, w := range []int{1, 3} {
+				cases = append(cases, fpCase{p: p, nodes: n, workers: w, interp: true})
+			}
 		}
 	}
 	return cases
@@ -122,10 +131,13 @@ func fingerprint(t *testing.T, fc fpCase) string {
 	}
 	inst.Spec.Remainder = fc.remainder
 	inst.Spec.ForceTrivial = fc.trivial
-	inst.Spec.UseInterp = fc.ir
+	inst.Spec.UseInterp = fc.ir || fc.interp
 	sess := core.NewSession(c, fc.p.Compiled)
 	sess.Verify = true
 	sess.Host.Workers = fc.workers
+	if fc.interp {
+		sess.Host.Engine = cluster.EngineInterp
+	}
 	sess.Collective = choice
 	sess.Trace = trace.New()
 	sess.Obs = sc
