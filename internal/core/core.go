@@ -122,7 +122,9 @@ type LaunchSpec struct {
 	SIMDFraction float64
 	// ForceTrivial disables distribution (ablation/fallback testing).
 	ForceTrivial bool
-	// UseInterp forces the interpreter even when a native is registered.
+	// UseInterp runs the kernel's IR even when a native is registered, on
+	// the engine the session's Host.Engine selects: the register machine
+	// when it is unset, the reference interpreter only for EngineInterp.
 	UseInterp bool
 	// BlockSplit relaunches the kernel with each GPU block split into
 	// this many CPU-sized blocks (grid x split, block / split).  Valid

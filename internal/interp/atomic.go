@@ -30,12 +30,12 @@ func (s *AtomicShards) Shard(param, idx int) *sync.Mutex {
 // AtomicMemory is a Memory whose backend provides sharded locks serializing
 // atomic read-modify-write on its global buffers.  The interpreter requires
 // this capability whenever GPU blocks of one launch may execute concurrently
-// on the same memory (the intra-node worker pool in internal/core): the
-// per-block mutex inside blockCtx only orders threads of a single block.
+// on the same memory (the intra-node worker pool in internal/core); the
+// threads of one block never run concurrently.
 //
 // Node memories (internal/cluster) and HostMem implement it; backends that
 // never run blocks concurrently (e.g. the PGAS baseline) may omit it and
-// fall back to per-block locking.
+// then take no lock.
 type AtomicMemory interface {
 	Memory
 	// AtomicShard returns the lock guarding atomic RMW on element idx of

@@ -462,3 +462,32 @@ __global__ void count_a(char* text, int* hits, int n) {
 		}
 	}
 }
+
+// panicMem panics on every float load and exposes no raw rows.
+type panicMem struct{ Memory }
+
+func (panicMem) LoadF32(int, int) float32 { panic("load failed") }
+
+// TestPanicReachesCaller: a panic in a barrier kernel's thread, here while
+// the other threads wait at the barrier, surfaces on the goroutine that
+// called ExecBlock, where a recover can catch it.
+func TestPanicReachesCaller(t *testing.T) {
+	k := mustKernel(t, `
+__global__ void k(float* x) {
+    __shared__ float s[8];
+    s[threadIdx.x] = 1.0f;
+    __syncthreads();
+    x[threadIdx.x] = x[threadIdx.x] + s[0];
+}`, "k")
+	mem := NewHostMem()
+	mem.Bind(0, ZeroBuffer(kir.F32, 8))
+	l := &Launch{Kernel: k, Grid: Dim1(1), Block: Dim1(8), Args: []Value{{}}, Mem: panicMem{mem}}
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		ExecBlock(l, 0, 0)
+		return nil
+	}()
+	if got != "load failed" {
+		t.Fatalf("recovered %v, want the load's panic", got)
+	}
+}

@@ -101,6 +101,34 @@ func hostRun(t *testing.T, p *Program, wrap func(*interp.HostMem) interp.Memory)
 	if !ok {
 		t.Fatalf("%s has no native", p.Name)
 	}
+	return hostExec(t, p, wrap, func(mem interp.Memory, args []interp.Value, grid, block interp.Dim3) error {
+		for by := 0; by < grid.Y; by++ {
+			for bx := 0; bx < grid.X; bx++ {
+				if err := nat.RunBlock(mem, args, grid, block, bx, by); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+}
+
+// interpHostRun is hostRun with the reference interpreter's ExecGrid in
+// place of the native.
+func interpHostRun(t *testing.T, p *Program, wrap func(*interp.HostMem) interp.Memory) [][]byte {
+	t.Helper()
+	k := p.Compiled.Kernel(p.Kernel)
+	return hostExec(t, p, wrap, func(mem interp.Memory, args []interp.Value, grid, block interp.Dim3) error {
+		_, err := interp.ExecGrid(&interp.Launch{Kernel: k, Grid: grid, Block: block, Args: args, Mem: mem})
+		return err
+	})
+}
+
+// hostExec runs exec over a HostMem holding p's Small inputs, seen through
+// wrap, and returns each buffer argument's bytes.
+func hostExec(t *testing.T, p *Program, wrap func(*interp.HostMem) interp.Memory,
+	exec func(mem interp.Memory, args []interp.Value, grid, block interp.Dim3) error) [][]byte {
+	t.Helper()
 	spec, d := p.Spec(p.Small), p.gen(p.Small)
 	host := interp.NewHostMem()
 	args := make([]interp.Value, len(spec.Args))
@@ -115,20 +143,16 @@ func hostRun(t *testing.T, p *Program, wrap func(*interp.HostMem) interp.Memory)
 		host.Bind(i, &interp.HostBuffer{Elem: a.Buf.Elem, Data: data})
 		snaps = append(snaps, data)
 	}
-	mem := wrap(host)
-	for by := 0; by < spec.Grid.Y; by++ {
-		for bx := 0; bx < spec.Grid.X; bx++ {
-			if err := nat.RunBlock(mem, args, spec.Grid, spec.Block, bx, by); err != nil {
-				t.Fatal(err)
-			}
-		}
+	if err := exec(wrap(host), args, spec.Grid, spec.Block); err != nil {
+		t.Fatal(err)
 	}
 	return snaps
 }
 
 // TestInterpMatchesNative cross-validates the native backend against the
-// IR interpreter on the same workload: through a session on node memory,
-// and block by block on a HostMem, with and without its raw bytes exposed.
+// reference interpreter on the same workload: through a session on node
+// memory, and on a HostMem with and without its raw bytes exposed, where
+// the interpreter reads rows in place or goes element by element.
 func TestInterpMatchesNative(t *testing.T) {
 	for _, p := range allWithVecAdd() {
 		t.Run(p.Name, func(t *testing.T) {
@@ -140,6 +164,7 @@ func TestInterpMatchesNative(t *testing.T) {
 				}
 				inst.Spec.UseInterp = useInterp
 				sess := core.NewSession(c, p.Compiled)
+				sess.Host.Engine = cluster.EngineInterp
 				sess.Verify = true
 				if _, err := sess.Launch(inst.Spec); err != nil {
 					t.Fatal(err)
@@ -160,9 +185,11 @@ func TestInterpMatchesNative(t *testing.T) {
 			}
 			itp := run(true)
 			for name, nat := range map[string][][]byte{
-				"node memory":         run(false),
-				"host memory":         hostRun(t, p, func(h *interp.HostMem) interp.Memory { return h }),
-				"element-only memory": hostRun(t, p, func(h *interp.HostMem) interp.Memory { return elemOnly{h} }),
+				"node memory":                   run(false),
+				"host memory":                   hostRun(t, p, func(h *interp.HostMem) interp.Memory { return h }),
+				"element-only memory":           hostRun(t, p, func(h *interp.HostMem) interp.Memory { return elemOnly{h} }),
+				"interp on host memory":         interpHostRun(t, p, func(h *interp.HostMem) interp.Memory { return h }),
+				"interp on element-only memory": interpHostRun(t, p, func(h *interp.HostMem) interp.Memory { return elemOnly{h} }),
 			} {
 				for i := range itp {
 					if !bytes.Equal(nat[i], itp[i]) {

@@ -3,12 +3,14 @@ package suites
 import (
 	"testing"
 
+	"cucc/internal/cluster"
 	"cucc/internal/core"
 )
 
 // TestAnalyticWorkMatchesMeasured cross-validates each native's analytic
 // flop model (which drives every figure through the cost models) against
-// the interpreter's dynamically counted flops on the same workload.  The
+// the reference interpreter's dynamically counted flops on the same
+// workload.  The
 // analytic models include deliberate approximations (intrinsic costs,
 // cache-reuse byte estimates), so the check is a factor bound on flops for
 // the flop-dominated programs, not equality.
@@ -21,6 +23,7 @@ func TestAnalyticWorkMatchesMeasured(t *testing.T) {
 				t.Fatal(err)
 			}
 			sess := core.NewSession(c, p.Compiled)
+			sess.Host.Engine = cluster.EngineInterp
 
 			// Interpreter-measured per-block work.
 			interpSpec := inst.Spec

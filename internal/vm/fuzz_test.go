@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"sync"
 	"testing"
 
 	"cucc/internal/interp"
@@ -15,18 +14,15 @@ import (
 )
 
 // storeCounter is a Memory that notes whether any element was stored twice.
-// The interpreter runs a barrier kernel's threads as goroutines, hence the
-// lock.
+// It wraps the element accessors only, so the interpreter cannot store
+// through raw rows around it.
 type storeCounter struct {
-	*interp.HostMem
-	mu     sync.Mutex
+	interp.Memory
 	stored map[[2]int]bool
 	twice  bool
 }
 
 func (m *storeCounter) note(param, idx int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	key := [2]int{param, idx}
 	if m.stored[key] {
 		m.twice = true
@@ -36,17 +32,17 @@ func (m *storeCounter) note(param, idx int) {
 
 func (m *storeCounter) StoreF32(param, idx int, v float32) {
 	m.note(param, idx)
-	m.HostMem.StoreF32(param, idx, v)
+	m.Memory.StoreF32(param, idx, v)
 }
 
 func (m *storeCounter) StoreI32(param, idx int, v int32) {
 	m.note(param, idx)
-	m.HostMem.StoreI32(param, idx, v)
+	m.Memory.StoreI32(param, idx, v)
 }
 
 func (m *storeCounter) StoreU8(param, idx int, v byte) {
 	m.note(param, idx)
-	m.HostMem.StoreU8(param, idx, v)
+	m.Memory.StoreU8(param, idx, v)
 }
 
 // orderFree reports whether no thread of k can observe another: no atomics,
@@ -125,67 +121,151 @@ func memImage(k *kir.Kernel, mem *interp.HostMem) []byte {
 	return image
 }
 
+// barrierSeeds are barrier kernels whose threads observe one another, so
+// only the thread-serial schedule has one answer: FuzzCompileMatchesInterp
+// starts from them (besides testdata/fuzz), and TestBarrierSeedsExecute
+// keeps them compared rather than skipped.
+var barrierSeeds = []struct {
+	name  string
+	block byte // the fuzz input byte: block = block%64 + 1 threads
+	src   string
+}{
+	// A thread reads its neighbour's slot before the barrier: the
+	// neighbour has not stored it yet, except for the last thread's.
+	{"racy-neighbour-read", 31, `
+__global__ void fz(float* out, float* a, int n) {
+    __shared__ float tile[64];
+    int t = threadIdx.x;
+    tile[t] = a[t] + 1.0f;
+    float v = tile[(t + 1) % blockDim.x];
+    __syncthreads();
+    out[blockIdx.x * blockDim.x + t] = v + tile[t];
+}`},
+	// Threads pass zero, one or two barriers: the count-based barrier
+	// releases whoever is waiting once the rest have finished.
+	{"divergent-barrier-count", 20, `
+__global__ void fz(float* out, float* a, int n) {
+    __shared__ float tile[64];
+    int t = threadIdx.x;
+    tile[t] = a[t];
+    for (int r = 0; r < t % 3; r++) {
+        __syncthreads();
+        tile[t] = tile[t] + tile[(t + r + 1) % blockDim.x];
+    }
+    out[blockIdx.x * blockDim.x + t] = tile[t];
+}`},
+	{"return-before-barrier", 15, `
+__global__ void fz(float* out, float* a, int n) {
+    __shared__ float tile[64];
+    int t = threadIdx.x;
+    tile[t] = a[t] * 2.0f;
+    if (t % 4 == 3) return;
+    __syncthreads();
+    out[blockIdx.x * blockDim.x + t] = tile[(t + 1) % blockDim.x];
+}`},
+	// Thread 5 fails between two barriers; the others run on, and the
+	// block reports its error.
+	{"error-mid-phase", 11, `
+__global__ void fz(float* out, float* a, int n) {
+    __shared__ float tile[64];
+    int t = threadIdx.x;
+    tile[t] = a[t];
+    __syncthreads();
+    if (t == 5) { out[t - n] = 1.0f; }
+    tile[t] = tile[(t + 1) % blockDim.x] * 0.5f;
+    __syncthreads();
+    out[blockIdx.x * blockDim.x + t] = tile[t];
+}`},
+	{"shared-atomics-across-barrier", 23, `
+__global__ void fz(int* out, int* a, int n) {
+    __shared__ int cnt[4];
+    int t = threadIdx.x;
+    atomicAdd(&cnt[t % 4], a[t]);
+    __syncthreads();
+    atomicMax(&cnt[(t + 1) % 4], t * 7 - cnt[t % 4]);
+    __syncthreads();
+    out[blockIdx.x * blockDim.x + t] = cnt[t % 4];
+}`},
+}
+
 // FuzzCompileMatchesInterp: mini-CUDA text -> lang.Parse -> vm.Compile ->
 // block 1 of a two-block launch, against the interpreter: memory, Work and
-// error.  Lane width 1 is the interpreter's own thread order, so a
-// barrier-free kernel must agree there whatever it does; kernels whose
-// threads cannot observe one another (orderFree) must also agree at the
-// default lane width, where the block is one lockstep batch, which is where
-// a misclassified value shows.  A barrier kernel that is not orderFree is
-// skipped: the interpreter runs its threads as goroutines, so a mutated-in
-// race has no one answer.
+// error.  Lane width 1 is the interpreter's own schedule — threads one
+// after another, a barrier kernel's resumed in thread order between
+// barriers — so every kernel must agree there whatever it does; kernels
+// whose threads cannot observe one another (orderFree) must also agree at
+// the default lane width, where the block is one lockstep batch, which is
+// where a misclassified value shows.
 func FuzzCompileMatchesInterp(f *testing.F) {
-	f.Fuzz(func(t *testing.T, src string, blockSize byte) {
-		if len(src) > 4096 {
-			return
-		}
-		mod, err := lang.Parse(src)
-		if err != nil || len(mod.Kernels) == 0 {
-			return
-		}
-		k := mod.Kernels[0]
-		shared := 0
-		for _, sh := range k.Shared {
-			shared += sh.Len
-		}
-		if shared > 4096 || len(k.Params) > 16 {
-			return
-		}
-		if _, err := vm.Compile(k); err != nil {
-			return // register file overflow: a limit, not a disagreement
-		}
-		free := orderFree(k)
-		if k.HasSync() && !free {
-			return
-		}
-		block := int(blockSize)%64 + 1
+	for _, sd := range barrierSeeds {
+		f.Add(sd.src, sd.block)
+	}
+	f.Fuzz(func(t *testing.T, src string, blockSize byte) { fuzzCheck(t, src, blockSize) })
+}
 
-		memI, li := fuzzLaunch(k, block)
-		sc := &storeCounter{HostMem: memI, stored: map[[2]int]bool{}}
-		li.Mem = sc
-		wi, ei := interp.ExecBlock(li, 1, 0)
-		want := memImage(k, memI)
+// fuzzCheck is FuzzCompileMatchesInterp's check of one input.  It reports
+// whether the engines were compared: false for text that is not a kernel
+// within the limits.
+func fuzzCheck(t *testing.T, src string, blockSize byte) bool {
+	t.Helper()
+	if len(src) > 4096 {
+		return false
+	}
+	mod, err := lang.Parse(src)
+	if err != nil || len(mod.Kernels) == 0 {
+		return false
+	}
+	k := mod.Kernels[0]
+	shared := 0
+	for _, sh := range k.Shared {
+		shared += sh.Len
+	}
+	if shared > 4096 || len(k.Params) > 16 {
+		return false
+	}
+	if _, err := vm.Compile(k); err != nil {
+		return false // register file overflow: a limit, not a disagreement
+	}
+	block := int(blockSize)%64 + 1
 
-		widths := []int{1}
-		if free && (ei != nil || !sc.twice) {
-			widths = append(widths, vm.LaneWidth())
+	memI, li := fuzzLaunch(k, block)
+	sc := &storeCounter{Memory: memI, stored: map[[2]int]bool{}}
+	li.Mem = sc
+	wi, ei := interp.ExecBlock(li, 1, 0)
+	want := memImage(k, memI)
+
+	widths := []int{1}
+	if orderFree(k) && (ei != nil || !sc.twice) {
+		widths = append(widths, vm.LaneWidth())
+	}
+	for _, w := range widths {
+		memV, lv := fuzzLaunch(k, block)
+		var wv interp.Work
+		var ev error
+		atLaneWidth(w, func() { wv, ev = vm.ExecBlock(lv, 1, 0) })
+		if !sameError(ei, ev) {
+			t.Fatalf("width %d: error divergence: interp=%v vm=%v", w, ei, ev)
 		}
-		for _, w := range widths {
-			memV, lv := fuzzLaunch(k, block)
-			var wv interp.Work
-			var ev error
-			atLaneWidth(w, func() { wv, ev = vm.ExecBlock(lv, 1, 0) })
-			if !sameError(ei, ev) {
-				t.Fatalf("width %d: error divergence: interp=%v vm=%v", w, ei, ev)
-			}
-			if wi != wv {
-				t.Fatalf("width %d: work divergence:\ninterp %+v\nvm %+v", w, wi, wv)
-			}
-			if ei == nil && !bytes.Equal(want, memImage(k, memV)) {
-				t.Fatalf("width %d: memory divergence", w)
-			}
+		if wi != wv {
+			t.Fatalf("width %d: work divergence:\ninterp %+v\nvm %+v", w, wi, wv)
 		}
-	})
+		if ei == nil && !bytes.Equal(want, memImage(k, memV)) {
+			t.Fatalf("width %d: memory divergence", w)
+		}
+	}
+	return true
+}
+
+// TestBarrierSeedsExecute: every barrier seed is a kernel the fuzz check
+// compares, not one it skips.
+func TestBarrierSeedsExecute(t *testing.T) {
+	for _, sd := range barrierSeeds {
+		t.Run(sd.name, func(t *testing.T) {
+			if !fuzzCheck(t, sd.src, sd.block) {
+				t.Fatal("seed skipped: not compared")
+			}
+		})
+	}
 }
 
 // TestFuzzSeedCorpus keeps the checked-in seed corpus equal to the named
