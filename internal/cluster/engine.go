@@ -4,9 +4,9 @@ import "fmt"
 
 // Engine selects which IR execution engine the runtime uses for kernels
 // without a native implementation.  There are two: the lane-batched
-// register machine (internal/vm) is the production engine; the tree-walking
-// interpreter (internal/interp) is retained as the semantic oracle for
-// differential testing.  EngineVM and EngineVMLanes are two accepted names
+// register machine (internal/vm) is the production engine; the
+// thread-serial reference interpreter (internal/interp) is retained as the
+// semantic oracle for differential testing.  EngineVM and EngineVMLanes are two accepted names
 // for the register machine (tenants and the benchmark send both) and differ
 // only in which core.blocks.* counter a launch reports under.
 type Engine uint8
@@ -18,7 +18,8 @@ const (
 	// EngineVM is the register machine under its older name; it runs the
 	// same loop as EngineVMLanes.
 	EngineVM
-	// EngineInterp runs kernels on the reference tree-walking interpreter.
+	// EngineInterp runs kernels on the reference interpreter: compiled once
+	// to Go closures, one thread after another.
 	EngineInterp
 	// EngineVMLanes runs kernels on the compile-once register machine: one
 	// opcode dispatch drives a warp-style batch of threads in lockstep over

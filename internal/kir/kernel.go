@@ -75,7 +75,8 @@ func (k *Kernel) SharedArrayByName(name string) *SharedArray {
 }
 
 // HasSync reports whether the kernel contains a __syncthreads() barrier,
-// which forces the interpreter onto the phased thread execution path.
+// which makes the interpreter run the block's threads as coroutines that
+// suspend at each barrier.
 func (k *Kernel) HasSync() bool {
 	found := false
 	WalkStmts(k.Body, func(s Stmt) {

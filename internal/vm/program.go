@@ -1,14 +1,14 @@
 // Package vm executes kernel IR through a compile-once register machine.
 //
-// Where internal/interp walks the kir.Expr/kir.Stmt trees with an interface
-// dispatch and an (Value, error) return per node, this package lowers a
+// Where internal/interp runs one thread at a time through a tree of
+// closures with an (Value, error) return per node, this package lowers a
 // kernel once into a flat instruction slice over two preallocated register
 // files (int64 and float64, mirroring the two fields of interp.Value) and
 // then dispatches it in a tight loop over warp-style lane batches (see
 // lanes.go).  Structured control flow becomes jumps; literals become
 // registers preloaded from a constant pool; barrier kernels run as
-// cooperatively scheduled batches that suspend at opSync instead of one
-// goroutine per GPU thread.
+// cooperatively scheduled batches that suspend at opSync, where the
+// interpreter suspends one coroutine per GPU thread.
 //
 // The interpreter remains the semantic oracle: for every kernel the VM must
 // produce bitwise-identical memory, identical Work counters, and the same
