@@ -306,8 +306,9 @@ __global__ void oob(float* x) {
 	mem := NewHostMem()
 	mem.Bind(0, ZeroBuffer(kir.F32, 10))
 	l := &Launch{Kernel: k, Grid: Dim1(1), Block: Dim1(1), Args: []Value{{}}, Mem: mem}
-	if _, err := ExecGrid(l); err == nil {
-		t.Fatal("out-of-bounds store not detected")
+	_, err := ExecGrid(l)
+	if want := "interp: oob: global store out of bounds: x[100] (len 10)"; err == nil || err.Error() != want {
+		t.Fatalf("error = %v, want %q", err, want)
 	}
 }
 
@@ -319,8 +320,9 @@ __global__ void divz(int* x) {
 	mem := NewHostMem()
 	mem.Bind(0, NewI32Buffer([]int32{5, 0}))
 	l := &Launch{Kernel: k, Grid: Dim1(1), Block: Dim1(1), Args: []Value{{}}, Mem: mem}
-	if _, err := ExecGrid(l); err == nil {
-		t.Fatal("integer division by zero not detected")
+	_, err := ExecGrid(l)
+	if want := "interp: divz: integer division by zero"; err == nil || err.Error() != want {
+		t.Fatalf("error = %v, want %q", err, want)
 	}
 }
 
