@@ -17,17 +17,21 @@ import (
 // float32 rounding after every float operation, one Work charge per
 // operation, one tick per loop test, and the first error stops the thread.
 //
-// A closure's Value is meaningless when its error is non-nil; every consumer
-// checks the error first.
+// No closure returns an error.  A failing operation latches its error on the
+// thread with fail, which keeps the first one, and yields the zero Value;
+// evaluation runs on to the end of the statement, where it can only latch
+// errors fail discards.  Every statement checks t.err before it has any
+// effect and then stops the thread with ctrlReturn.  A failed block reports
+// zero Work, so the charges made after the failure do not show.
 
 // exprFn evaluates an expression for one thread.
-type exprFn func(t *thread) (Value, error)
+type exprFn func(t *thread) Value
 
 // condFn evaluates an expression for its truth value.
-type condFn func(t *thread) (bool, error)
+type condFn func(t *thread) bool
 
 // stmtFn executes a statement for one thread.
-type stmtFn func(t *thread) (ctrl, error)
+type stmtFn func(t *thread) ctrl
 
 type ctrl uint8
 
@@ -50,21 +54,36 @@ type thread struct {
 	// path, whose kernels have none.  It reports false when the block is
 	// being abandoned, and the thread then returns.
 	yield func(struct{}) bool
-	// err is the error a phased thread stopped with.
+	// err is the first error the thread failed with.
 	err error
 }
 
-// operand is a compiled operand: a closure, or (fn nil) a slot, which the
-// binary operators read in place to spare a call.  Literals get slots of
-// their own, filled at thread start.
+// fail latches err unless the thread has already failed, and returns the
+// zero Value a failed operation yields.
+func (t *thread) fail(err error) Value {
+	if t.err == nil {
+		t.err = err
+	}
+	return Value{}
+}
+
+// outOfBounds latches the error of a load or store (op) of element i of mem,
+// which has n elements.
+func (t *thread) outOfBounds(kernel, op string, mem kir.MemRef, i, n int64) Value {
+	return t.fail(fmt.Errorf("interp: %s: %s %s out of bounds: %s[%d] (len %d)", kernel, mem.Space, op, mem.Name, i, n))
+}
+
+// operand is a compiled operand: a closure, or (fn nil) a slot, which get
+// reads in place to spare a call.  Literals get slots of their own, filled
+// at thread start.
 type operand struct {
 	fn   exprFn
 	slot int
 }
 
-func (o operand) eval(t *thread) (Value, error) {
+func (o operand) get(t *thread) Value {
 	if o.fn == nil {
-		return t.slots[o.slot], nil
+		return t.slots[o.slot]
 	}
 	return o.fn(t)
 }
@@ -112,13 +131,13 @@ func (c *compiler) block(b kir.Block) stmtFn {
 	if len(fns) == 1 {
 		return fns[0]
 	}
-	return func(t *thread) (ctrl, error) {
+	return func(t *thread) ctrl {
 		for _, f := range fns {
-			if c, err := f(t); err != nil || c != ctrlNone {
-				return c, err
+			if c := f(t); c != ctrlNone {
+				return c
 			}
 		}
-		return ctrlNone, nil
+		return ctrlNone
 	}
 }
 
@@ -137,12 +156,12 @@ func (c *compiler) stmt(s kir.Stmt) stmtFn {
 		return c.atomic(s)
 	case *kir.If:
 		cond, then, els := c.cond(s.Cond), c.block(s.Then), c.block(s.Else)
-		return func(t *thread) (ctrl, error) {
-			ok, err := cond(t)
-			if err != nil {
-				return ctrlNone, err
-			}
-			if ok {
+		return func(t *thread) ctrl {
+			ok := cond(t)
+			switch {
+			case t.err != nil:
+				return ctrlReturn
+			case ok:
 				return then(t)
 			}
 			return els(t)
@@ -152,11 +171,11 @@ func (c *compiler) stmt(s kir.Stmt) stmtFn {
 	case *kir.While:
 		return c.loop(nil, s.Cond, nil, s.Body)
 	case *kir.Sync:
-		return func(t *thread) (ctrl, error) {
+		return func(t *thread) ctrl {
 			if t.yield != nil && !t.yield(struct{}{}) {
-				return ctrlReturn, nil
+				return ctrlReturn
 			}
-			return ctrlNone, nil
+			return ctrlNone
 		}
 	case *kir.Return:
 		return constCtrl(ctrlReturn)
@@ -166,22 +185,22 @@ func (c *compiler) stmt(s kir.Stmt) stmtFn {
 		return constCtrl(ctrlContinue)
 	}
 	err := fmt.Errorf("interp: unknown statement %T", s)
-	return func(*thread) (ctrl, error) { return ctrlNone, err }
+	return func(t *thread) ctrl { t.fail(err); return ctrlReturn }
 }
 
 func constCtrl(cc ctrl) stmtFn {
-	return func(*thread) (ctrl, error) { return cc, nil }
+	return func(*thread) ctrl { return cc }
 }
 
 func (c *compiler) assign(slot int, e kir.Expr) stmtFn {
 	val := c.expr(e)
-	return func(t *thread) (ctrl, error) {
-		v, err := val(t)
-		if err != nil {
-			return ctrlNone, err
+	return func(t *thread) ctrl {
+		v := val(t)
+		if t.err != nil {
+			return ctrlReturn
 		}
 		t.slots[slot] = v
-		return ctrlNone, nil
+		return ctrlNone
 	}
 }
 
@@ -196,41 +215,40 @@ func (c *compiler) loop(init kir.Stmt, cond kir.Expr, post kir.Stmt, body kir.Bl
 	if post != nil {
 		next = c.stmt(post)
 	}
-	return func(t *thread) (ctrl, error) {
-		if first != nil {
-			if _, err := first(t); err != nil {
-				return ctrlNone, err
-			}
+	return func(t *thread) ctrl {
+		if first != nil && first(t) == ctrlReturn {
+			return ctrlReturn
 		}
 		for {
 			if t.iters++; t.iters > limit {
-				return ctrlNone, fmt.Errorf("interp: kernel %s: thread exceeded %d loop iterations (runaway loop?)", c.k.Name, limit)
+				t.fail(fmt.Errorf("interp: kernel %s: thread exceeded %d loop iterations (runaway loop?)", c.k.Name, limit))
+				return ctrlReturn
 			}
-			ok, err := test(t)
-			if err != nil || !ok {
-				return ctrlNone, err
+			ok := test(t)
+			switch {
+			case t.err != nil:
+				return ctrlReturn
+			case !ok:
+				return ctrlNone
 			}
-			cc, err := run(t)
-			if err != nil || cc == ctrlReturn {
-				return cc, err
+			switch run(t) {
+			case ctrlReturn:
+				return ctrlReturn
+			case ctrlBreak:
+				return ctrlNone
 			}
-			if cc == ctrlBreak {
-				return ctrlNone, nil
-			}
-			if next != nil {
-				if _, err := next(t); err != nil {
-					return ctrlNone, err
-				}
+			if next != nil && next(t) == ctrlReturn {
+				return ctrlReturn
 			}
 		}
 	}
 }
 
 // atomic compiles a read-modify-write as a load and a store through scratch
-// slots holding the index and the new value.
+// slots holding the index, the operand and the new value.
 func (c *compiler) atomic(s *kir.AtomicRMW) stmtFn {
+	idx, val := c.expr(s.Index), c.expr(s.Value)
 	i, v, nv := c.slot(Value{}), c.slot(Value{}), c.slot(Value{})
-	setI, setV := c.assign(i.slot, s.Index), c.assign(v.slot, s.Value)
 	var elemT kir.ScalarType
 	var am AtomicMemory
 	if s.Mem.Space == kir.Global {
@@ -243,10 +261,13 @@ func (c *compiler) atomic(s *kir.AtomicRMW) stmtFn {
 		elemT = c.k.SharedArrayByName(s.Mem.Name).Elem
 	}
 	ld, st := c.load(s.Mem, i, elemT), c.store(s.Mem, i, nv)
-	combine := intOps[kir.Add]
+	combine := func(t *thread, old, v Value) Value { t.work.IntOps++; return IntV(old.I + v.I) }
 	switch {
 	case s.Op == kir.AtomicAdd && elemT == kir.F32:
-		combine = floatOps[kir.Add]
+		combine = func(t *thread, old, v Value) Value {
+			t.work.Flops++
+			return FloatV(float64(float32(old.F) + float32(v.F)))
+		}
 	case s.Op == kir.AtomicMax:
 		combine = func(t *thread, old, v Value) Value {
 			t.work.IntOps++
@@ -258,24 +279,19 @@ func (c *compiler) atomic(s *kir.AtomicRMW) stmtFn {
 	case s.Op != kir.AtomicAdd:
 		combine = func(*thread, Value, Value) Value { return Value{} }
 	}
-	return func(t *thread) (ctrl, error) {
-		if _, err := setI(t); err != nil {
-			return ctrlNone, err
-		}
-		if _, err := setV(t); err != nil {
-			return ctrlNone, err
+	return func(t *thread) ctrl {
+		t.slots[i.slot] = idx(t)
+		t.slots[v.slot] = val(t)
+		if t.err != nil {
+			return ctrlReturn
 		}
 		if am != nil {
 			mu := am.AtomicShard(s.Mem.Param, int(t.slots[i.slot].I))
 			mu.Lock()
 			defer mu.Unlock()
 		}
-		old, err := ld(t)
-		if err != nil {
-			return ctrlNone, err
-		}
-		t.slots[nv.slot] = combine(t, old, t.slots[v.slot])
-		return st(t)
+		t.slots[nv.slot] = combine(t, ld(t), t.slots[v.slot])
+		return st(t) // a failed load stops the store
 	}
 }
 
@@ -290,21 +306,19 @@ func (c *compiler) sharedArray(name string) []Value {
 	return nil
 }
 
-// load compiles a read of element idx of mem as type elemT.
+// load compiles a read of element idx of mem as type elemT.  Every element
+// type has a closure of its own, and the bounds check comes first in each.
 func (c *compiler) load(mem kir.MemRef, idx operand, elemT kir.ScalarType) exprFn {
 	name, size := c.k.Name, int64(elemT.Size())
 	if mem.Space == kir.Shared {
 		arr := c.sharedArray(mem.Name)
-		return func(t *thread) (Value, error) {
-			iv, err := idx.eval(t)
-			if err != nil {
-				return iv, err
-			}
-			if i := iv.I; i >= 0 && i < int64(len(arr)) {
+		return func(t *thread) Value {
+			i := idx.get(t).I
+			if i >= 0 && i < int64(len(arr)) {
 				t.work.SharedBytes += size
-				return arr[i], nil
+				return arr[i]
 			}
-			return Value{}, fmt.Errorf("interp: %s: shared load out of bounds: %s[%d] (len %d)", name, mem.Name, iv.I, len(arr))
+			return t.outOfBounds(name, "load", mem, i, int64(len(arr)))
 		}
 	}
 	m, p := c.r.l.Mem, mem.Param
@@ -317,16 +331,13 @@ func (c *compiler) load(mem kir.MemRef, idx operand, elemT kir.ScalarType) exprF
 	switch {
 	case elemT == kir.F32 && data != nil:
 		// The suite's hot load has a closure of its own.
-		return func(t *thread) (Value, error) {
-			iv, err := idx.eval(t)
-			if err != nil {
-				return iv, err
-			}
-			if i := iv.I; i >= 0 && i < n {
+		return func(t *thread) Value {
+			i := idx.get(t).I
+			if i >= 0 && i < n {
 				t.work.GlobalLoadBytes += 4
-				return FloatV(float64(math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:])))), nil
+				return FloatV(float64(math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))))
 			}
-			return Value{}, fmt.Errorf("interp: %s: global load out of bounds: %s[%d] (len %d)", name, mem.Name, iv.I, n)
+			return t.outOfBounds(name, "load", mem, i, n)
 		}
 	case elemT == kir.I32 && data != nil:
 		get = func(i int64) Value { return IntV(int64(int32(binary.LittleEndian.Uint32(data[4*i:])))) }
@@ -338,20 +349,22 @@ func (c *compiler) load(mem kir.MemRef, idx operand, elemT kir.ScalarType) exprF
 		get = func(i int64) Value { return IntV(int64(m.LoadI32(p, int(i)))) }
 	case elemT == kir.U8:
 		get = func(i int64) Value { return IntV(int64(m.LoadU8(p, int(i)))) }
-	}
-	return func(t *thread) (Value, error) {
-		iv, err := idx.eval(t)
-		if err != nil {
-			return iv, err
-		}
-		if i := iv.I; i >= 0 && i < n {
-			if get == nil {
-				return Value{}, fmt.Errorf("interp: bad load type %s", elemT)
+	default:
+		err := fmt.Errorf("interp: bad load type %s", elemT)
+		return func(t *thread) Value {
+			if i := idx.get(t).I; i < 0 || i >= n {
+				return t.outOfBounds(name, "load", mem, i, n)
 			}
-			t.work.GlobalLoadBytes += size
-			return get(i), nil
+			return t.fail(err)
 		}
-		return Value{}, fmt.Errorf("interp: %s: global load out of bounds: %s[%d] (len %d)", name, mem.Name, iv.I, n)
+	}
+	return func(t *thread) Value {
+		i := idx.get(t).I
+		if i >= 0 && i < n {
+			t.work.GlobalLoadBytes += size
+			return get(i)
+		}
+		return t.outOfBounds(name, "load", mem, i, n)
 	}
 }
 
@@ -397,20 +410,17 @@ func (c *compiler) store(mem kir.MemRef, idx, val operand) stmtFn {
 		put = func(t *thread, i int64, v Value) { set(i, v); t.work.GlobalStoreBytes += size }
 	}
 	name := c.k.Name
-	return func(t *thread) (ctrl, error) {
-		iv, err := idx.eval(t)
-		if err != nil {
-			return ctrlNone, err
-		}
-		v, err := val.eval(t)
-		if err != nil {
-			return ctrlNone, err
-		}
-		if i := iv.I; i >= 0 && i < n {
+	return func(t *thread) ctrl {
+		i, v := idx.get(t).I, val.get(t)
+		switch {
+		case t.err != nil:
+			return ctrlReturn
+		case i >= 0 && i < n:
 			put(t, i, v)
-			return ctrlNone, nil
+			return ctrlNone
 		}
-		return ctrlNone, fmt.Errorf("interp: %s: %s store out of bounds: %s[%d] (len %d)", name, mem.Space, mem.Name, iv.I, n)
+		t.outOfBounds(name, "store", mem, i, n)
+		return ctrlReturn
 	}
 }
 
@@ -422,7 +432,7 @@ func (c *compiler) expr(e kir.Expr) exprFn {
 		return constExpr(FloatV(float64(float32(e.Val))))
 	case *kir.VarRef:
 		slot := e.Slot
-		return func(t *thread) (Value, error) { return t.slots[slot], nil }
+		return func(t *thread) Value { return t.slots[slot] }
 	case *kir.BuiltinRef:
 		return c.builtin(e)
 	case *kir.Binary:
@@ -436,17 +446,9 @@ func (c *compiler) expr(e kir.Expr) exprFn {
 		}
 		x := c.expr(e.X)
 		if e.T == kir.F32 {
-			return func(t *thread) (Value, error) {
-				v, err := x(t)
-				t.work.Flops++
-				return FloatV(-v.F), err
-			}
+			return func(t *thread) Value { v := x(t); t.work.Flops++; return FloatV(-v.F) }
 		}
-		return func(t *thread) (Value, error) {
-			v, err := x(t)
-			t.work.IntOps++
-			return IntV(-v.I), err
-		}
+		return func(t *thread) Value { v := x(t); t.work.IntOps++; return IntV(-v.I) }
 	case *kir.Load:
 		return c.load(e.Mem, c.operand(e.Index), e.T)
 	case *kir.Call:
@@ -455,33 +457,28 @@ func (c *compiler) expr(e kir.Expr) exprFn {
 		return c.cast(e)
 	case *kir.Select:
 		cond, a, b := c.cond(e.Cond), c.expr(e.A), c.expr(e.B)
-		return func(t *thread) (Value, error) {
-			ok, err := cond(t)
-			if err != nil {
-				return Value{}, err
-			}
-			if ok {
+		return func(t *thread) Value {
+			if cond(t) {
 				return a(t)
 			}
 			return b(t)
 		}
 	}
 	err := fmt.Errorf("interp: unknown expression %T", e)
-	return func(*thread) (Value, error) { return Value{}, err }
+	return func(t *thread) Value { return t.fail(err) }
 }
 
 func constExpr(v Value) exprFn {
-	return func(*thread) (Value, error) { return v, nil }
+	return func(*thread) Value { return v }
 }
 
 // boolExpr turns a truth value into the 0/1 integer a kernel computes with.
 func boolExpr(cond condFn) exprFn {
-	return func(t *thread) (Value, error) {
-		ok, err := cond(t)
-		if ok {
-			return IntV(1), err
+	return func(t *thread) Value {
+		if cond(t) {
+			return IntV(1)
 		}
-		return IntV(0), err
+		return IntV(0)
 	}
 }
 
@@ -489,13 +486,13 @@ func (c *compiler) builtin(e *kir.BuiltinRef) exprFn {
 	r := c.r
 	switch {
 	case e.B == kir.ThreadIdx && e.Axis == kir.X:
-		return func(t *thread) (Value, error) { return IntV(t.tx), nil }
+		return func(t *thread) Value { return IntV(t.tx) }
 	case e.B == kir.ThreadIdx:
-		return func(t *thread) (Value, error) { return IntV(t.ty), nil }
+		return func(t *thread) Value { return IntV(t.ty) }
 	case e.B == kir.BlockIdx && e.Axis == kir.X:
-		return func(*thread) (Value, error) { return IntV(r.bx), nil }
+		return func(*thread) Value { return IntV(r.bx) }
 	case e.B == kir.BlockIdx:
-		return func(*thread) (Value, error) { return IntV(r.by), nil }
+		return func(*thread) Value { return IntV(r.by) }
 	case e.B == kir.BlockDim && e.Axis == kir.X:
 		return constExpr(IntV(int64(r.l.Block.X)))
 	case e.B == kir.BlockDim:
@@ -516,179 +513,136 @@ func (c *compiler) cond(e kir.Expr) condFn {
 			return c.compare(e)
 		case e.Op == kir.LAnd:
 			l, r := c.cond(e.L), c.cond(e.R)
-			return func(t *thread) (bool, error) {
-				ok, err := l(t)
-				if err != nil || !ok {
-					return false, err
-				}
-				return r(t)
-			}
+			return func(t *thread) bool { return l(t) && r(t) }
 		case e.Op == kir.LOr:
 			l, r := c.cond(e.L), c.cond(e.R)
-			return func(t *thread) (bool, error) {
-				ok, err := l(t)
-				if err != nil || ok {
-					return ok, err
-				}
-				return r(t)
-			}
+			return func(t *thread) bool { return l(t) || r(t) }
 		}
 	case *kir.Unary:
 		if e.Op == kir.Not {
 			x := c.cond(e.X)
-			return func(t *thread) (bool, error) {
-				ok, err := x(t)
-				return !ok, err
-			}
+			return func(t *thread) bool { return !x(t) }
 		}
 	}
 	x := c.expr(e)
 	if e != nil && e.Type() == kir.F32 {
-		return func(t *thread) (bool, error) {
-			v, err := x(t)
-			return v.F != 0, err
-		}
+		return func(t *thread) bool { return x(t).F != 0 }
 	}
-	return func(t *thread) (bool, error) {
-		v, err := x(t)
-		return v.I != 0, err
-	}
+	return func(t *thread) bool { return x(t).I != 0 }
 }
 
-// compare compiles a comparison: float when either operand is float, one
-// flop or integer op per evaluation.
+// compare compiles a comparison, float when either operand is float, to a
+// closure with the comparison and its flop or integer op written in.
 func (c *compiler) compare(e *kir.Binary) condFn {
 	l, r := c.operand(e.L), c.operand(e.R)
-	cmp := intCmps[e.Op]
 	if e.L.Type() == kir.F32 || e.R.Type() == kir.F32 {
-		cmp = floatCmps[e.Op]
-	}
-	return func(t *thread) (bool, error) {
-		// The operand reads are operand.eval written out, which the Go
-		// compiler does not inline: a slot read in place spares a call.
-		var a, b Value
-		var err error
-		if l.fn == nil {
-			a = t.slots[l.slot]
-		} else if a, err = l.fn(t); err != nil {
-			return false, err
+		switch e.Op {
+		case kir.Lt:
+			return func(t *thread) bool { a, b := l.get(t), r.get(t); t.work.Flops++; return a.F < b.F }
+		case kir.Le:
+			return func(t *thread) bool { a, b := l.get(t), r.get(t); t.work.Flops++; return a.F <= b.F }
+		case kir.Gt:
+			return func(t *thread) bool { a, b := l.get(t), r.get(t); t.work.Flops++; return a.F > b.F }
+		case kir.Ge:
+			return func(t *thread) bool { a, b := l.get(t), r.get(t); t.work.Flops++; return a.F >= b.F }
+		case kir.Eq:
+			return func(t *thread) bool { a, b := l.get(t), r.get(t); t.work.Flops++; return a.F == b.F }
 		}
-		if r.fn == nil {
-			b = t.slots[r.slot]
-		} else {
-			b, err = r.fn(t)
-		}
-		return cmp(t, a, b), err
+		return func(t *thread) bool { a, b := l.get(t), r.get(t); t.work.Flops++; return a.F != b.F }
 	}
+	switch e.Op {
+	case kir.Lt:
+		return func(t *thread) bool { a, b := l.get(t), r.get(t); t.work.IntOps++; return a.I < b.I }
+	case kir.Le:
+		return func(t *thread) bool { a, b := l.get(t), r.get(t); t.work.IntOps++; return a.I <= b.I }
+	case kir.Gt:
+		return func(t *thread) bool { a, b := l.get(t), r.get(t); t.work.IntOps++; return a.I > b.I }
+	case kir.Ge:
+		return func(t *thread) bool { a, b := l.get(t), r.get(t); t.work.IntOps++; return a.I >= b.I }
+	case kir.Eq:
+		return func(t *thread) bool { a, b := l.get(t), r.get(t); t.work.IntOps++; return a.I == b.I }
+	}
+	return func(t *thread) bool { a, b := l.get(t), r.get(t); t.work.IntOps++; return a.I != b.I }
 }
 
-// The comparisons, each charging its flop or integer op.
-var (
-	floatCmps = map[kir.BinOp]func(t *thread, a, b Value) bool{
-		kir.Lt: func(t *thread, a, b Value) bool { t.work.Flops++; return a.F < b.F },
-		kir.Le: func(t *thread, a, b Value) bool { t.work.Flops++; return a.F <= b.F },
-		kir.Gt: func(t *thread, a, b Value) bool { t.work.Flops++; return a.F > b.F },
-		kir.Ge: func(t *thread, a, b Value) bool { t.work.Flops++; return a.F >= b.F },
-		kir.Eq: func(t *thread, a, b Value) bool { t.work.Flops++; return a.F == b.F },
-		kir.Ne: func(t *thread, a, b Value) bool { t.work.Flops++; return a.F != b.F },
-	}
-	intCmps = map[kir.BinOp]func(t *thread, a, b Value) bool{
-		kir.Lt: func(t *thread, a, b Value) bool { t.work.IntOps++; return a.I < b.I },
-		kir.Le: func(t *thread, a, b Value) bool { t.work.IntOps++; return a.I <= b.I },
-		kir.Gt: func(t *thread, a, b Value) bool { t.work.IntOps++; return a.I > b.I },
-		kir.Ge: func(t *thread, a, b Value) bool { t.work.IntOps++; return a.I >= b.I },
-		kir.Eq: func(t *thread, a, b Value) bool { t.work.IntOps++; return a.I == b.I },
-		kir.Ne: func(t *thread, a, b Value) bool { t.work.IntOps++; return a.I != b.I },
-	}
-)
-
-// The arithmetic operators that cannot fail, each charging its flop or
-// integer op; float ones round their operands and result to single
-// precision.
-var (
-	floatOps = map[kir.BinOp]func(t *thread, a, b Value) Value{
-		kir.Add: func(t *thread, a, b Value) Value { t.work.Flops++; return FloatV(float64(float32(a.F) + float32(b.F))) },
-		kir.Sub: func(t *thread, a, b Value) Value { t.work.Flops++; return FloatV(float64(float32(a.F) - float32(b.F))) },
-		kir.Mul: func(t *thread, a, b Value) Value { t.work.Flops++; return FloatV(float64(float32(a.F) * float32(b.F))) },
-		kir.Div: func(t *thread, a, b Value) Value { t.work.Flops++; return FloatV(float64(float32(a.F) / float32(b.F))) },
-	}
-	intOps = map[kir.BinOp]func(t *thread, a, b Value) Value{
-		kir.Add:  func(t *thread, a, b Value) Value { t.work.IntOps++; return IntV(a.I + b.I) },
-		kir.Sub:  func(t *thread, a, b Value) Value { t.work.IntOps++; return IntV(a.I - b.I) },
-		kir.Mul:  func(t *thread, a, b Value) Value { t.work.IntOps++; return IntV(a.I * b.I) },
-		kir.BAnd: func(t *thread, a, b Value) Value { t.work.IntOps++; return IntV(a.I & b.I) },
-		kir.BOr:  func(t *thread, a, b Value) Value { t.work.IntOps++; return IntV(a.I | b.I) },
-		kir.BXor: func(t *thread, a, b Value) Value { t.work.IntOps++; return IntV(a.I ^ b.I) },
-		kir.Shl:  func(t *thread, a, b Value) Value { t.work.IntOps++; return IntV(a.I << uint(b.I)) },
-		kir.Shr:  func(t *thread, a, b Value) Value { t.work.IntOps++; return IntV(a.I >> uint(b.I)) },
-	}
-)
-
-// arith compiles an arithmetic operator: float when either operand is
-// float.
+// arith compiles an arithmetic operator, float when either operand is float,
+// to a closure with the operation and its flop or integer op written in;
+// float operations round their operands and result to single precision.
 func (c *compiler) arith(e *kir.Binary) exprFn {
 	l, r := c.operand(e.L), c.operand(e.R)
-	isF := e.L.Type() == kir.F32 || e.R.Type() == kir.F32
-	ops, kind := intOps, "ints"
-	if isF {
-		ops, kind = floatOps, "floats"
-	}
-	if op, ok := ops[e.Op]; ok {
-		return func(t *thread) (Value, error) {
-			// operand.eval written out, as in compare.
-			var a, b Value
-			var err error
-			if l.fn == nil {
-				a = t.slots[l.slot]
-			} else if a, err = l.fn(t); err != nil {
-				return a, err
+	if e.L.Type() == kir.F32 || e.R.Type() == kir.F32 {
+		switch e.Op {
+		case kir.Add:
+			return func(t *thread) Value {
+				a, b := l.get(t), r.get(t)
+				t.work.Flops++
+				return FloatV(float64(float32(a.F) + float32(b.F)))
 			}
-			if r.fn == nil {
-				b = t.slots[r.slot]
-			} else {
-				b, err = r.fn(t)
+		case kir.Sub:
+			return func(t *thread) Value {
+				a, b := l.get(t), r.get(t)
+				t.work.Flops++
+				return FloatV(float64(float32(a.F) - float32(b.F)))
 			}
-			return op(t, a, b), err
+		case kir.Mul:
+			return func(t *thread) Value {
+				a, b := l.get(t), r.get(t)
+				t.work.Flops++
+				return FloatV(float64(float32(a.F) * float32(b.F)))
+			}
+		case kir.Div:
+			return func(t *thread) Value {
+				a, b := l.get(t), r.get(t)
+				t.work.Flops++
+				return FloatV(float64(float32(a.F) / float32(b.F)))
+			}
+		}
+		return failBinary(l, r, fmt.Errorf("interp: operator %s on floats", e.Op))
+	}
+	switch e.Op {
+	case kir.Add:
+		return func(t *thread) Value { a, b := l.get(t), r.get(t); t.work.IntOps++; return IntV(a.I + b.I) }
+	case kir.Sub:
+		return func(t *thread) Value { a, b := l.get(t), r.get(t); t.work.IntOps++; return IntV(a.I - b.I) }
+	case kir.Mul:
+		return func(t *thread) Value { a, b := l.get(t), r.get(t); t.work.IntOps++; return IntV(a.I * b.I) }
+	case kir.BAnd:
+		return func(t *thread) Value { a, b := l.get(t), r.get(t); t.work.IntOps++; return IntV(a.I & b.I) }
+	case kir.BOr:
+		return func(t *thread) Value { a, b := l.get(t), r.get(t); t.work.IntOps++; return IntV(a.I | b.I) }
+	case kir.BXor:
+		return func(t *thread) Value { a, b := l.get(t), r.get(t); t.work.IntOps++; return IntV(a.I ^ b.I) }
+	case kir.Shl:
+		return func(t *thread) Value { a, b := l.get(t), r.get(t); t.work.IntOps++; return IntV(a.I << uint(b.I)) }
+	case kir.Shr:
+		return func(t *thread) Value { a, b := l.get(t), r.get(t); t.work.IntOps++; return IntV(a.I >> uint(b.I)) }
+	case kir.Div, kir.Rem:
+		what, name, rem := "division", c.k.Name, e.Op == kir.Rem
+		if rem {
+			what = "modulo"
+		}
+		return func(t *thread) Value {
+			a, b := l.get(t), r.get(t)
+			t.work.IntOps++
+			switch {
+			case b.I == 0:
+				return t.fail(fmt.Errorf("interp: %s: integer %s by zero", name, what))
+			case rem:
+				return IntV(a.I % b.I)
+			}
+			return IntV(a.I / b.I)
 		}
 	}
-	if isF || (e.Op != kir.Div && e.Op != kir.Rem) {
-		return failBinary(l, r, fmt.Errorf("interp: operator %s on %s", e.Op, kind))
-	}
-	what, name, rem := "division", c.k.Name, e.Op == kir.Rem
-	if rem {
-		what = "modulo"
-	}
-	return func(t *thread) (Value, error) {
-		a, err := l.eval(t)
-		if err != nil {
-			return a, err
-		}
-		b, err := r.eval(t)
-		if err != nil {
-			return b, err
-		}
-		t.work.IntOps++
-		switch {
-		case b.I == 0:
-			return Value{}, fmt.Errorf("interp: %s: integer %s by zero", name, what)
-		case rem:
-			return IntV(a.I % b.I), nil
-		}
-		return IntV(a.I / b.I), nil
-	}
+	return failBinary(l, r, fmt.Errorf("interp: operator %s on ints", e.Op))
 }
 
 // failBinary evaluates both operands and then fails with err: an operator
 // the operand types do not support.
 func failBinary(l, r operand, err error) exprFn {
-	return func(t *thread) (Value, error) {
-		if a, lerr := l.eval(t); lerr != nil {
-			return a, lerr
-		}
-		if b, rerr := r.eval(t); rerr != nil {
-			return b, rerr
-		}
-		return Value{}, err
+	return func(t *thread) Value {
+		l.get(t)
+		r.get(t)
+		return t.fail(err)
 	}
 }
 
@@ -719,27 +673,15 @@ func (c *compiler) call(e *kir.Call) exprFn {
 	flops := intrinsicFlops[e.Fn]
 	if f, ok := unaryFns[e.Fn]; ok {
 		x := c.expr(e.Args[0])
-		return func(t *thread) (Value, error) {
-			a, err := x(t)
-			t.work.Flops += flops
-			return f(a), err
-		}
+		return func(t *thread) Value { a := x(t); t.work.Flops += flops; return f(a) }
 	}
 	f, ok := binaryFns[e.Fn]
 	if !ok {
 		err := fmt.Errorf("interp: unknown intrinsic %s", e.Fn)
-		return func(*thread) (Value, error) { return Value{}, err }
+		return func(t *thread) Value { return t.fail(err) }
 	}
 	x, y := c.expr(e.Args[0]), c.expr(e.Args[1])
-	return func(t *thread) (Value, error) {
-		a, err := x(t)
-		if err != nil {
-			return a, err
-		}
-		b, err := y(t)
-		t.work.Flops += flops
-		return f(a, b), err
-	}
+	return func(t *thread) Value { a, b := x(t), y(t); t.work.Flops += flops; return f(a, b) }
 }
 
 // cast compiles a type conversion; the identity pairs compile to the
@@ -749,20 +691,11 @@ func (c *compiler) cast(e *kir.Cast) exprFn {
 	switch {
 	case from == to:
 	case to == kir.F32 && (from.IsInteger() || from == kir.Bool):
-		return func(t *thread) (Value, error) {
-			v, err := x(t)
-			return FloatV(float64(float32(v.I))), err
-		}
+		return func(t *thread) Value { return FloatV(float64(float32(x(t).I))) }
 	case to.IsInteger() && from == kir.F32:
-		return func(t *thread) (Value, error) {
-			v, err := x(t)
-			return IntV(int64(v.F)), err
-		}
+		return func(t *thread) Value { return IntV(int64(x(t).F)) }
 	case to == kir.U8:
-		return func(t *thread) (Value, error) {
-			v, err := x(t)
-			return IntV(int64(byte(v.I))), err
-		}
+		return func(t *thread) Value { return IntV(int64(byte(x(t).I))) }
 	}
 	return x
 }

@@ -29,10 +29,10 @@ func (r *Runner) runPhased() (Work, error) {
 	for i := range r.threads {
 		t := &r.threads[i]
 		r.start(t, i%l.Block.X, i/l.Block.X)
-		t.work, t.err = Work{}, nil
+		t.work = Work{}
 		resume[i], stops[i] = iter.Pull(func(yield func(struct{}) bool) {
 			t.yield = yield
-			_, t.err = r.body(t)
+			r.body(t)
 		})
 	}
 	// Normally every coroutine has finished by the return; after a panic
