@@ -39,7 +39,7 @@ bench-smoke:
 # the two tests of what this package shares between goroutines: the data set
 # concurrent Builds copy from, and the natives over node memory.
 race:
-	go test -race -timeout 120s ./internal/interp/ ./internal/vm/ ./internal/core/ ./internal/cluster/ ./internal/comm/ ./internal/csched/ ./internal/transport/ ./internal/metrics/ ./internal/trace/ ./internal/prof/ ./internal/recovery/ ./internal/serve/ ./internal/throughput/ ./internal/obs/
+	go test -race -timeout 120s ./internal/interp/ ./internal/vm/ ./internal/core/ ./internal/pgas/ ./internal/cluster/ ./internal/comm/ ./internal/csched/ ./internal/transport/ ./internal/metrics/ ./internal/trace/ ./internal/prof/ ./internal/recovery/ ./internal/serve/ ./internal/throughput/ ./internal/obs/
 	go test -race -timeout 120s -run 'TestBuildMatchesFreshGeneration|TestInterpMatchesNative' ./internal/suites/
 
 # Ten seconds of the one fuzz target: mutated mini-CUDA source compiled for

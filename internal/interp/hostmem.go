@@ -133,13 +133,17 @@ func (h *HostMem) LoadU8(param, idx int) byte { return h.buf(param).Data[idx] }
 func (h *HostMem) StoreU8(param, idx int, v byte) { h.buf(param).Data[idx] = v }
 
 // ExecGrid executes every block of the launch sequentially against the
-// launch memory; the reference path for correctness checks.
+// launch memory through one Runner; the reference path for correctness
+// checks.
 func ExecGrid(l *Launch) (Work, error) {
+	r, err := NewRunner(l)
+	if err != nil {
+		return Work{}, err
+	}
 	var total Work
-	ydim := max(l.Grid.Y, 1)
-	for by := 0; by < ydim; by++ {
+	for by := 0; by < max(l.Grid.Y, 1); by++ {
 		for bx := 0; bx < l.Grid.X; bx++ {
-			w, err := ExecBlock(l, bx, by)
+			w, err := r.ExecBlock(bx, by)
 			if err != nil {
 				return total, err
 			}

@@ -286,12 +286,19 @@ func (s *Session) Run(spec core.LaunchSpec) (*Result, error) {
 		blocksOn[rank] = hi - lo
 		l := &interp.Launch{Kernel: k, Grid: spec.Grid, Block: spec.Block, Args: argVals, Mem: mem}
 		var work machine.BlockWork
-		for li := lo; li < hi; li++ {
-			w, err := interp.ExecBlock(l, li%gdx, li/gdx)
+		if lo < hi {
+			// One Runner per rank: the kernel is validated and compiled once.
+			r, err := interp.NewRunner(l)
 			if err != nil {
 				return err
 			}
-			work.Add(interpWork(w, spec.SIMDFraction))
+			for li := lo; li < hi; li++ {
+				w, err := r.ExecBlock(li%gdx, li/gdx)
+				if err != nil {
+					return err
+				}
+				work.Add(interpWork(w, spec.SIMDFraction))
+			}
 		}
 		works[rank] = work
 		counts[rank] = mem.res
