@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"cucc/internal/core"
+	"cucc/internal/recovery"
 )
 
 const vecAddSrc = `
@@ -621,6 +622,38 @@ func TestSourceJobDefaultEngine(t *testing.T) {
 		if !reflect.DeepEqual(got.Stats, def.Stats) {
 			t.Errorf("engine %q: stats differ from the default's:\n%+v\n%+v", name, got.Stats, def.Stats)
 		}
+	}
+}
+
+// TestSourceJobBlockFaultNotRecovered: under the default Config (recovery
+// on), a source job whose kernel indexes out of range in node 0's first
+// block fails as a job error without a single restore: a kernel fault fails
+// the same way on whichever rank replays the block.
+func TestSourceJobBlockFaultNotRecovered(t *testing.T) {
+	srv := NewServer(Config{})
+	defer srv.Drain()
+	resp := srv.Submit(&Request{
+		Tenant: "t1",
+		Source: `
+__global__ void index_gather(float* out, float* in, int* idx) {
+    int id = blockIdx.x * blockDim.x + threadIdx.x;
+    out[id] = in[idx[id]];
+}`,
+		Kernel: "index_gather",
+		GridX:  63, BlockX: 4,
+		Args: []ArgSpec{
+			{Kind: "buf", Elem: "f32", Count: 252},
+			{Kind: "buf", Elem: "f32", Count: 252, Ramp: true},
+			// idx[i] = i - 1: only thread 0 of block 0 is out of range.
+			{Kind: "buf", Elem: "i32", Count: 252, Fill: -1, Ramp: true},
+		},
+		Nodes: 4,
+	})
+	if resp.Status != StatusError || !strings.Contains(resp.Err, "out of bounds") {
+		t.Fatalf("status %q err %q, want a job error naming the out-of-bounds load", resp.Status, resp.Err)
+	}
+	if n := resp.Counters[recovery.MetricRestores]; n != 0 {
+		t.Errorf("%s = %d, want 0", recovery.MetricRestores, n)
 	}
 }
 
