@@ -4,7 +4,10 @@
 //
 //	cuccanalyze kernels.cu     # analyze kernels in a mini-CUDA source file
 //	cuccanalyze -              # read source from stdin
-//	cuccanalyze -coverage      # the Figure 7 coverage report
+//	cuccanalyze -coverage      # classify every Figure 7 coverage kernel
+//
+// The Figure 7 table, the per-suite tally of those classifications, is
+// cuccbench -fig 7.
 package main
 
 import (
@@ -20,13 +23,14 @@ import (
 )
 
 func main() {
-	coverage := flag.Bool("coverage", false, "print the Figure 7 coverage report over the built-in suites")
-	verbose := flag.Bool("v", false, "print per-kernel details in the coverage report")
+	coverage := flag.Bool("coverage", false, "classify every kernel of the built-in Figure 7 coverage suites")
 	explain := flag.Bool("explain", false, "print the generated CPU host module (Figure 6 template) per kernel")
 	flag.Parse()
 
 	if *coverage {
-		printCoverage(*verbose)
+		for _, ck := range suites.CoverageSuite() {
+			fmt.Printf("[%-11s] %s\n", ck.Suite, ck.Classify().Summary())
+		}
 		return
 	}
 	if flag.NArg() != 1 {
@@ -71,21 +75,5 @@ func main() {
 		if md.GIDOnly {
 			fmt.Println("  note: GID-only kernel; eligible for block redistribution (-split)")
 		}
-	}
-}
-
-func printCoverage(verbose bool) {
-	fmt.Println("Figure 7: Allgather-distributable coverage")
-	for _, c := range suites.CountCoverage() {
-		fmt.Printf("  %-12s %2d/%2d distributable (%d overlapping writes, %d indirect)\n",
-			c.Suite, c.Distributable, c.Total, c.Overlap, c.Indirect)
-	}
-	if !verbose {
-		return
-	}
-	fmt.Println()
-	for _, ck := range suites.CoverageSuite() {
-		md := ck.Classify()
-		fmt.Printf("  [%-11s] %s\n", ck.Suite, md.Summary())
 	}
 }

@@ -40,7 +40,7 @@ func main() {
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON timeline to this file (-real runs)")
 	workers := flag.Int("workers", 0, "intra-node worker-pool width for -real execution (0 = all CPUs)")
 	collective := flag.String("collective", "", "phase-2 collective schedule: auto, ring, recdouble, twolevel, pipeline[:N]; append +overlap to start callbacks while chunks are in flight (default: the ring schedule)")
-	recover := flag.Bool("recover", false, "enable elastic fault recovery: checkpoint at Allgather barriers, and on a rank loss re-partition over the survivors and replay (bitwise-identical results)")
+	recover := flag.Bool("recover", false, "enable elastic fault recovery: checkpoint written buffers at launch entry, and on a rank loss re-partition over the survivors and replay (bitwise-identical results); a kernel fault is not a rank loss and fails the launch")
 	recvTimeout := flag.Duration("recv-timeout", time.Minute, "transport receive deadline; a hung rank fails the run instead of deadlocking it (0 = no deadline)")
 	showMetrics := flag.Bool("metrics", false, "enable the metrics registry and print its table after the run")
 	metricsOut := flag.String("metrics-out", "", "enable the metrics registry and write its JSON snapshot to this file")

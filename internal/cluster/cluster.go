@@ -59,12 +59,12 @@ type Config struct {
 	// deadlock.  0 or negative sets no deadline.
 	RecvTimeout time.Duration
 	// Fault, when non-nil, wraps the transport in the fault-injecting
-	// decorator (transport.Faulty) for chaos testing.
+	// decorator (transport.NewFaulty) for chaos testing.
 	Fault *transport.FaultConfig
 	// Recovery is the elastic-recovery policy of every launch on the
-	// cluster: when enabled, launches checkpoint at Allgather barriers and,
-	// on rank loss, re-partition over the surviving ranks and replay from
-	// the last barrier (see internal/recovery).  The zero value disables it.
+	// cluster: when enabled, launches checkpoint their written buffers at
+	// entry and, on rank loss, re-partition over the surviving ranks and
+	// replay (see internal/recovery).  The zero value disables it.
 	Recovery recovery.Policy
 	// Metrics, when non-nil, attaches the observability registry: the
 	// transport is wrapped in the metered decorator (outermost, above fault

@@ -33,9 +33,10 @@ func (s *AtomicShards) Shard(param, idx int) *sync.Mutex {
 // on the same memory (the intra-node worker pool in internal/core); the
 // threads of one block never run concurrently.
 //
-// Node memories (internal/cluster) and HostMem implement it; backends that
-// never run blocks concurrently (e.g. the PGAS baseline) may omit it and
-// then take no lock.
+// Node memories (internal/cluster) and HostMem implement it.  It is optional
+// for the interpreter: backends that never run blocks concurrently (e.g.
+// the PGAS baseline) may omit it and then take no lock.  The register
+// machine (internal/vm) requires it.
 type AtomicMemory interface {
 	Memory
 	// AtomicShard returns the lock guarding atomic RMW on element idx of

@@ -20,6 +20,7 @@ import (
 	"fmt"
 
 	"cucc/internal/kir"
+	"cucc/internal/machine"
 )
 
 // Dim3 is a two-dimensional CUDA launch dimension (z is unused by the
@@ -67,11 +68,12 @@ type Memory interface {
 	Len(param int) int
 }
 
-// RawMemory is an optional fast path on Memory: implementations that can
-// expose a pointer parameter's raw little-endian backing bytes let engines
-// (internal/vm) access buffers directly instead of paying an interface
+// RawMemory exposes a pointer parameter's raw little-endian backing bytes,
+// so an engine can index buffers directly instead of paying an interface
 // dispatch per element.  The slice must alias the same storage the typed
-// accessors read and write.
+// accessors read and write.  The interpreter uses it when present and goes
+// element by element otherwise; the register machine (internal/vm) and the
+// suite natives require it.
 type RawMemory interface {
 	RawBytes(param int) []byte
 }
@@ -94,6 +96,21 @@ func (w *Work) Add(o Work) {
 	w.GlobalLoadBytes += o.GlobalLoadBytes
 	w.GlobalStoreBytes += o.GlobalStoreBytes
 	w.SharedBytes += o.SharedBytes
+}
+
+// BlockWork converts measured work into cost-model work, splitting flops by
+// the kernel's declared vectorizable fraction (outside (0, 1]: all of them).
+func (w Work) BlockWork(simdFraction float64) machine.BlockWork {
+	f := simdFraction
+	if f <= 0 || f > 1 {
+		f = 1
+	}
+	return machine.BlockWork{
+		VecFlops:    float64(w.Flops) * f,
+		SerialFlops: float64(w.Flops) * (1 - f),
+		IntOps:      float64(w.IntOps),
+		Bytes:       float64(w.GlobalLoadBytes + w.GlobalStoreBytes),
+	}
 }
 
 // Launch describes one kernel launch against a memory space.
@@ -189,11 +206,10 @@ func (r *Runner) ExecBlock(bx, by int) (Work, error) {
 }
 
 // ExecBlock executes one GPU block (bx, by) of the launch.  It is the
-// one-shot form of NewRunner + Runner.ExecBlock, kept for callers that
-// execute isolated blocks (a suite program's per-block native fallback,
-// tests); block-range executors (ExecGrid, the PGAS ranks, core's block
-// workers) hold a Runner so validation and compilation are paid once per
-// launch.
+// one-shot form of NewRunner + Runner.ExecBlock, for tests that execute
+// isolated blocks; block-range executors (ExecGrid, the PGAS ranks, core's
+// block workers) hold a Runner so validation and compilation are paid once
+// per launch.
 func ExecBlock(l *Launch, bx, by int) (Work, error) {
 	r, err := NewRunner(l)
 	if err != nil {

@@ -297,7 +297,7 @@ func (s *Session) Run(spec core.LaunchSpec) (*Result, error) {
 				if err != nil {
 					return err
 				}
-				work.Add(interpWork(w, spec.SIMDFraction))
+				work.Add(w.BlockWork(spec.SIMDFraction))
 			}
 		}
 		works[rank] = work
@@ -384,19 +384,6 @@ func (s *Session) Run(spec core.LaunchSpec) (*Result, error) {
 // accesses relative to a remote injection (UPC++-style local_team fast
 // path).
 const localOpFactor = 0.1
-
-func interpWork(w interp.Work, simdFraction float64) machine.BlockWork {
-	f := simdFraction
-	if f <= 0 || f > 1 {
-		f = 1
-	}
-	return machine.BlockWork{
-		VecFlops:    float64(w.Flops) * f,
-		SerialFlops: float64(w.Flops) * (1 - f),
-		IntOps:      float64(w.IntOps),
-		Bytes:       float64(w.GlobalLoadBytes + w.GlobalStoreBytes),
-	}
-}
 
 // Assemble reconstructs the logical contents of a distributed buffer by
 // taking each element from its owner's replica (the D2H equivalent for the

@@ -1,12 +1,14 @@
 // Package recovery implements elastic fault recovery for the three-phase
-// launch (ROADMAP item 3).  The paper's workflow gives natural consistency
-// points: after a balanced Allgather every node holds identical memory for
-// each written buffer, so a launch can checkpoint there — the written heap
-// regions plus the launch cursor (which phase completed) — and, when a rank
-// crashes, re-partition the remaining blocks over the surviving ranks and
-// replay from the last barrier instead of aborting.  Block execution is a
-// pure, deterministic function of the checkpointed inputs, so a recovered
-// run is bitwise identical to a fault-free one.
+// launch (ROADMAP item 3).  At launch entry every node holds identical
+// memory for each written buffer, and the in-place Allgather is the only
+// step that touches the transport, so entry is the one consistency point a
+// rank loss needs: a launch checkpoints the written heap regions there and,
+// when a rank crashes, re-partitions the grid over the surviving ranks and
+// replays instead of aborting.  Block execution is a pure, deterministic
+// function of the checkpointed inputs, so a recovered run is bitwise
+// identical to a fault-free one.  A block error is not a rank loss: it
+// recurs on whichever rank replays the block, so core fails the launch on
+// it without classifying.
 //
 // The package is a leaf: it imports only the transport layer (for failure
 // classification), so cluster and core can both depend on it without a
@@ -28,8 +30,8 @@ const (
 	// MetricRestores counts checkpoint restores (one per replayed attempt).
 	MetricRestores = "recovery.restores"
 	// MetricRepartitions counts restores that re-partitioned the block
-	// range over a smaller rank set (i.e. replays from the start cursor,
-	// where phase 1 work is redistributed).
+	// range over a smaller rank set: every restore does, since every
+	// replay starts at launch entry.
 	MetricRepartitions = "recovery.repartitions"
 	// MetricRejoins counts repaired nodes rejoining the full cluster after
 	// a recovered launch completes.
@@ -71,28 +73,17 @@ func (p Policy) EffectiveMinRanks() int {
 	return 1
 }
 
-// Cursor is the launch position a checkpoint resumes from — the last
-// barrier at which every participating node held identical memory.
+// Cursor is the launch position a checkpoint resumes from — the barrier at
+// which every participating node held identical memory.
 type Cursor uint8
 
-const (
-	// CursorStart is the launch entry barrier: buffers hold their
-	// pre-launch contents; replay re-runs phases 1-3, re-partitioned over
-	// the surviving ranks.
-	CursorStart Cursor = iota
-	// CursorGathered is the post-Allgather barrier: every written buffer
-	// is fully consistent up to the distributed range; replay re-runs only
-	// the phase-3 callback blocks.
-	CursorGathered
-)
+// CursorStart is the launch entry barrier, the only cursor: buffers hold
+// their pre-launch contents; replay re-runs phases 1-3, re-partitioned over
+// the surviving ranks.
+const CursorStart Cursor = 0
 
 // String names the cursor for trace spans and logs.
-func (c Cursor) String() string {
-	if c == CursorGathered {
-		return "gathered"
-	}
-	return "start"
-}
+func (c Cursor) String() string { return "start" }
 
 // Region is one checkpointed span of a node heap.
 type Region struct {
@@ -106,10 +97,8 @@ type Region struct {
 type Checkpoint struct {
 	// Cursor is the barrier this checkpoint represents.
 	Cursor Cursor
-	// DistEnd is the launch-cursor detail for CursorGathered: blocks
-	// [0, DistEnd) were executed distributed and gathered; replay runs
-	// callbacks [DistEnd, total).  It is recorded at capture time because
-	// it depends on the rank count the partition was computed for.
+	// DistEnd is always 0: a replay from launch entry re-partitions the
+	// whole grid, so no block range is recorded as already done.
 	DistEnd int
 
 	regions []Region

@@ -60,14 +60,14 @@ func TestClassifyMultipleFailuresSorted(t *testing.T) {
 func TestCheckpointCaptureRestore(t *testing.T) {
 	heap := []byte("0123456789abcdef")
 	regions := []Region{{Off: 2, Len: 3}, {Off: 10, Len: 4}}
-	cp := Capture(CursorGathered, 7, regions, func(r Region) []byte {
+	cp := Capture(CursorStart, 0, regions, func(r Region) []byte {
 		return heap[r.Off : r.Off+r.Len]
 	})
 	if cp.Bytes() != 7 {
 		t.Fatalf("Bytes = %d, want 7", cp.Bytes())
 	}
-	if cp.Cursor != CursorGathered || cp.DistEnd != 7 {
-		t.Fatalf("cursor = %v/%d, want gathered/7", cp.Cursor, cp.DistEnd)
+	if cp.Cursor != CursorStart || cp.DistEnd != 0 || cp.Cursor.String() != "start" {
+		t.Fatalf("cursor = %v/%d, want start/0", cp.Cursor, cp.DistEnd)
 	}
 	// The snapshot is a copy: later heap writes must not leak in.
 	copy(heap, "XXXXXXXXXXXXXXXX")

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"cucc/internal/cluster"
@@ -151,8 +152,9 @@ func hostExec(t *testing.T, p *Program, wrap func(*interp.HostMem) interp.Memory
 
 // TestInterpMatchesNative cross-validates the native backend against the
 // reference interpreter on the same workload: through a session on node
-// memory, and on a HostMem with and without its raw bytes exposed, where
-// the interpreter reads rows in place or goes element by element.
+// memory, and on a HostMem — the interpreter both with and without the raw
+// bytes exposed, reading rows in place or going element by element as it
+// does under the PGAS view.
 func TestInterpMatchesNative(t *testing.T) {
 	for _, p := range allWithVecAdd() {
 		t.Run(p.Name, func(t *testing.T) {
@@ -187,7 +189,6 @@ func TestInterpMatchesNative(t *testing.T) {
 			for name, nat := range map[string][][]byte{
 				"node memory":                   run(false),
 				"host memory":                   hostRun(t, p, func(h *interp.HostMem) interp.Memory { return h }),
-				"element-only memory":           hostRun(t, p, func(h *interp.HostMem) interp.Memory { return elemOnly{h} }),
 				"interp on host memory":         interpHostRun(t, p, func(h *interp.HostMem) interp.Memory { return h }),
 				"interp on element-only memory": interpHostRun(t, p, func(h *interp.HostMem) interp.Memory { return elemOnly{h} }),
 			} {
@@ -198,6 +199,30 @@ func TestInterpMatchesNative(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestNativeRejectsElementOnlyMemory: a native indexes byte rows, so on a
+// memory without them every block is an error naming the native, and no
+// buffer is touched.
+func TestNativeRejectsElementOnlyMemory(t *testing.T) {
+	for _, p := range allWithVecAdd() {
+		nat, _ := p.Compiled.Native(p.Kernel)
+		var runErr error
+		snaps := hostExec(t, p, func(h *interp.HostMem) interp.Memory { return elemOnly{h} },
+			func(mem interp.Memory, args []interp.Value, grid, block interp.Dim3) error {
+				runErr = nat.RunBlock(mem, args, grid, block, 0, 0)
+				return nil
+			})
+		if runErr == nil || !strings.Contains(runErr.Error(), "native "+p.Kernel) {
+			t.Errorf("%s: RunBlock on element-only memory = %v, want an error naming the native", p.Name, runErr)
+		}
+		for i, want := range hostExec(t, p, func(h *interp.HostMem) interp.Memory { return h },
+			func(interp.Memory, []interp.Value, interp.Dim3, interp.Dim3) error { return nil }) {
+			if !bytes.Equal(snaps[i], want) {
+				t.Errorf("%s: buffer %d written by a rejected block", p.Name, i)
+			}
+		}
 	}
 }
 

@@ -20,9 +20,8 @@ import (
 // each worker its own Runner over the shared Launch.  Cross-runner safety
 // for global atomics comes from the memory's interp.AtomicMemory shards.
 type Runner struct {
-	p   *CompiledKernel
-	mem interp.Memory
-	am  interp.AtomicMemory
+	p  *CompiledKernel
+	am interp.AtomicMemory
 
 	// prof is the shared opcode-profile accumulator when profiling was
 	// enabled at construction time; nil otherwise (and then p contains no
@@ -30,7 +29,7 @@ type Runner struct {
 	prof *Profile
 
 	lens     []int    // cached Mem.Len per pointer parameter
-	raw      [][]byte // raw backing bytes per pointer parameter (nil: use mem)
+	raw      [][]byte // raw backing bytes per pointer parameter
 	maxIters int64
 
 	// baseI/baseF are the launch-level register images: builtins (bx, by
@@ -73,21 +72,18 @@ func NewRunnerProfiled(l *interp.Launch, profiled bool) (*Runner, error) {
 	if err := checkLaunch(l); err != nil {
 		return nil, err
 	}
-	r := &Runner{p: p, mem: l.Mem, w: min(l.Block.Count(), LaneWidth())}
+	mem := l.Mem.(rowMemory)
+	r := &Runner{p: p, am: mem, w: min(l.Block.Count(), LaneWidth())}
 	r.free = p.free.of(r.w)
 	if profiled {
 		r.p, r.prof = instrumentCached(l.Kernel, p)
 	}
-	r.am, _ = l.Mem.(interp.AtomicMemory)
 	r.lens = make([]int, len(l.Kernel.Params))
 	r.raw = make([][]byte, len(l.Kernel.Params))
-	rm, _ := l.Mem.(interp.RawMemory)
 	for i, prm := range l.Kernel.Params {
 		if prm.Pointer {
-			r.lens[i] = l.Mem.Len(i)
-			if rm != nil {
-				r.raw[i] = rm.RawBytes(i)
-			}
+			r.lens[i] = mem.Len(i)
+			r.raw[i] = mem.RawBytes(i)
 		}
 	}
 	r.maxIters = l.MaxLoopIters
@@ -123,10 +119,19 @@ func checkLaunch(l *interp.Launch) error {
 	if l.Grid.Count() <= 0 || l.Block.Count() <= 0 {
 		return fmt.Errorf("vm: kernel %s: empty grid or block", k.Name)
 	}
-	if l.Mem == nil {
-		return fmt.Errorf("vm: kernel %s: nil memory", k.Name)
+	// Every global access indexes a byte row directly.  A memory that must
+	// see each element access, like the PGAS view, runs on the interpreter.
+	if _, ok := l.Mem.(rowMemory); !ok {
+		return fmt.Errorf("vm: kernel %s: memory %T has no byte rows or atomic shards", k.Name, l.Mem)
 	}
 	return nil
+}
+
+// rowMemory is the memory a Runner accepts: byte rows and atomic shards, as
+// node memory and HostMem expose them.
+type rowMemory interface {
+	interp.AtomicMemory
+	interp.RawMemory
 }
 
 // ExecBlock executes one GPU block (bx, by) of the launch and returns the

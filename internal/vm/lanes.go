@@ -490,7 +490,6 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 	W := r.w
 	code := r.p.code
 	li, lf := b.li, b.lf
-	mem := r.mem
 	lens := r.lens
 	raws := r.raw
 	tkn, one := b.tkn, b.one
@@ -1383,9 +1382,8 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 
 		// The global loads/stores run an optimistic dense pass over the raw
 		// byte view first: no act indirection, no keep-filter, straight
-		// little-endian access.  Any out-of-bounds lane (or a buffer with no
-		// raw view) falls back to the exact slow loop, which recomputes from
-		// index 0 — loads and plain stores are idempotent, so the partial
+		// little-endian access.  Any out-of-bounds lane falls back to the
+		// exact slow loop, which recomputes from index 0 — loads and plain stores are idempotent, so the partial
 		// dense pass leaves nothing stale — and assigns deaths in thread
 		// order.
 		case opLdGF:
@@ -1400,7 +1398,7 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 				off = li[int(in.imm)*W]
 				intops += nl
 			}
-			if n := len(act); raw != nil && act[n-1] == n-1 {
+			if n := len(act); act[n-1] == n-1 {
 				d, a := lf[id:id+n], li[ia:ia+n]
 				oob := false
 				for ln := range d {
@@ -1424,11 +1422,7 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 					b.errs[ln] = r.oobGlobal("load", prm, idx)
 					continue
 				}
-				if raw != nil {
-					lf[id+ln] = float64(math.Float32frombits(binary.LittleEndian.Uint32(raw[4*idx:])))
-				} else {
-					lf[id+ln] = float64(mem.LoadF32(prm, idx))
-				}
+				lf[id+ln] = float64(math.Float32frombits(binary.LittleEndian.Uint32(raw[4*idx:])))
 				keep = append(keep, ln)
 			}
 			act = keep
@@ -1449,7 +1443,7 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 			glb += 4 * nl
 			flops += 2 * nl
 			done := 0
-			if n := len(act); raw != nil && act[n-1] == n-1 {
+			if n := len(act); act[n-1] == n-1 {
 				done = fmaRow(lf[fd:fd+n], li[ia:ia+n], raw, off, lim, s, order)
 				clear(li[id : id+done])
 				if done == n {
@@ -1465,11 +1459,7 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 					continue
 				}
 				var x float32
-				if raw != nil {
-					x = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*idx:]))
-				} else {
-					x = mem.LoadF32(prm, idx)
-				}
+				x = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*idx:]))
 				lf[fd+ln] = float64(fmaLane(order, s, x, float32(lf[fd+ln])))
 				li[id+ln] = 0
 				keep = append(keep, ln)
@@ -1480,7 +1470,7 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 			prm := int(in.b)
 			raw := raws[prm]
 			lim := uint(lens[prm])
-			if n := len(act); raw != nil && act[n-1] == n-1 {
+			if n := len(act); act[n-1] == n-1 {
 				d, a := li[id:id+n], li[ia:ia+n]
 				oob := false
 				for ln := range d {
@@ -1504,11 +1494,7 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 					b.errs[ln] = r.oobGlobal("load", prm, idx)
 					continue
 				}
-				if raw != nil {
-					li[id+ln] = int64(int32(binary.LittleEndian.Uint32(raw[4*idx:])))
-				} else {
-					li[id+ln] = int64(mem.LoadI32(prm, idx))
-				}
+				li[id+ln] = int64(int32(binary.LittleEndian.Uint32(raw[4*idx:])))
 				keep = append(keep, ln)
 			}
 			act = keep
@@ -1518,7 +1504,7 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 			prm := int(in.b)
 			raw := raws[prm]
 			lim := uint(lens[prm])
-			if n := len(act); raw != nil && act[n-1] == n-1 {
+			if n := len(act); act[n-1] == n-1 {
 				d, a := li[id:id+n], li[ia:ia+n]
 				oob := false
 				for ln := range d {
@@ -1542,11 +1528,7 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 					b.errs[ln] = r.oobGlobal("load", prm, idx)
 					continue
 				}
-				if raw != nil {
-					li[id+ln] = int64(raw[idx])
-				} else {
-					li[id+ln] = int64(mem.LoadU8(prm, idx))
-				}
+				li[id+ln] = int64(raw[idx])
 				keep = append(keep, ln)
 			}
 			act = keep
@@ -1556,7 +1538,7 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 			prm := int(in.b)
 			raw := raws[prm]
 			lim := uint(lens[prm])
-			if n := len(act); raw != nil && act[n-1] == n-1 {
+			if n := len(act); act[n-1] == n-1 {
 				d, a := lf[id:id+n], li[ia:ia+n]
 				oob := false
 				for ln := range d {
@@ -1580,11 +1562,7 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 					b.errs[ln] = r.oobGlobal("store", prm, idx)
 					continue
 				}
-				if raw != nil {
-					binary.LittleEndian.PutUint32(raw[4*idx:], math.Float32bits(float32(lf[id+ln])))
-				} else {
-					mem.StoreF32(prm, idx, float32(lf[id+ln]))
-				}
+				binary.LittleEndian.PutUint32(raw[4*idx:], math.Float32bits(float32(lf[id+ln])))
 				keep = append(keep, ln)
 			}
 			act = keep
@@ -1594,7 +1572,7 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 			prm := int(in.b)
 			raw := raws[prm]
 			lim := uint(lens[prm])
-			if n := len(act); raw != nil && act[n-1] == n-1 {
+			if n := len(act); act[n-1] == n-1 {
 				d, a := li[id:id+n], li[ia:ia+n]
 				oob := false
 				for ln := range d {
@@ -1618,11 +1596,7 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 					b.errs[ln] = r.oobGlobal("store", prm, idx)
 					continue
 				}
-				if raw != nil {
-					binary.LittleEndian.PutUint32(raw[4*idx:], uint32(int32(li[id+ln])))
-				} else {
-					mem.StoreI32(prm, idx, int32(li[id+ln]))
-				}
+				binary.LittleEndian.PutUint32(raw[4*idx:], uint32(int32(li[id+ln])))
 				keep = append(keep, ln)
 			}
 			act = keep
@@ -1632,7 +1606,7 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 			prm := int(in.b)
 			raw := raws[prm]
 			lim := uint(lens[prm])
-			if n := len(act); raw != nil && act[n-1] == n-1 {
+			if n := len(act); act[n-1] == n-1 {
 				d, a := li[id:id+n], li[ia:ia+n]
 				oob := false
 				for ln := range d {
@@ -1656,11 +1630,7 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 					b.errs[ln] = r.oobGlobal("store", prm, idx)
 					continue
 				}
-				if raw != nil {
-					raw[idx] = byte(li[id+ln])
-				} else {
-					mem.StoreU8(prm, idx, byte(li[id+ln]))
-				}
+				raw[idx] = byte(li[id+ln])
 				keep = append(keep, ln)
 			}
 			act = keep
@@ -1721,6 +1691,7 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 			elem := r.p.Kernel.Params[prm].Elem
 			sz := int64(elem.Size())
 			id, ia, ib := int(in.d)*W, int(in.a)*W, int(in.b)*W
+			raw := raws[prm]
 			isAdd := in.op == opAtGAdd
 			keep := act[:0]
 			// Ascending lane order is ascending thread order, so lanes
@@ -1728,28 +1699,22 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 			// thread order.
 			for _, ln := range act {
 				idx := int(li[ia+ln])
-				var mu *sync.Mutex
-				if r.am != nil {
-					mu = r.am.AtomicShard(prm, idx)
-					mu.Lock()
-				}
 				if uint(idx) >= uint(lens[prm]) {
-					if mu != nil {
-						mu.Unlock()
-					}
 					b.stat[ln] = stDead
 					b.errs[ln] = r.oobGlobal("load", prm, idx)
 					continue
 				}
+				mu := r.am.AtomicShard(prm, idx)
+				mu.Lock()
 				var oldI int64
 				var oldF float64
 				switch elem {
 				case kir.F32:
-					oldF = float64(mem.LoadF32(prm, idx))
+					oldF = float64(math.Float32frombits(binary.LittleEndian.Uint32(raw[4*idx:])))
 				case kir.I32:
-					oldI = int64(mem.LoadI32(prm, idx))
+					oldI = int64(int32(binary.LittleEndian.Uint32(raw[4*idx:])))
 				case kir.U8:
-					oldI = int64(mem.LoadU8(prm, idx))
+					oldI = int64(raw[idx])
 				}
 				glb += sz
 				nvI, nvF := oldI, oldF
@@ -1771,16 +1736,14 @@ func (r *Runner) runBatch(b *laneBatch, w *interp.Work, fresh bool) {
 				}
 				switch elem {
 				case kir.F32:
-					mem.StoreF32(prm, idx, float32(nvF))
+					binary.LittleEndian.PutUint32(raw[4*idx:], math.Float32bits(float32(nvF)))
 				case kir.I32:
-					mem.StoreI32(prm, idx, int32(nvI))
+					binary.LittleEndian.PutUint32(raw[4*idx:], uint32(int32(nvI)))
 				case kir.U8:
-					mem.StoreU8(prm, idx, byte(nvI))
+					raw[idx] = byte(nvI)
 				}
 				gsb += sz
-				if mu != nil {
-					mu.Unlock()
-				}
+				mu.Unlock()
 				keep = append(keep, ln)
 			}
 			act = keep

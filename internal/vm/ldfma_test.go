@@ -93,10 +93,6 @@ func accumulateInit(scalar bool) ([]*interp.HostBuffer, []interp.Value) {
 	}, []interp.Value{4: interp.IntV(accumulateThreads)}
 }
 
-// elemOnly hides everything but interp.Memory's element accessors —
-// RawBytes in particular — the way a memory that intercepts accesses does.
-type elemOnly struct{ interp.Memory }
-
 func shapeSrc(name string) string {
 	for _, sh := range uniformShapes {
 		if sh.name == name {
@@ -123,6 +119,9 @@ func TestLdFMAMatchesInterp(t *testing.T) {
 	cases = append(cases,
 		tc{"oob-mid-batch", shapeSrc("accumulate-oob-mid-batch"), fuzzInit},
 		tc{"oob-divergent", shapeSrc("accumulate-oob-divergent"), fuzzInit})
+	// The oracle runs on byte rows, and element by element: the path the
+	// PGAS view takes through the interpreter must agree with the register
+	// machine too.
 	memories := []struct {
 		name string
 		wrap func(*interp.HostMem) interp.Memory

@@ -106,14 +106,14 @@ const (
 	opMaxI
 	opAbsI
 
-	// Global memory: a = index register, b = parameter index.  Loads are
-	// typed by the Load node's type; stores by the parameter element type.
-	opLdGF  // rf[d] = Mem.LoadF32(b, ri[a]);  GlobalLoadBytes += 4 (uC: index ri[a]+ri[imm], IntOps++)
-	opLdGI  // ri[d] = Mem.LoadI32(b, ri[a]);  GlobalLoadBytes += 4
-	opLdGU8 // ri[d] = Mem.LoadU8(b, ri[a]);   GlobalLoadBytes += 1
-	opStGF  // Mem.StoreF32(b, ri[a], f32(rf[d])); GlobalStoreBytes += 4
-	opStGI  // Mem.StoreI32(b, ri[a], i32(ri[d])); GlobalStoreBytes += 4
-	opStGU8 // Mem.StoreU8(b, ri[a], byte(ri[d])); GlobalStoreBytes += 1
+	// Global memory: a = index register, b = parameter index (byte row
+	// row_b).  Loads are typed by the Load node's type; stores by row_b's.
+	opLdGF  // rf[d] = f32 row_b[ri[a]];  GlobalLoadBytes += 4 (uC: index ri[a]+ri[imm], IntOps++)
+	opLdGI  // ri[d] = i32 row_b[ri[a]];  GlobalLoadBytes += 4
+	opLdGU8 // ri[d] = u8 row_b[ri[a]];   GlobalLoadBytes += 1
+	opStGF  // f32 row_b[ri[a]] = f32(rf[d]); GlobalStoreBytes += 4
+	opStGI  // i32 row_b[ri[a]] = i32(ri[d]); GlobalStoreBytes += 4
+	opStGU8 // u8 row_b[ri[a]] = byte(ri[d]); GlobalStoreBytes += 1
 
 	// Shared memory.  Shared cells mirror interp.Value pairs, so each array
 	// occupies the same [base, base+n) span in both arenas.  Loads: a =

@@ -1,6 +1,7 @@
 package vm_test
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -317,5 +318,43 @@ __global__ void v(float* out) { out[0] = 1.0f; }
 	if _, err := vm.NewRunner(&interp.Launch{Kernel: k, Grid: interp.Dim1(1),
 		Block: interp.Dim1(1), Args: make([]interp.Value, 1)}); err == nil {
 		t.Error("nil memory must fail validation")
+	}
+}
+
+// elemOnly hides everything but interp.Memory's element accessors —
+// RawBytes and AtomicShard in particular — the way a memory that intercepts
+// accesses does.
+type elemOnly struct{ interp.Memory }
+
+// TestRunnerRejectsElementOnlyMemory: the register machine indexes byte
+// rows and locks atomic shards directly, so a memory lacking either is a
+// launch error — from NewRunner and from the one-shot ExecBlock, never a
+// panic in the first load.
+func TestRunnerRejectsElementOnlyMemory(t *testing.T) {
+	k := compileKernel(t, `
+__global__ void v(float* out) { out[threadIdx.x] = 1.0f; }
+`)
+	mem := interp.NewHostMem()
+	mem.Bind(0, interp.ZeroBuffer(kir.F32, 4))
+	for name, m := range map[string]interp.Memory{
+		"element-only": elemOnly{mem},
+		"no shards": struct {
+			interp.Memory
+			interp.RawMemory
+		}{mem, mem},
+	} {
+		l := &interp.Launch{Kernel: k, Grid: interp.Dim1(1), Block: interp.Dim1(4),
+			Args: make([]interp.Value, 1), Mem: m}
+		if r, err := vm.NewRunner(l); err == nil || r != nil {
+			t.Errorf("%s: NewRunner = %v, %v; want an error", name, r, err)
+		} else if !strings.Contains(err.Error(), "no byte rows or atomic shards") {
+			t.Errorf("%s: NewRunner error %q does not name the missing capability", name, err)
+		}
+		if w, err := vm.ExecBlock(l, 0, 0); err == nil || w != (interp.Work{}) {
+			t.Errorf("%s: ExecBlock = %+v, %v; want zero work and an error", name, w, err)
+		}
+	}
+	if b := mem.Buffer(0).Data; !bytes.Equal(b, make([]byte, len(b))) {
+		t.Error("a rejected launch wrote memory")
 	}
 }
