@@ -7,8 +7,10 @@ check: build vet test bench-test race fuzz-smoke bench-smoke
 build:
 	go build ./...
 
+# gofmt over every tracked Go file, the bench module's included.
 vet:
 	go vet ./...
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
 # -timeout 120s: a reintroduced collective deadlock must fail CI with a
 # goroutine dump instead of wedging it.

@@ -81,9 +81,9 @@ func TestPercentileSorted(t *testing.T) {
 		want float64
 	}{
 		{0, 1},
-		{0.5, 5},    // int(0.5*9) = 4
-		{0.99, 9},   // int(0.99*9) = 8
-		{0.999, 9},  // int(0.999*9) = 8
+		{0.5, 5},   // int(0.5*9) = 4
+		{0.99, 9},  // int(0.99*9) = 8
+		{0.999, 9}, // int(0.999*9) = 8
 		{1, 10},
 	} {
 		if got := PercentileSorted(sorted, tc.q); got != tc.want {
