@@ -9,7 +9,7 @@ import (
 )
 
 // The serving-layer chaos tests run cuccd with every job's cluster built
-// over transport.Faulty.  The invariants mirror the cluster-level chaos
+// over transport.NewFaulty.  The invariants mirror the cluster-level chaos
 // suite, lifted to the service boundary:
 //
 //   - benign faults (delay, duplicate) are fully absorbed: every job
