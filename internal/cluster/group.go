@@ -191,8 +191,8 @@ func (g *Group) SyncClocksMax(dt float64) {
 }
 
 // HeapBytes returns node r's raw heap bytes [off, off+n), aliasing the
-// node memory: the access path checkpoint capture/restore and crashed-node
-// repair use.
+// node memory: the access path of the phase-2 Allgather, checkpoint
+// capture/restore and crashed-node repair.
 func (c *Cluster) HeapBytes(r, off, n int) []byte {
 	return c.heap(r)[off : off+n]
 }
