@@ -59,7 +59,8 @@ type Choice struct {
 	// are still in flight, when the kernel's callback blocks don't read
 	// gathered data.
 	Overlap bool
-	// Chunks is the pipelining factor for AlgoPipeline (0 = default 4).
+	// Chunks is the pipelining factor for AlgoPipeline (0 = default 4; at
+	// most MaxPipelineChunks).
 	Chunks int
 }
 
@@ -81,7 +82,8 @@ func (c Choice) String() string {
 //	"ring"                  force flat ring schedule
 //	"recdouble"             force recursive doubling
 //	"twolevel"              force hierarchical two-level ring
-//	"pipeline" | "pipeline:N"  force chunked-pipelined ring (N chunks/rank)
+//	"pipeline" | "pipeline:N"  force chunked-pipelined ring (N chunks/rank,
+//	                           1 <= N <= MaxPipelineChunks)
 //	"<algo>+overlap"        any of the above plus phase-2/3 overlap
 //	"overlap"               shorthand for auto+overlap
 func ParseChoice(s string) (Choice, error) {
@@ -95,6 +97,9 @@ func ParseChoice(s string) (Choice, error) {
 		k, err := strconv.Atoi(num)
 		if err != nil || k < 1 {
 			return Choice{}, fmt.Errorf("csched: bad pipeline chunk count %q", num)
+		}
+		if k > MaxPipelineChunks {
+			return Choice{}, errTooManyChunks(k)
 		}
 		c.Chunks = k
 		s = name
@@ -263,6 +268,16 @@ type Selection struct {
 // one: enough to expose early progress without drowning in alpha.
 const defaultPipelineChunks = 4
 
+// MaxPipelineChunks bounds a pinned pipeline chunk count.  The count is
+// tenant input (a cuccd job's collective), and every (algo, ranks, chunks)
+// schedule stays cached for the life of the process, so an unbounded count
+// lets one job allocate gigabytes.  Auto selection tries 2, 4 and 8.
+const MaxPipelineChunks = 64
+
+func errTooManyChunks(k int) error {
+	return fmt.Errorf("csched: pipeline chunk count %d exceeds the bound %d", k, MaxPipelineChunks)
+}
+
 // Select compiles the candidate schedules the Choice allows, costs each
 // under the model, and returns the winner.  Forced algorithms that don't
 // apply to the rank count (recdouble on non-power-of-two, twolevel on
@@ -284,6 +299,9 @@ func Select(rq Request) (*Selection, error) {
 	pow2 := n >= 2 && n&(n-1) == 0
 	composite := GenTwoLevel(n) != nil
 	pipeK := rq.Choice.Chunks
+	if pipeK > MaxPipelineChunks {
+		return nil, errTooManyChunks(pipeK)
+	}
 	if pipeK < 1 {
 		pipeK = defaultPipelineChunks
 	}

@@ -1,7 +1,10 @@
 package csched
 
 import (
+	"fmt"
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 
 	"cucc/internal/simnet"
@@ -324,6 +327,30 @@ func TestParseChoice(t *testing.T) {
 		back, err := ParseChoice(c.String())
 		if err != nil || back != c {
 			t.Errorf("round trip %+v -> %q -> %+v (%v)", c, c.String(), back, err)
+		}
+	}
+}
+
+// TestChunkBound: a pipeline chunk count above MaxPipelineChunks is refused
+// by ParseChoice and by Select, with an error naming the bound, so no
+// schedule that large is ever generated or cached; the bound itself passes.
+func TestChunkBound(t *testing.T) {
+	over := MaxPipelineChunks + 1
+	bound := strconv.Itoa(MaxPipelineChunks)
+	for _, s := range []string{fmt.Sprintf("pipeline:%d", over), fmt.Sprintf("pipeline:%d+overlap", over)} {
+		if _, err := ParseChoice(s); err == nil || !strings.Contains(err.Error(), bound) {
+			t.Errorf("ParseChoice(%q) = %v, want an error naming the bound %s", s, err, bound)
+		}
+	}
+	in := fmt.Sprintf("pipeline:%d", MaxPipelineChunks)
+	if c, err := ParseChoice(in); err != nil || c.Chunks != MaxPipelineChunks {
+		t.Errorf("ParseChoice(%q) = %+v, %v; want %d chunks", in, c, err, MaxPipelineChunks)
+	}
+	rq := Request{Ranks: 4, RankBytes: []int64{1024, 1024, 1024, 1024}, Model: simnet.IB100()}
+	for _, algo := range []Algo{AlgoPipeline, AlgoAuto} {
+		rq.Choice = Choice{Algo: algo, Chunks: over}
+		if _, err := Select(rq); err == nil || !strings.Contains(err.Error(), bound) {
+			t.Errorf("Select(%s with %d chunks) = %v, want an error naming the bound %s", algo, over, err, bound)
 		}
 	}
 }

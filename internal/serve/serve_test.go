@@ -6,12 +6,14 @@ import (
 	"net"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"cucc/internal/core"
+	"cucc/internal/csched"
 	"cucc/internal/recovery"
 )
 
@@ -707,5 +709,36 @@ func TestHostileBufferCounts(t *testing.T) {
 	}
 	if resp := srv.Submit(vecAddSourceReq("t1")); resp.Status != StatusOK {
 		t.Fatalf("well-formed job after the hostile ones: status %q err %q", resp.Status, resp.Err)
+	}
+}
+
+// TestTenantCollectives: each collective string a tenant can send gets its
+// own answer.  A malformed one, or a chunk count above the bound, fails the
+// job before a cluster is built (no job counters); a valid one runs; and
+// the executor survives to run the next job.
+func TestTenantCollectives(t *testing.T) {
+	srv := NewServer(Config{Executors: 1, Nodes: 2, Workers: 1})
+	defer srv.Drain()
+	for _, tc := range []struct {
+		coll, status, errHas string
+	}{
+		{"bogus", StatusError, "unknown collective"},
+		{"pipeline:0", StatusError, "bad pipeline chunk count"},
+		{fmt.Sprintf("pipeline:%d", csched.MaxPipelineChunks+1), StatusError, strconv.Itoa(csched.MaxPipelineChunks)},
+		{"ring+overlap", StatusOK, ""},
+	} {
+		req := vecAddSourceReq("t1")
+		req.Collective = tc.coll
+		resp := srv.Submit(req)
+		if resp.Status != tc.status || !strings.Contains(resp.Err, tc.errHas) {
+			t.Errorf("collective %q: status %q err %q, want status %q and an error containing %q",
+				tc.coll, resp.Status, resp.Err, tc.status, tc.errHas)
+		}
+		if tc.status == StatusError && resp.Counters != nil {
+			t.Errorf("collective %q: the job built a cluster before failing", tc.coll)
+		}
+	}
+	if resp := srv.Submit(vecAddSourceReq("t1")); resp.Status != StatusOK {
+		t.Fatalf("well-formed job after the others: status %q err %q", resp.Status, resp.Err)
 	}
 }
