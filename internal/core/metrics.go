@@ -38,9 +38,6 @@ const (
 func registerVMGauges(r *metrics.Registry) {
 	r.GaugeFunc("vm.compile_cache.hits", func() float64 { return float64(vm.ReadCacheStats().Hits) })
 	r.GaugeFunc("vm.compile_cache.misses", func() float64 { return float64(vm.ReadCacheStats().Misses) })
-	r.GaugeFunc("vm.compile_cache.evictions", func() float64 { return float64(vm.ReadCacheStats().Evictions) })
-	r.GaugeFunc("vm.compile_cache.entries", func() float64 { return float64(vm.ReadCacheStats().Entries) })
-	r.GaugeFunc("vm.compile_cache.cap", func() float64 { return float64(vm.ReadCacheStats().CapEntries) })
 	r.GaugeFunc("vm.compile.seconds", func() float64 { return vm.ReadCacheStats().CompileSeconds })
 }
 

@@ -1,6 +1,9 @@
 package kir
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Param describes one kernel parameter.
 type Param struct {
@@ -36,6 +39,10 @@ type Kernel struct {
 	NumSlots int
 	// Source is the original DSL text, retained for diagnostics.
 	Source string
+	// Program holds the register machine's compiled program for this
+	// kernel (a *vm.CompiledKernel), published once by vm.CompileCached,
+	// so the program lives exactly as long as the kernel does.
+	Program atomic.Pointer[any]
 }
 
 // Module is a set of kernels compiled from one source unit, the analogue of

@@ -28,9 +28,10 @@ import (
 var errDeadline = errors.New("serve: job deadline exceeded")
 
 // sourceEntry is one cached compilation of source-mode kernel text.
-// Sharing the *core.Program across jobs shares the *kir.Kernel identity,
-// which is what lets vm.CompileCached (the bounded process-wide LRU under
-// this cache) hit instead of re-lowering per job.
+// Sharing the *core.Program across jobs shares its *kir.Kernel values, and
+// each kernel carries its register-machine program (vm.CompileCached
+// stores it there), so a repeated source compiles once; dropping the entry
+// frees the kernels and their programs together.
 type sourceEntry struct {
 	prog *core.Program
 	err  error
@@ -72,8 +73,8 @@ func (s *Server) compileSource(src string) (*core.Program, bool, error) {
 // metered transport wraps at New), its own transport that a deadline or a
 // failed rank can kill without touching a neighbour, and node heaps no
 // other tenant has a handle on.  What is warm across jobs is the
-// compiled-program state (suite registry, source cache, VM compile cache)
-// and the node memory itself: Close returns the heaps to cluster's free
+// compiled-program state (suite registry and source cache, whose kernels
+// carry their VM programs) and the node memory itself: Close returns the heaps to cluster's free
 // list and the next job's cluster gets them back cleared, so everything
 // read from the cluster (output check, buffer CRCs) happens before the
 // deferred Close below.

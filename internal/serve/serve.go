@@ -186,9 +186,9 @@ type Server struct {
 
 	// sourceProgs caches core.Compile results by source text, so repeated
 	// source-mode jobs share one parsed module — and therefore one
-	// *kir.Kernel identity, which is what makes vm.CompileCached hit
-	// across jobs.  Bounded FIFO (the VM-level LRU below it is bounded
-	// separately).
+	// *kir.Kernel, which carries its compiled VM program across jobs.
+	// Bounded FIFO; this bound is the only one on source kernels and
+	// their programs.
 	sourceProgs  map[string]*sourceEntry
 	sourceOrder  []string
 	sourceCap    int

@@ -1,151 +1,70 @@
 package vm_test
 
 import (
-	"fmt"
+	"runtime"
+	"sync"
 	"testing"
+	"weak"
 
-	"cucc/internal/kir"
 	"cucc/internal/vm"
 )
 
-// TestCompileCacheBound drives more distinct kernels through CompileCached
-// than the bound admits and checks LRU eviction: the cache never exceeds
-// its cap, evictions are counted, the most-recently-used survivor still
-// hits, and an evicted kernel recompiles (a miss) without error.
-func TestCompileCacheBound(t *testing.T) {
-	const bound = 4
-	prev := vm.SetCompileCacheCap(bound)
-	defer vm.SetCompileCacheCap(prev)
-
-	kernel := func(i int) string {
-		// Distinct constant per kernel so each parses to a distinct body.
-		return fmt.Sprintf(`
-__global__ void evict%d(float* out) { out[threadIdx.x] = %d.0f; }
-`, i, i)
-	}
-
+// TestCompiledProgramDiesWithKernel: a kernel compiles once (one miss, then
+// one hit on the same program), and nothing process-wide keeps either the
+// kernel or its program alive once the caller drops the kernel.
+func TestCompiledProgramDiesWithKernel(t *testing.T) {
+	k := compileKernel(t, `
+__global__ void dies(float* out) { out[threadIdx.x] = 3.0f; }
+`)
 	before := vm.ReadCacheStats()
-	const n = bound + 3
-	kernels := make([]*kir.Kernel, n)
-	for i := 0; i < n; i++ {
-		k := compileKernel(t, kernel(i))
-		if _, err := vm.CompileCached(k); err != nil {
-			t.Fatal(err)
-		}
-		kernels[i] = k
-	}
-	st := vm.ReadCacheStats()
-	if st.CapEntries != bound {
-		t.Errorf("CapEntries = %d, want %d", st.CapEntries, bound)
-	}
-	if st.Entries > bound {
-		t.Errorf("Entries = %d exceeds bound %d", st.Entries, bound)
-	}
-	// Other tests in the package may have left residents behind, so the
-	// eviction delta is at least n-bound (exactly that on a cold cache).
-	if got := st.Evictions - before.Evictions; got < n-bound {
-		t.Errorf("evictions = %d, want >= %d", got, n-bound)
-	}
-	if got := st.Misses - before.Misses; got != n {
-		t.Errorf("misses = %d, want %d (all kernels distinct)", got, n)
-	}
-
-	// The last-inserted kernel is resident: hit, same program pointer.
-	last := kernels[n-1]
-	p1, err := vm.CompileCached(last)
+	p1, err := vm.CompileCached(k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := vm.CompileCached(last)
+	p2, err := vm.CompileCached(k)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if p1 != p2 {
-		t.Error("resident kernel should return one shared program")
-	}
-	afterHits := vm.ReadCacheStats()
-	if got := afterHits.Hits - st.Hits; got != 2 {
-		t.Errorf("hits = %d, want 2", got)
-	}
-
-	// The first kernel was evicted: next use recompiles (a miss).
-	if _, err := vm.CompileCached(kernels[0]); err != nil {
-		t.Fatal(err)
-	}
-	final := vm.ReadCacheStats()
-	if got := final.Misses - afterHits.Misses; got != 1 {
-		t.Errorf("evicted kernel misses = %d, want 1", got)
-	}
-	if final.Entries > bound {
-		t.Errorf("Entries = %d exceeds bound %d after re-insert", final.Entries, bound)
-	}
-}
-
-// TestCompileCacheLRUOrder checks that a lookup refreshes recency: touching
-// the oldest entry saves it from the next eviction.
-func TestCompileCacheLRUOrder(t *testing.T) {
-	prev := vm.SetCompileCacheCap(2)
-	defer vm.SetCompileCacheCap(prev)
-
-	src := func(name string) string {
-		return fmt.Sprintf(`
-__global__ void %s(float* out) { out[threadIdx.x] = 1.0f; }
-`, name)
-	}
-	ka := compileKernel(t, src("lruA"))
-	kb := compileKernel(t, src("lruB"))
-	kc := compileKernel(t, src("lruC"))
-
-	if _, err := vm.CompileCached(ka); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := vm.CompileCached(kb); err != nil {
-		t.Fatal(err)
-	}
-	// Touch A so B becomes the LRU victim when C arrives.
-	if _, err := vm.CompileCached(ka); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := vm.CompileCached(kc); err != nil {
-		t.Fatal(err)
-	}
-
-	st := vm.ReadCacheStats()
-	if _, err := vm.CompileCached(ka); err != nil {
 		t.Fatal(err)
 	}
 	after := vm.ReadCacheStats()
-	if after.Hits-st.Hits != 1 {
-		t.Error("A should still be resident after touching it (LRU refresh)")
+	if p1 != p2 {
+		t.Error("CompileCached returned two programs for one kernel")
 	}
-	if _, err := vm.CompileCached(kb); err != nil {
-		t.Fatal(err)
+	if m, h := after.Misses-before.Misses, after.Hits-before.Hits; m != 1 || h != 1 {
+		t.Errorf("misses %d hits %d, want 1 and 1", m, h)
 	}
-	final := vm.ReadCacheStats()
-	if final.Misses-after.Misses != 1 {
-		t.Error("B should have been evicted (it was the least recently used)")
+
+	wk, wp := weak.Make(k), weak.Make(p1)
+	k, p1, p2 = nil, nil, nil
+	runtime.GC()
+	if wk.Value() != nil || wp.Value() != nil {
+		t.Fatal("a dropped kernel or its program is still reachable")
 	}
 }
 
-// TestSetCompileCacheCapShrinks checks that shrinking the cap evicts
-// immediately and that cap <= 0 means unbounded.
-func TestSetCompileCacheCapShrinks(t *testing.T) {
-	prev := vm.SetCompileCacheCap(0) // unbounded while filling
-	defer vm.SetCompileCacheCap(prev)
-
-	for i := 0; i < 5; i++ {
-		k := compileKernel(t, fmt.Sprintf(`
-__global__ void shrink%d(float* out) { out[threadIdx.x] = %d.0f; }
-`, i, i))
-		if _, err := vm.CompileCached(k); err != nil {
-			t.Fatal(err)
+// TestCompileCachedConcurrent: racing first compiles of one kernel all
+// return the one program that was published.
+func TestCompileCachedConcurrent(t *testing.T) {
+	k := compileKernel(t, `
+__global__ void racy(float* out) { out[threadIdx.x] = 5.0f; }
+`)
+	const racers = 8
+	progs := make([]*vm.CompiledKernel, racers)
+	var wg sync.WaitGroup
+	for i := range racers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p, err := vm.CompileCached(k)
+			if err != nil {
+				t.Error(err)
+			}
+			progs[i] = p
+		}()
+	}
+	wg.Wait()
+	for i, p := range progs {
+		if p == nil || p != progs[0] {
+			t.Fatalf("racer %d got program %p, racer 0 got %p", i, p, progs[0])
 		}
-	}
-	if st := vm.ReadCacheStats(); st.Entries < 5 {
-		t.Fatalf("Entries = %d, want >= 5 while unbounded", st.Entries)
-	}
-	vm.SetCompileCacheCap(1)
-	if st := vm.ReadCacheStats(); st.Entries > 1 {
-		t.Errorf("Entries = %d after shrink to 1", st.Entries)
 	}
 }

@@ -57,9 +57,9 @@ type Profile struct {
 	counts []atomic.Int64
 }
 
-// profCache memoizes instrumentation per kernel identity, mirroring the
-// compile cache: every launch of a kernel reuses one instrumented program
-// and one accumulator.
+// profCache memoizes instrumentation per kernel identity while profiling is
+// on: every launch of a kernel reuses one instrumented program and one
+// accumulator until ResetProfiles empties it.
 var profCache sync.Map // *kir.Kernel -> *profiled
 
 type profiled struct {

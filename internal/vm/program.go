@@ -19,8 +19,6 @@
 package vm
 
 import (
-	"container/list"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -296,125 +294,43 @@ func (p *CompiledKernel) NumInstructions() int { return len(p.code) }
 // therefore keeps one batch context per batch across barrier rounds).
 func (p *CompiledKernel) HasSync() bool { return p.hasSync }
 
-// The compile cache memoizes compilation per kernel identity: every launch
-// of a kernel across workers, nodes, and sessions reuses one program.  It
-// is size-bounded LRU: under many-tenant job churn (the cuccd serving
-// layer) distinct kernels arrive indefinitely, so an unbounded map would
-// grow without limit.  Eviction drops the least-recently-used program; a
-// re-launch of an evicted kernel recompiles (a miss), which is correct,
-// just slower.
-type compileCache struct {
-	mu      sync.Mutex
-	cap     int        // <= 0: unbounded
-	order   *list.List // front = most recent; values are *cacheEntry
-	entries map[*kir.Kernel]*list.Element
-}
-
-type cacheEntry struct {
-	key  *kir.Kernel
-	prog *CompiledKernel
-}
-
-// DefaultCompileCacheCap bounds the process compile cache.  Generous for
-// the evaluation suite (tens of kernels) while capping worst-case memory
-// under adversarial kernel churn.
-const DefaultCompileCacheCap = 256
-
-var cache = compileCache{
-	cap:     DefaultCompileCacheCap,
-	order:   list.New(),
-	entries: make(map[*kir.Kernel]*list.Element),
-}
-
 // Compile-cache accounting.  The counters are always-on atomics (cheap
 // enough to not warrant a registry dependency in the VM); the metrics layer
 // bridges them into a registry as gauge functions (see registerVMGauges in
 // internal/core).
 var (
-	cacheHits      atomic.Int64
-	cacheMisses    atomic.Int64
-	cacheEvictions atomic.Int64
-	compileNanos   atomic.Int64
+	cacheHits    atomic.Int64
+	cacheMisses  atomic.Int64
+	compileNanos atomic.Int64
 )
 
 // CacheStats reports the compile cache's cumulative behaviour.
 type CacheStats struct {
-	// Hits and Misses count CompileCached lookups; a miss includes the
+	// Hits and Misses count CompileCached calls; a miss includes the
 	// compile it triggered (losers of a concurrent compile race count as
 	// misses too — they compiled, even if their program was discarded).
 	Hits, Misses int64
-	// Evictions counts programs dropped by the LRU bound.
-	Evictions int64
-	// Entries and CapEntries are the cache's current size and bound
-	// (CapEntries <= 0 means unbounded).
-	Entries, CapEntries int
 	// CompileSeconds is the total wall time spent inside Compile.
 	CompileSeconds float64
 }
 
 // ReadCacheStats returns the current compile-cache counters.
 func ReadCacheStats() CacheStats {
-	cache.mu.Lock()
-	entries, capEntries := len(cache.entries), cache.cap
-	cache.mu.Unlock()
 	return CacheStats{
 		Hits:           cacheHits.Load(),
 		Misses:         cacheMisses.Load(),
-		Evictions:      cacheEvictions.Load(),
-		Entries:        entries,
-		CapEntries:     capEntries,
 		CompileSeconds: float64(compileNanos.Load()) / 1e9,
 	}
 }
 
-// lookup marks the entry as most recently used on hit.
-func (c *compileCache) lookup(k *kir.Kernel) (*CompiledKernel, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[k]
-	if !ok {
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).prog, true
-}
-
-// insert stores p under k, keeping an already-present program (so all
-// racers of a concurrent compile share one winner), and enforces the bound.
-func (c *compileCache) insert(k *kir.Kernel, p *CompiledKernel) *CompiledKernel {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[k]; ok {
-		c.order.MoveToFront(el)
-		return el.Value.(*cacheEntry).prog
-	}
-	c.entries[k] = c.order.PushFront(&cacheEntry{key: k, prog: p})
-	c.evictLocked()
-	return p
-}
-
-func (c *compileCache) evictLocked() {
-	if c.cap <= 0 {
-		return
-	}
-	for len(c.entries) > c.cap {
-		el := c.order.Back()
-		if el == nil {
-			return
-		}
-		c.order.Remove(el)
-		delete(c.entries, el.Value.(*cacheEntry).key)
-		cacheEvictions.Add(1)
-	}
-}
-
-// CompileCached returns the compiled program for k, compiling at most once
-// per kernel identity while the entry stays resident (evicted kernels
-// recompile on next use).
+// CompileCached returns k's compiled program, compiling it once per kernel.
+// The program lives on the kernel (kir.Kernel.Program), so it is collected
+// together with k; racing first compiles all return the one program the
+// compare-and-swap published.
 func CompileCached(k *kir.Kernel) (*CompiledKernel, error) {
-	if p, ok := cache.lookup(k); ok {
+	if p := k.Program.Load(); p != nil {
 		cacheHits.Add(1)
-		return p, nil
+		return (*p).(*CompiledKernel), nil
 	}
 	cacheMisses.Add(1)
 	start := time.Now()
@@ -423,5 +339,9 @@ func CompileCached(k *kir.Kernel) (*CompiledKernel, error) {
 	if err != nil {
 		return nil, err
 	}
-	return cache.insert(k, p), nil
+	var v any = p
+	if !k.Program.CompareAndSwap(nil, &v) {
+		return (*k.Program.Load()).(*CompiledKernel), nil
+	}
+	return p, nil
 }
