@@ -42,7 +42,7 @@ func (s *Stats) Add(o Stats) {
 // Barrier is a dissemination barrier: ceil(log2 N) rounds, each rank
 // signaling rank (r + 2^k) mod N.
 func Barrier(c transport.Conn) (st Stats, err error) {
-	defer record(c, &opBarrier, time.Now(), &st, &err)
+	defer opBarrier.Record(c, time.Now(), &st, &err)
 	n := c.Size()
 	for dist := 1; dist < n; dist *= 2 {
 		to := (c.Rank() + dist) % n
@@ -69,7 +69,7 @@ func Barrier(c transport.Conn) (st Stats, err error) {
 // ownership to the transport with each Send, so passing it on is safe over
 // every transport and costs one chunk-sized allocation per call.
 func AllgatherRing(c transport.Conn, buf []byte, chunkBytes int) (st Stats, err error) {
-	defer record(c, &opRing, time.Now(), &st, &err)
+	defer opRing.Record(c, time.Now(), &st, &err)
 	n, r := c.Size(), c.Rank()
 	if chunkBytes == 0 || n == 1 {
 		return st, nil

@@ -8,21 +8,24 @@ import (
 
 // Per-collective metrics.  Every collective records one entry per call
 // into the registry attached to the conn (by the metered transport
-// decorator), as csched's executor does under comm.sched_<algo>, so summed
-// over all comm.* ops the msgs/bytes counters equal the transport.* totals
-// exactly — the cross-check invariant the suites-level test enforces.
+// decorator) — comm's own under comm.<op>, csched's executor under
+// comm.sched_<algo> — so summed over all comm.* ops the msgs/bytes counters
+// equal the transport.* totals exactly, the cross-check invariant the
+// suites-level test enforces.
 //
 // Names are precomputed per op so the record path performs no string
 // concatenation; an unmetered conn costs one type assertion.
 
-// opNames is the metric name set of one collective operation.
-type opNames struct {
+// Op is the metric name set of one collective operation.
+type Op struct {
 	calls, msgs, bytesSent, recvs, bytesRecvd, errors, seconds string
 }
 
-func makeOpNames(op string) opNames {
-	p := "comm." + op
-	return opNames{
+// NewOp returns the metric names comm.<name>.{calls,msgs,bytes_sent,recvs,
+// bytes_recvd,errors,seconds}.
+func NewOp(name string) *Op {
+	p := "comm." + name
+	return &Op{
 		calls:      p + ".calls",
 		msgs:       p + ".msgs",
 		bytesSent:  p + ".bytes_sent",
@@ -34,19 +37,19 @@ func makeOpNames(op string) opNames {
 }
 
 var (
-	opBarrier = makeOpNames("barrier")
-	opRing    = makeOpNames("allgather_ring")
+	opBarrier = NewOp("barrier")
+	opRing    = NewOp("allgather_ring")
 )
 
-// record books one completed (or failed) collective call: the final Stats,
+// Record books one completed (or failed) collective call: the final Stats,
 // the error outcome, and the wall latency.  Designed to be deferred with
 // pointers to the named results:
 //
 //	func Barrier(c transport.Conn) (st Stats, err error) {
-//		defer record(c, &opBarrier, time.Now(), &st, &err)
+//		defer opBarrier.Record(c, time.Now(), &st, &err)
 //		...
 //	}
-func record(c transport.Conn, op *opNames, start time.Time, st *Stats, errp *error) {
+func (op *Op) Record(c transport.Conn, start time.Time, st *Stats, errp *error) {
 	reg := transport.RegistryOf(c)
 	if reg == nil {
 		return

@@ -13,16 +13,16 @@ import (
 // cross-check tables below.
 type opCase struct {
 	name string
-	op   *opNames
+	op   *Op
 	run  func(c transport.Conn, n, chunk int) (Stats, error)
 }
 
 func opCollectiveCases() []opCase {
 	return []opCase{
-		{"Barrier", &opBarrier, func(c transport.Conn, n, chunk int) (Stats, error) {
+		{"Barrier", opBarrier, func(c transport.Conn, n, chunk int) (Stats, error) {
 			return Barrier(c)
 		}},
-		{"AllgatherRing", &opRing, func(c transport.Conn, n, chunk int) (Stats, error) {
+		{"AllgatherRing", opRing, func(c transport.Conn, n, chunk int) (Stats, error) {
 			buf := make([]byte, n*chunk)
 			copy(buf[c.Rank()*chunk:], chunkFor(c.Rank(), chunk))
 			return AllgatherRing(c, buf, chunk)

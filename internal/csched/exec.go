@@ -15,49 +15,18 @@ import (
 // exactly the FIFO guarantee the transport gives per (sender, tag).
 const tagSched = 20
 
-// execOpNames mirrors comm's per-collective metric naming for the
-// schedule executor: comm.sched_<algo>.{calls,msgs,...}.  The "comm."
-// prefix keeps the registry cross-check invariant (summed comm.* ==
-// transport.* totals) intact across comm's collectives and schedules.
-type execOpNames struct {
-	calls, msgs, bytesSent, recvs, bytesRecvd, errors, seconds string
-}
+// execOps holds the executor's metric names per schedule algorithm,
+// comm.sched_<algo>.*: the "comm." prefix keeps the registry cross-check
+// invariant (summed comm.* == transport.* totals) intact across comm's
+// collectives and schedules.
+var execOps sync.Map // algo string -> *comm.Op
 
-var execOps sync.Map // algo string -> *execOpNames
-
-func opNamesFor(algo string) *execOpNames {
+func execOp(algo string) *comm.Op {
 	if v, ok := execOps.Load(algo); ok {
-		return v.(*execOpNames)
+		return v.(*comm.Op)
 	}
-	p := "comm.sched_" + algo
-	n := &execOpNames{
-		calls:      p + ".calls",
-		msgs:       p + ".msgs",
-		bytesSent:  p + ".bytes_sent",
-		recvs:      p + ".recvs",
-		bytesRecvd: p + ".bytes_recvd",
-		errors:     p + ".errors",
-		seconds:    p + ".seconds",
-	}
-	v, _ := execOps.LoadOrStore(algo, n)
-	return v.(*execOpNames)
-}
-
-func recordExec(c transport.Conn, algo string, start time.Time, st *comm.Stats, errp *error) {
-	reg := transport.RegistryOf(c)
-	if reg == nil {
-		return
-	}
-	op := opNamesFor(algo)
-	reg.Counter(op.calls).Add(1)
-	reg.Counter(op.msgs).Add(st.Msgs)
-	reg.Counter(op.bytesSent).Add(st.BytesSent)
-	reg.Counter(op.recvs).Add(st.Recvs)
-	reg.Counter(op.bytesRecvd).Add(st.BytesRecvd)
-	if *errp != nil {
-		reg.Counter(op.errors).Add(1)
-	}
-	reg.Histogram(op.seconds).Observe(time.Since(start).Seconds())
+	v, _ := execOps.LoadOrStore(algo, comm.NewOp("sched_"+algo))
+	return v.(*comm.Op)
 }
 
 // Execute runs this rank's program of the schedule over the transport,
@@ -68,7 +37,7 @@ func recordExec(c transport.Conn, algo string, start time.Time, st *comm.Stats, 
 // once the transport accepted it, every receive counts its actual bytes,
 // so summed over ranks Msgs == Recvs and BytesSent == BytesRecvd.
 func Execute(c transport.Conn, buf []byte, offs []int, s *Schedule) (st comm.Stats, err error) {
-	defer recordExec(c, s.Algo, time.Now(), &st, &err)
+	defer execOp(s.Algo).Record(c, time.Now(), &st, &err)
 	n := c.Size()
 	if s.NRanks != n {
 		return st, fmt.Errorf("csched: schedule compiled for %d ranks, conn has %d", s.NRanks, n)
