@@ -277,18 +277,17 @@ func (s *Session) runPhases(st *launchState, stats *Stats, g *cluster.Group) err
 		cb = make([]blockRun, g.Size())
 		wallStart := time.Now()
 		err = g.RunParallel(func(m int, conn transport.Conn) error {
-			var wg sync.WaitGroup
-			var cbErr error
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				cb[m], cbErr = s.runBlocks(st, g.NodeOf(m), part.distEnd, total)
-			}()
-			commErr := gather(m, conn)
-			// Always join the callback goroutine before returning: the
-			// cluster may tear the launch down on error, and the blocks
+			// fanOut joins the callback goroutine before the rank returns:
+			// the cluster may tear the launch down on error, and the blocks
 			// must not outlive it.
-			wg.Wait()
+			var commErr, cbErr error
+			fanOut(2, func(i int) {
+				if i == 0 {
+					commErr = gather(m, conn)
+				} else {
+					cb[m], cbErr = s.runBlocks(st, g.NodeOf(m), part.distEnd, total)
+				}
+			})
 			return errors.Join(commErr, cbErr)
 		})
 		st.reg.Histogram(MetricCallbackWallSec).Observe(time.Since(wallStart).Seconds())
@@ -630,9 +629,9 @@ func partitionBlocks(total, tail, n int, strategy RemainderStrategy) partition {
 // Linearization is row-major over (by, bx), matching the analysis' Linear2D
 // convention.
 //
-// The range is fanned over the launch's st.workers goroutines (the
-// CuPBoP-style block-to-thread transform executing migrated GPU blocks
-// across the node's CPU cores).  Assignment is static block-cyclic — worker
+// The range is fanned over the launch's st.workers workers by fanOut, worker
+// 0 on the calling goroutine (the CuPBoP-style block-to-thread transform
+// executing migrated GPU blocks across the node's CPU cores).  Assignment is static block-cyclic — worker
 // w executes blocks lo+w, lo+w+W, … — so the per-worker block counts (and
 // the PhaseWorker trace spans derived from them) are a pure function of the
 // range and pool width, never of goroutine scheduling; identical runs
@@ -715,56 +714,30 @@ func (s *Session) runBlocks(st *launchState, rank, lo, hi int) (blockRun, error)
 	workers := min(st.workers, n)
 	counts := make([]int, workers)
 	works := make([]machine.BlockWork, n)
-	if workers == 1 {
-		// Fast path: no goroutine or scheduling overhead.
+	errs := make([]error, workers)
+	var failed atomic.Bool
+	fanOut(workers, func(wk int) {
 		exec, release, err := mkExec()
 		if err != nil {
-			return blockRun{}, blockError{err}
+			errs[wk] = err
+			failed.Store(true)
+			return
 		}
 		defer release()
-		for l := 0; l < n; l++ {
+		for l := wk; l < n && !failed.Load(); l += workers {
 			w, err := exec(lo + l)
 			if err != nil {
-				return blockRun{}, blockError{err}
+				errs[wk] = err
+				failed.Store(true)
+				return
 			}
 			works[l] = w
+			counts[wk]++
 		}
-		counts[0] = n
-	} else {
-		var failed int32
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for wk := 0; wk < workers; wk++ {
-			wg.Add(1)
-			go func(wk int) {
-				defer wg.Done()
-				exec, release, err := mkExec()
-				if err != nil {
-					errs[wk] = err
-					atomic.StoreInt32(&failed, 1)
-					return
-				}
-				defer release()
-				for l := wk; l < n; l += workers {
-					if atomic.LoadInt32(&failed) != 0 {
-						return
-					}
-					w, err := exec(lo + l)
-					if err != nil {
-						errs[wk] = err
-						atomic.StoreInt32(&failed, 1)
-						return
-					}
-					works[l] = w
-					counts[wk]++
-				}
-			}(wk)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return blockRun{}, blockError{err}
-			}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return blockRun{}, blockError{err}
 		}
 	}
 	// Fold in block-index order: float summation order — and therefore the
@@ -776,6 +749,23 @@ func (s *Session) runBlocks(st *launchState, rank, lo, hi int) (blockRun, error)
 	}
 	st.reg.Counter(blockMetric).Add(int64(n))
 	return blockRun{total, counts}, nil
+}
+
+// fanOut runs f(0), …, f(n-1) concurrently and returns once every call
+// has: f(0) on the calling goroutine, the rest on goroutines of their own,
+// so n == 1 starts none.  It is the one place core starts goroutines that
+// run blocks.
+func fanOut(n int, f func(i int)) {
+	var wg sync.WaitGroup
+	wg.Add(n - 1)
+	for i := 1; i < n; i++ {
+		go func() {
+			defer wg.Done()
+			f(i)
+		}()
+	}
+	f(0)
+	wg.Wait()
 }
 
 // blockError marks an error from executing a node's blocks — a kernel fault

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"cucc/internal/cluster"
@@ -330,5 +332,35 @@ func TestWorkerSpansTraced(t *testing.T) {
 	}
 	if worker == 0 {
 		t.Error("no PhaseWorker spans with a 4-wide pool")
+	}
+}
+
+// TestFanOut: every index runs exactly once and has returned when fanOut
+// does, and index 0 runs on the calling goroutine, so a one-worker pool
+// starts no goroutine.
+func TestFanOut(t *testing.T) {
+	goroutine := func() string {
+		buf := make([]byte, 64)
+		buf = buf[:runtime.Stack(buf, false)]
+		return string(bytes.Fields(buf)[1]) // "goroutine <id> [...]"
+	}
+	self := goroutine()
+	for _, n := range []int{1, 2, 5} {
+		calls := make([]atomic.Int32, n)
+		var at0 string
+		fanOut(n, func(i int) {
+			if i == 0 {
+				at0 = goroutine()
+			}
+			calls[i].Add(1)
+		})
+		for i := range calls {
+			if c := calls[i].Load(); c != 1 {
+				t.Errorf("n=%d: index %d ran %d times, want 1", n, i, c)
+			}
+		}
+		if at0 != self {
+			t.Errorf("n=%d: index 0 ran on goroutine %s, the caller is %s", n, at0, self)
+		}
 	}
 }
