@@ -631,14 +631,14 @@ func partitionBlocks(total, tail, n int, strategy RemainderStrategy) partition {
 //
 // The range is fanned over the launch's st.workers workers by fanOut, worker
 // 0 on the calling goroutine (the CuPBoP-style block-to-thread transform
-// executing migrated GPU blocks across the node's CPU cores).  Assignment is static block-cyclic — worker
-// w executes blocks lo+w, lo+w+W, … — so the per-worker block counts (and
-// the PhaseWorker trace spans derived from them) are a pure function of the
-// range and pool width, never of goroutine scheduling; identical runs
-// export identical traces.  Per-block work is aggregated in block-index
-// order, so the returned BlockWork — and every simulated-time figure
-// derived from it — is bitwise identical to the single-worker (sequential)
-// execution.
+// executing migrated GPU blocks across the node's CPU cores).  Assignment
+// is static block-cyclic — worker w executes blocks lo+w, lo+w+W, … — so
+// the per-worker block counts (and the PhaseWorker trace spans derived from
+// them) are a pure function of the range and pool width, never of goroutine
+// scheduling; identical runs export identical traces.  Per-block work is
+// aggregated in block-index order, so the returned BlockWork — and every
+// simulated-time figure derived from it — is bitwise identical to the
+// single-worker (sequential) execution.
 func (s *Session) runBlocks(st *launchState, rank, lo, hi int) (blockRun, error) {
 	n := hi - lo
 	if n <= 0 {

@@ -74,10 +74,10 @@ func (s *Server) compileSource(src string) (*core.Program, bool, error) {
 // failed rank can kill without touching a neighbour, and node heaps no
 // other tenant has a handle on.  What is warm across jobs is the
 // compiled-program state (suite registry and source cache, whose kernels
-// carry their VM programs) and the node memory itself: Close returns the heaps to cluster's free
-// list and the next job's cluster gets them back cleared, so everything
-// read from the cluster (output check, buffer CRCs) happens before the
-// deferred Close below.
+// carry their VM programs) and the node memory itself: Close returns the
+// heaps to cluster's free list and the next job's cluster gets them back
+// cleared, so everything read from the cluster (output check, buffer CRCs)
+// happens before the deferred Close below.
 func (s *Server) runJob(j *job) *Response {
 	start := time.Now()
 	queueMs := start.Sub(j.enqueued).Seconds() * 1e3
