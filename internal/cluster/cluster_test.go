@@ -682,3 +682,50 @@ func TestCloseIdempotentAndFinal(t *testing.T) {
 	empty.Close()
 	mustPanic(t, "Region on a closed empty cluster", "cluster: use after Close", func() { empty.Region(0, Buffer{}) })
 }
+
+// TestRunParallelPanicFailsRun: a member that panics while its peers are
+// blocked in Recv fails the run instead of the process.  Every member
+// returns — the panic aborts the transport, which unblocks the peers — and
+// the error carries the panic value and a stack, but is no NodeError, so it
+// never reads as a lost rank.
+func TestRunParallelPanicFailsRun(t *testing.T) {
+	c, err := New(Config{
+		Nodes: 4, Machine: machine.Intel6226(), Net: simnet.IB100(),
+		RecvTimeout: 30 * time.Second, // backstop only; the abort must win
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var returned sync.WaitGroup
+	returned.Add(3)
+	start := time.Now()
+	err = c.RunParallel(func(rank int, conn transport.Conn) error {
+		if rank == 1 {
+			panic("rank 1 panicked")
+		}
+		defer returned.Done()
+		_, err := conn.Recv(1, 7)
+		return err
+	})
+	returned.Wait()
+	if el := time.Since(start); el > 10*time.Second {
+		t.Fatalf("peers unblocked only after %v", el)
+	}
+	if err == nil {
+		t.Fatal("RunParallel returned nil despite a panicking member")
+	}
+	msg := err.Error()
+	if !strings.Contains(msg, "rank 1 panicked") || !strings.Contains(msg, "cluster_test.go") {
+		t.Errorf("error lacks the panic value or its stack: %v", err)
+	}
+	if !errors.Is(err, transport.ErrAborted) {
+		t.Errorf("peers' errors do not wrap ErrAborted: %v", err)
+	}
+	var ne *NodeError
+	for _, e := range err.(interface{ Unwrap() []error }).Unwrap() {
+		if errors.As(e, &ne) && !errors.Is(e, transport.ErrAborted) {
+			t.Errorf("member error %v reads as a lost rank (node %d)", e, ne.Node)
+		}
+	}
+}
