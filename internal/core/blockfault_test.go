@@ -71,8 +71,8 @@ func TestBlockFaultIsNotRankLoss(t *testing.T) {
 				t.Errorf("%s = %d, want 0: %v", recovery.MetricRestores, got, err)
 			}
 			for _, ev := range j.Events() {
-				if ev.Type == obs.EvRankLoss || ev.Type == obs.EvRestore {
-					t.Errorf("journal has a %s event: %s", ev.Type, ev.Detail)
+				if ev.Phase == obs.EvRankLoss || ev.Phase == obs.EvRestore {
+					t.Errorf("journal has a %s event: %s", ev.Phase, ev.Detail)
 				}
 			}
 			for _, ev := range sess.Trace.Events() {

@@ -5,13 +5,13 @@ import (
 	"fmt"
 
 	"cucc/internal/metrics"
-	"cucc/internal/trace"
 )
 
 // DumpSchemaVersion is the flight-recorder dump format this package writes
-// and parses.  Parsing refuses dumps newer than it understands; older
-// versions (none yet) would be accepted with a warning by the consumer.
-const DumpSchemaVersion = 1
+// and parses, and the only one it parses.  Version 2 gave the trace array
+// the journal's keys (one event record for both), so a version 1 trace
+// would decode to zeros rather than fail.
+const DumpSchemaVersion = 2
 
 // Dump reasons.
 const (
@@ -42,8 +42,8 @@ type Dump struct {
 	// Metrics is the job's isolated registry snapshot (a per-job delta by
 	// construction: the serving layer gives every job a fresh registry).
 	Metrics metrics.Snapshot `json:"metrics"`
-	// Trace is the job's capped trace, in deterministic export order.
-	Trace []trace.Event `json:"trace"`
+	// Trace is the job's capped trace, in trace.SortEvents order.
+	Trace []Event `json:"trace"`
 	// TraceDropped counts events the capped recorder overwrote: nonzero
 	// means Trace covers only the retained window.
 	TraceDropped int64 `json:"trace_dropped,omitempty"`
@@ -61,8 +61,8 @@ func ParseDump(data []byte) (*Dump, error) {
 	if err := json.Unmarshal(data, &d); err != nil {
 		return nil, fmt.Errorf("obs: not a flight-recorder dump: %w", err)
 	}
-	if d.Schema > DumpSchemaVersion {
-		return nil, fmt.Errorf("obs: dump schema v%d is newer than this tool understands (v%d)", d.Schema, DumpSchemaVersion)
+	if d.Schema != DumpSchemaVersion {
+		return nil, fmt.Errorf("obs: dump schema v%d, this tool reads only v%d", d.Schema, DumpSchemaVersion)
 	}
 	if d.Reason == "" {
 		return nil, fmt.Errorf("obs: dump has no reason; not a flight-recorder dump")

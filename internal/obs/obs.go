@@ -1,9 +1,9 @@
 // Package obs is the operational observability layer above
 // internal/metrics: a bounded structured event journal (the causal record
-// of what the serving stack did and why), a fixed-interval time-series
-// sampler over a metrics registry, per-tenant SLO accounting over the log2
-// latency histograms, and the flight-recorder dump format cuccd writes on
-// job failure or recovery.
+// of what the serving stack did and why, kept in a capped trace.Recorder),
+// a fixed-interval time-series sampler over a metrics registry, per-tenant
+// SLO accounting over the log2 latency histograms, and the flight-recorder
+// dump format cuccd writes on job failure or recovery.
 //
 // The journal follows the two invariants of the metrics layer:
 //
@@ -20,12 +20,7 @@
 // metrics.Snapshot.
 package obs
 
-import (
-	"encoding/json"
-	"fmt"
-	"strings"
-	"sync"
-)
+import "cucc/internal/trace"
 
 // Event types.  The journal is typed so consumers (the /events page, the
 // post-mortem renderer, the chaos tests) can filter and assert on the
@@ -47,7 +42,7 @@ const (
 	// EvAbort records a cluster-wide abort; Detail carries the cause.
 	EvAbort = "abort"
 	// EvRankLoss records a classified rank failure (the recovery path's
-	// trigger); Rank is the lost node when exactly one was lost.
+	// trigger); Node is the lost node when exactly one was lost.
 	EvRankLoss = "rank-loss"
 	// EvCheckpoint records a barrier checkpoint capture.
 	EvCheckpoint = "checkpoint"
@@ -65,43 +60,17 @@ const (
 	EvDrain = "drain"
 )
 
-// Event is one journal entry.  The zero Rank is a valid rank, so emitters
-// must set Rank explicitly; -1 means "not rank-specific" (the same
-// convention as trace.Event.Node).
-type Event struct {
-	// Seq is the journal-assigned monotonic sequence number (stamped by
-	// Record; any caller-provided value is overwritten).
-	Seq uint64 `json:"seq"`
-	// Type is one of the Ev* constants.
-	Type string `json:"type"`
-	// Tenant and Job attribute the event to one admitted submission; empty
-	// and zero for server-wide events (e.g. drain).
-	Tenant string `json:"tenant,omitempty"`
-	Job    uint64 `json:"job,omitempty"`
-	// Rank is the cluster node the event concerns, or -1.
-	Rank int `json:"rank"`
-	// Kernel names the kernel or program involved, when there is one.
-	Kernel string `json:"kernel,omitempty"`
-	// Detail is a human-readable elaboration.  Emitters must keep it a
-	// deterministic function of the run (no wall-clock times, no
-	// addresses), preserving byte-identical export across identical runs.
-	Detail string `json:"detail,omitempty"`
-}
+// Event is one journal entry: the runtime's one event record, with Phase
+// holding an Ev* type and no simulated times.
+type Event = trace.Event
 
 // DefaultJournalCap bounds a journal built with NewJournal(0).
 const DefaultJournalCap = 4096
 
-// Journal is a bounded, race-safe ring of typed events.  A nil *Journal is
-// a valid disabled journal: every method no-ops, mirroring
-// metrics.Registry.
-type Journal struct {
-	mu      sync.Mutex
-	events  []Event
-	cap     int
-	next    int
-	dropped int64
-	seq     uint64
-}
+// Journal is a bounded, race-safe ring of typed events: a capped trace
+// recorder.  A nil *Journal is a valid disabled journal: every method
+// no-ops, mirroring metrics.Registry.
+type Journal = trace.Recorder
 
 // NewJournal builds a journal retaining at most n events (the oldest are
 // overwritten once full and counted as dropped).  n <= 0 selects
@@ -110,111 +79,7 @@ func NewJournal(n int) *Journal {
 	if n <= 0 {
 		n = DefaultJournalCap
 	}
-	return &Journal{cap: n}
-}
-
-// Record stamps ev with the next sequence number and appends it,
-// overwriting the oldest event when full.  No-op on a nil journal.
-func (j *Journal) Record(ev Event) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	ev.Seq = j.seq
-	j.seq++
-	if len(j.events) < j.cap {
-		j.events = append(j.events, ev)
-		return
-	}
-	j.events[j.next] = ev
-	j.next = (j.next + 1) % j.cap
-	j.dropped++
-}
-
-// Events returns a copy of the retained events in sequence order (nil on a
-// nil journal).
-func (j *Journal) Events() []Event {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make([]Event, 0, len(j.events))
-	out = append(out, j.events[j.next:]...)
-	out = append(out, j.events[:j.next]...)
-	return out
-}
-
-// Tail returns the most recent n retained events in sequence order (all of
-// them when n <= 0 or exceeds the retained count; nil on a nil journal).
-// This is the flight recorder's "recent journal window".
-func (j *Journal) Tail(n int) []Event {
-	evs := j.Events()
-	if n > 0 && len(evs) > n {
-		evs = evs[len(evs)-n:]
-	}
-	return evs
-}
-
-// Len reports the retained event count (0 on a nil journal).
-func (j *Journal) Len() int {
-	if j == nil {
-		return 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.events)
-}
-
-// Dropped reports how many events the ring has overwritten (0 on a nil
-// journal).
-func (j *Journal) Dropped() int64 {
-	if j == nil {
-		return 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.dropped
-}
-
-// JSON exports the retained events deterministically (sequence order,
-// fixed field order, no timestamps): identical runs yield identical bytes.
-func (j *Journal) JSON() ([]byte, error) { return ExportJSON(j.Events()) }
-
-// Text exports the retained events as the deterministic text table.
-func (j *Journal) Text() string { return ExportText(j.Events()) }
-
-// ExportJSON serializes events (already in the desired order) as indented
-// JSON.  The Event struct's fixed field order makes the output a pure
-// function of the event list.
-func ExportJSON(events []Event) ([]byte, error) {
-	if events == nil {
-		events = []Event{}
-	}
-	return json.MarshalIndent(events, "", "  ")
-}
-
-// ParseEvents loads events serialized by ExportJSON.
-func ParseEvents(data []byte) ([]Event, error) {
-	var evs []Event
-	if err := json.Unmarshal(data, &evs); err != nil {
-		return nil, fmt.Errorf("obs: not an event log: %w", err)
-	}
-	return evs, nil
-}
-
-// ExportText renders events as a deterministic text table, one event per
-// line in the given order.
-func ExportText(events []Event) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%6s  %-12s  %-12s  %5s  %4s  %-18s  %s\n",
-		"seq", "type", "tenant", "job", "rank", "kernel", "detail")
-	for _, ev := range events {
-		fmt.Fprintf(&b, "%6d  %-12s  %-12s  %5d  %4d  %-18s  %s\n",
-			ev.Seq, ev.Type, ev.Tenant, ev.Job, ev.Rank, ev.Kernel, ev.Detail)
-	}
-	return b.String()
+	return trace.NewCapped(n)
 }
 
 // Scope is a journal handle pre-stamped with one job's tenant and ID, the
@@ -234,18 +99,12 @@ func (s Scope) On() bool { return s.J != nil }
 
 // Record appends one typed event stamped with the scope's tenant and job.
 func (s Scope) Record(typ string, rank int, kernel, detail string) {
-	if s.J == nil {
-		return
-	}
-	s.J.Record(Event{Type: typ, Tenant: s.Tenant, Job: s.Job, Rank: rank, Kernel: kernel, Detail: detail})
+	s.J.Add(Event{Phase: typ, Tenant: s.Tenant, Job: s.Job, Node: rank, Kernel: kernel, Detail: detail})
 }
 
 // RecordEvent appends a pre-built event (e.g. from the recovery package's
 // constructors), stamping the scope's tenant and job over it.
 func (s Scope) RecordEvent(ev Event) {
-	if s.J == nil {
-		return
-	}
 	ev.Tenant, ev.Job = s.Tenant, s.Job
-	s.J.Record(ev)
+	s.J.Add(ev)
 }

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"cucc/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files")
@@ -17,7 +19,7 @@ var update = flag.Bool("update", false, "rewrite the golden files")
 func TestJournalRingBound(t *testing.T) {
 	j := NewJournal(4)
 	for i := 0; i < 10; i++ {
-		j.Record(Event{Type: EvAdmit, Rank: -1, Detail: fmt.Sprintf("e%d", i)})
+		j.Add(Event{Phase: EvAdmit, Node: -1, Detail: fmt.Sprintf("e%d", i)})
 	}
 	if got := j.Len(); got != 4 {
 		t.Errorf("Len = %d, want 4", got)
@@ -48,7 +50,7 @@ func TestJournalRingBound(t *testing.T) {
 // allocations.
 func TestNilJournalNoOps(t *testing.T) {
 	var j *Journal
-	j.Record(Event{Type: EvAdmit})
+	j.Add(Event{Phase: EvAdmit})
 	if j.Events() != nil || j.Tail(5) != nil || j.Len() != 0 || j.Dropped() != 0 {
 		t.Error("nil journal retained state")
 	}
@@ -60,7 +62,7 @@ func TestNilJournalNoOps(t *testing.T) {
 		t.Error("zero Scope reports On")
 	}
 	sc.Record(EvAdmit, -1, "k", "detail")
-	sc.RecordEvent(Event{Type: EvFail})
+	sc.RecordEvent(Event{Phase: EvFail})
 
 	if n := testing.AllocsPerRun(100, func() {
 		sc.Record(EvLaunchPhase, -1, "vecadd", "")
@@ -78,7 +80,7 @@ func TestScopeStamping(t *testing.T) {
 		t.Fatal("enabled scope reports off")
 	}
 	sc.Record(EvAdmit, 2, "vecadd", "queued")
-	sc.RecordEvent(Event{Type: EvRankLoss, Tenant: "ignored", Job: 999, Rank: 1})
+	sc.RecordEvent(Event{Phase: EvRankLoss, Tenant: "ignored", Job: 999, Node: 1})
 	evs := j.Events()
 	if len(evs) != 2 {
 		t.Fatalf("got %d events, want 2", len(evs))
@@ -88,7 +90,7 @@ func TestScopeStamping(t *testing.T) {
 			t.Errorf("event %d not stamped with scope identity: %+v", i, ev)
 		}
 	}
-	if evs[1].Rank != 1 || evs[1].Type != EvRankLoss {
+	if evs[1].Node != 1 || evs[1].Phase != EvRankLoss {
 		t.Errorf("RecordEvent lost event fields: %+v", evs[1])
 	}
 }
@@ -111,7 +113,7 @@ func journalFixture() *Journal {
 	sc.Record(EvRejoin, -1, "vecadd", "repaired nodes [1] rejoined at full width")
 	sc.Record(EvComplete, -1, "VecAdd", "ok: restores=1")
 	sc.Record(EvFail, -1, "VecAdd", "deadline exceeded")
-	j.Record(Event{Type: EvDrain, Rank: -1, Detail: "draining: 2 queued jobs rejected"})
+	j.Add(Event{Phase: EvDrain, Node: -1, Detail: "draining: 2 queued jobs rejected"})
 	return j
 }
 
@@ -141,18 +143,18 @@ func TestJournalExportDeterministic(t *testing.T) {
 // TestParseEventsRoundTrip: ExportJSON and ParseEvents invert each other.
 func TestParseEventsRoundTrip(t *testing.T) {
 	want := journalFixture().Events()
-	raw, err := ExportJSON(want)
+	raw, err := trace.ExportJSON(want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParseEvents(raw)
+	got, err := trace.ParseEvents(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("round trip diverged:\n got %+v\nwant %+v", got, want)
 	}
-	if _, err := ParseEvents([]byte("not json")); err == nil {
+	if _, err := trace.ParseEvents([]byte("not json")); err == nil {
 		t.Error("ParseEvents accepted garbage")
 	}
 }

@@ -155,30 +155,6 @@ func (s *Sampler) Dropped() int64 {
 	return s.dropped
 }
 
-// Rate returns the named counter's per-second rate in each retained
-// window, oldest first.
-func (s *Sampler) Rate(counter string) []float64 {
-	pts := s.Points()
-	out := make([]float64, len(pts))
-	for i, p := range pts {
-		if sec := p.Interval.Seconds(); sec > 0 {
-			out[i] = float64(p.Delta.Counters[counter]) / sec
-		}
-	}
-	return out
-}
-
-// GaugeSeries returns the named gauge's sampled value in each retained
-// window, oldest first.
-func (s *Sampler) GaugeSeries(gauge string) []float64 {
-	pts := s.Points()
-	out := make([]float64, len(pts))
-	for i, p := range pts {
-		out[i] = p.Delta.Gauges[gauge]
-	}
-	return out
-}
-
 // SeriesKind says how a Series derives its value from a window.
 type SeriesKind uint8
 

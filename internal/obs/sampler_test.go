@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -34,16 +35,22 @@ func TestSamplerDeltas(t *testing.T) {
 	if got := pts[1].Delta.Gauges["queue"]; got != 1 {
 		t.Errorf("window 1 gauge = %g, want 1", got)
 	}
-	if g := s.GaugeSeries("queue"); len(g) != 2 || g[0] != 3 || g[1] != 1 {
-		t.Errorf("GaugeSeries = %v, want [3 1]", g)
+	// The table reads each window's gauge as sampled and its counter delta
+	// over the measured window length.
+	out := s.Table([]Series{
+		{Label: "queue", Metric: "queue", Kind: SeriesGauge},
+		{Label: "jobs/s", Metric: "jobs", Kind: SeriesRate},
+	})
+	rows := strings.Split(strings.TrimSuffix(out, "\n"), "\n")[1:]
+	if len(rows) != 2 {
+		t.Fatalf("table has %d rows, want 2:\n%s", len(rows), out)
 	}
-	rates := s.Rate("jobs")
-	if len(rates) != 2 {
-		t.Fatalf("Rate returned %d windows, want 2", len(rates))
-	}
-	for i, r := range rates {
-		if r < 0 {
-			t.Errorf("window %d rate %g < 0", i, r)
+	for i, row := range rows {
+		f := strings.Fields(row)
+		wantGauge := []string{"3.0", "1.0"}[i]
+		wantRate := fmt.Sprintf("%.1f", float64(pts[i].Delta.Counters["jobs"])/pts[i].Interval.Seconds())
+		if len(f) != 3 || f[1] != wantGauge || f[2] != wantRate {
+			t.Errorf("window %d row %q, want queue %s and jobs/s %s", i, row, wantGauge, wantRate)
 		}
 	}
 }
@@ -75,9 +82,6 @@ func TestSamplerNil(t *testing.T) {
 	}
 	if got := s.Table([]Series{{Label: "qps", Metric: "c"}}); got != "" {
 		t.Errorf("nil sampler Table = %q, want empty", got)
-	}
-	if got := s.Rate("c"); len(got) != 0 {
-		t.Errorf("nil sampler Rate = %v, want empty", got)
 	}
 }
 

@@ -58,7 +58,7 @@ func (p *PostmortemReport) Table() string {
 	if len(d.Journal) == 0 {
 		b.WriteString("(no journal events captured)\n")
 	} else {
-		b.WriteString(obs.ExportText(d.Journal))
+		b.WriteString(trace.ExportText(d.Journal))
 	}
 
 	var names []string

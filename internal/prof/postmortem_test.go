@@ -24,11 +24,11 @@ func postmortemFixture() *obs.Dump {
 		What:   "source:vecadd",
 		Err:    "serve: job deadline exceeded",
 		Journal: []obs.Event{
-			{Seq: 10, Type: obs.EvAdmit, Tenant: "tenant-a", Job: 42, Rank: -1, Kernel: "vecadd"},
-			{Seq: 11, Type: obs.EvDispatch, Tenant: "tenant-a", Job: 42, Rank: -1, Kernel: "vecadd"},
-			{Seq: 12, Type: obs.EvRankLoss, Tenant: "tenant-a", Job: 42, Rank: 1, Kernel: "vecadd",
+			{Seq: 10, Phase: obs.EvAdmit, Tenant: "tenant-a", Job: 42, Node: -1, Kernel: "vecadd"},
+			{Seq: 11, Phase: obs.EvDispatch, Tenant: "tenant-a", Job: 42, Node: -1, Kernel: "vecadd"},
+			{Seq: 12, Phase: obs.EvRankLoss, Tenant: "tenant-a", Job: 42, Node: 1, Kernel: "vecadd",
 				Detail: "lost nodes [1], 3 survivors"},
-			{Seq: 13, Type: obs.EvRestore, Tenant: "tenant-a", Job: 42, Rank: -1, Kernel: "vecadd",
+			{Seq: 13, Phase: obs.EvRestore, Tenant: "tenant-a", Job: 42, Node: -1, Kernel: "vecadd",
 				Detail: "restore @phase1 (4096 bytes), replaying over 3 ranks"},
 		},
 		Metrics: reg.Snapshot(),

@@ -6,7 +6,7 @@
 //
 // The analysis consumes the same events the Chrome trace export carries, so
 // it works identically on a live Recorder and on a trace file re-imported
-// with trace.ParseChrome — cuccprof uses both paths.
+// with trace.ParseChromeDropped — cuccprof uses both paths.
 package prof
 
 import (

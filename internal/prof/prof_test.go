@@ -154,7 +154,7 @@ func TestAnalyzeFromSerializedTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs, err := trace.ParseChrome(raw)
+	evs, _, err := trace.ParseChromeDropped(raw)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 // (node lists, cursor names, byte counts — never wall-clock times), which
 // keeps journal export byte-identical across identical runs.
 
-// RankLossEvent records a classified rank failure.  Rank is the lost node
+// RankLossEvent records a classified rank failure.  Node is the lost node
 // when exactly one was lost, -1 otherwise (the list is always in Detail).
 func RankLossEvent(kernel string, failed, survivors []int) obs.Event {
 	rank := -1
@@ -22,8 +22,8 @@ func RankLossEvent(kernel string, failed, survivors []int) obs.Event {
 		rank = failed[0]
 	}
 	return obs.Event{
-		Type:   obs.EvRankLoss,
-		Rank:   rank,
+		Phase:  obs.EvRankLoss,
+		Node:   rank,
 		Kernel: kernel,
 		Detail: fmt.Sprintf("lost nodes %v, %d survivors", failed, len(survivors)),
 	}
@@ -32,8 +32,8 @@ func RankLossEvent(kernel string, failed, survivors []int) obs.Event {
 // RestoreEvent records a checkpoint restore ahead of a replay attempt.
 func RestoreEvent(kernel string, cp *Checkpoint, survivors int) obs.Event {
 	return obs.Event{
-		Type:   obs.EvRestore,
-		Rank:   -1,
+		Phase:  obs.EvRestore,
+		Node:   -1,
 		Kernel: kernel,
 		Detail: fmt.Sprintf("restore @%s (%d bytes), replaying over %d ranks", cp.Cursor, cp.Bytes(), survivors),
 	}
@@ -42,8 +42,8 @@ func RestoreEvent(kernel string, cp *Checkpoint, survivors int) obs.Event {
 // RejoinEvent records repaired nodes rejoining at full cluster width.
 func RejoinEvent(kernel string, repaired []int) obs.Event {
 	return obs.Event{
-		Type:   obs.EvRejoin,
-		Rank:   -1,
+		Phase:  obs.EvRejoin,
+		Node:   -1,
 		Kernel: kernel,
 		Detail: fmt.Sprintf("repaired nodes %v rejoined at full width", repaired),
 	}
@@ -52,8 +52,8 @@ func RejoinEvent(kernel string, repaired []int) obs.Event {
 // CheckpointEvent records a barrier checkpoint capture.
 func CheckpointEvent(kernel string, cp *Checkpoint) obs.Event {
 	return obs.Event{
-		Type:   obs.EvCheckpoint,
-		Rank:   -1,
+		Phase:  obs.EvCheckpoint,
+		Node:   -1,
 		Kernel: kernel,
 		Detail: fmt.Sprintf("checkpoint @%s: %d bytes over %d regions", cp.Cursor, cp.Bytes(), len(cp.Regions())),
 	}

@@ -7,6 +7,7 @@ import (
 
 	"cucc/internal/obs"
 	"cucc/internal/recovery"
+	"cucc/internal/trace"
 	"cucc/internal/transport"
 )
 
@@ -48,7 +49,7 @@ func (s *Server) EventsHandler() http.Handler {
 		}
 		evs := s.journal.Tail(eventsPageWindow)
 		if req.URL.Query().Get("format") == "json" {
-			data, err := obs.ExportJSON(evs)
+			data, err := trace.ExportJSON(evs)
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return
@@ -59,7 +60,7 @@ func (s *Server) EventsHandler() http.Handler {
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintf(w, "%d events retained, %d dropped\n\n", s.journal.Len(), s.journal.Dropped())
-		w.Write([]byte(obs.ExportText(evs)))
+		w.Write([]byte(trace.ExportText(evs)))
 	})
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"cucc/internal/obs"
+	"cucc/internal/trace"
 )
 
 // TestEventsPage: /events renders the journal window as text and JSON, and
@@ -30,7 +31,7 @@ func TestEventsPage(t *testing.T) {
 
 	rr = httptest.NewRecorder()
 	srv.HTTPMux().ServeHTTP(rr, httptest.NewRequest("GET", "/events?format=json", nil))
-	evs, err := obs.ParseEvents(rr.Body.Bytes())
+	evs, err := trace.ParseEvents(rr.Body.Bytes())
 	if err != nil {
 		t.Fatalf("/events?format=json did not parse: %v\n%s", err, rr.Body.String())
 	}
@@ -124,7 +125,7 @@ func TestHealthzDrain(t *testing.T) {
 	// The drain itself is journaled.
 	var sawDrain bool
 	for _, ev := range srv.Journal().Events() {
-		if ev.Type == obs.EvDrain {
+		if ev.Phase == obs.EvDrain {
 			sawDrain = true
 		}
 	}

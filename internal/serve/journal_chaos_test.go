@@ -21,7 +21,7 @@ func eventChain(t *testing.T, evs []obs.Event, types ...string) []obs.Event {
 	matched := make([]obs.Event, 0, len(types))
 	i := 0
 	for _, ev := range evs {
-		if i < len(types) && ev.Type == types[i] {
+		if i < len(types) && ev.Phase == types[i] {
 			matched = append(matched, ev)
 			i++
 		}
@@ -29,7 +29,7 @@ func eventChain(t *testing.T, evs []obs.Event, types ...string) []obs.Event {
 	if i != len(types) {
 		var got []string
 		for _, ev := range evs {
-			got = append(got, ev.Type)
+			got = append(got, ev.Phase)
 		}
 		t.Fatalf("journal missing %q from the chain %v; recorded order: %v", types[i], types, got)
 	}
@@ -82,8 +82,8 @@ func TestChaosJournalChain(t *testing.T) {
 		obs.EvAdmit, obs.EvDispatch, obs.EvCompile, obs.EvLaunchPhase,
 		obs.EvRankLoss, obs.EvRestore, obs.EvRejoin, obs.EvComplete)
 	loss := chain[4]
-	if loss.Rank != 1 {
-		t.Errorf("rank-loss event names rank %d, want 1: %+v", loss.Rank, loss)
+	if loss.Node != 1 {
+		t.Errorf("rank-loss event names rank %d, want 1: %+v", loss.Node, loss)
 	}
 	if !strings.Contains(loss.Detail, "[1]") {
 		t.Errorf("rank-loss detail does not list the killed node: %q", loss.Detail)

@@ -587,10 +587,8 @@ func (s *Server) Drain() {
 	if already {
 		return
 	}
-	if s.journal != nil {
-		s.journal.Record(obs.Event{Type: obs.EvDrain, Rank: -1,
-			Detail: fmt.Sprintf("draining: %d queued jobs rejected", len(rejected))})
-	}
+	s.journal.Add(obs.Event{Phase: obs.EvDrain, Node: -1,
+		Detail: fmt.Sprintf("draining: %d queued jobs rejected", len(rejected))})
 
 	s.lnMu.Lock()
 	for _, ln := range s.listeners {

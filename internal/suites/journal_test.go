@@ -122,7 +122,7 @@ func TestCheckpointJournalMatchesCounter(t *testing.T) {
 			}
 			var details []string
 			for _, ev := range sc.J.Events() {
-				if ev.Type == obs.EvCheckpoint {
+				if ev.Phase == obs.EvCheckpoint {
 					details = append(details, ev.Detail)
 				}
 			}

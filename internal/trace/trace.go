@@ -1,10 +1,12 @@
-// Package trace records simulated-time execution timelines of CuCC kernel
-// launches: one event per node per phase, exportable as a summary table or
-// as Chrome trace-event JSON (load in chrome://tracing or Perfetto) for
-// visual inspection of phase overlap, stragglers, and Allgather barriers.
-// internal/prof consumes the same events (directly or re-imported from a
-// serialized trace via ParseChrome) for critical-path and straggler
-// analysis.
+// Package trace is the runtime's one event record and the capped ring that
+// holds it.  Two kinds of event share the record: the simulated-time
+// timeline of CuCC kernel launches (one span per node per phase,
+// exportable as a summary table or as Chrome trace-event JSON for
+// chrome://tracing or Perfetto) and the operational journal internal/obs
+// keeps (typed events attributed to a tenant and job: admission, dispatch,
+// rank loss, checkpoint, restore).  internal/prof consumes the spans
+// (directly or re-imported from a serialized trace via ParseChromeDropped)
+// for critical-path and straggler analysis.
 package trace
 
 import (
@@ -38,32 +40,50 @@ const (
 	PhaseRecovery = "recovery"
 )
 
-// Event is one timeline span in simulated time.
+// Event is one record: a timeline span in simulated time (Phase is a
+// Phase* name and StartSec/DurSec are set) or a journal event (Phase is an
+// obs.Ev* type, attributed to a Tenant and Job, with no times).  The zero
+// Node is a valid rank, so emitters set Node explicitly; -1 means
+// cluster-wide, not rank-specific.
+//
+// The JSON form is the journal's: fixed key order, the time fields omitted
+// when zero, so a journal exports without them.
 type Event struct {
+	// Seq is the recorder-assigned arrival number (stamped by Add; any
+	// caller-provided value is overwritten).
+	Seq uint64 `json:"seq"`
+	// Phase says what happened: a Phase* span name or an obs.Ev* type.
+	Phase string `json:"type"`
+	// Tenant and Job attribute the event to one admitted submission; empty
+	// and zero for spans and for server-wide events (e.g. drain).
+	Tenant string `json:"tenant,omitempty"`
+	Job    uint64 `json:"job,omitempty"`
+	Node   int    `json:"rank"`
+	Kernel string `json:"kernel,omitempty"`
+	// Detail is a human-readable elaboration.  Emitters keep it a
+	// deterministic function of the run (no wall-clock times, no
+	// addresses), so identical runs export identical bytes.
+	Detail string `json:"detail,omitempty"`
 	// StartSec / DurSec are in simulated seconds.
-	StartSec float64
-	DurSec   float64
-	// Node is the rank, or -1 for cluster-wide events.
-	Node   int
-	Phase  string
-	Kernel string
-	Detail string
+	StartSec float64 `json:"start_sec,omitempty"`
+	DurSec   float64 `json:"dur_sec,omitempty"`
 }
 
-// Recorder accumulates events; safe for concurrent use.
-//
-// A recorder is unbounded by default; NewCapped builds one that retains only
-// the most recent events so long throughput/soak runs keep a bounded
-// footprint.
+// Recorder accumulates events; safe for concurrent use.  A nil *Recorder
+// is a valid disabled recorder: every method no-ops, so "tracing off" costs
+// the caller one nil check.  A recorder is unbounded by default; NewCapped
+// builds one that retains only the most recent events, so long
+// throughput/soak runs keep a bounded footprint.
 type Recorder struct {
 	mu     sync.Mutex
 	events []Event
 	// Ring-buffer state (cap <= 0: unbounded).  events is used as a
 	// circular buffer once full: next is the index the next Add overwrites,
-	// dropped counts the overwritten (lost) events.
+	// dropped counts the overwritten (lost) events, seq is the next Seq.
 	cap     int
 	next    int
 	dropped int64
+	seq     uint64
 }
 
 // New returns an empty, unbounded recorder.
@@ -79,11 +99,16 @@ func NewCapped(n int) *Recorder {
 	return &Recorder{cap: n}
 }
 
-// Add appends an event, overwriting the oldest one when the recorder is
-// capped and full.
+// Add stamps ev with the next sequence number and appends it, overwriting
+// the oldest event when the recorder is capped and full.
 func (r *Recorder) Add(ev Event) {
+	if r == nil {
+		return
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	ev.Seq = r.seq
+	r.seq++
 	if r.cap <= 0 || len(r.events) < r.cap {
 		r.events = append(r.events, ev)
 		return
@@ -93,32 +118,58 @@ func (r *Recorder) Add(ev Event) {
 	r.dropped++
 }
 
+// Events returns a copy of the retained events in arrival (Seq) order.
+// Timeline exports reorder them with SortEvents.
+func (r *Recorder) Events() []Event {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]Event, 0, len(r.events))
+	out = append(out, r.events[r.next:]...)
+	return append(out, r.events[:r.next]...)
+}
+
+// Tail returns the most recent n retained events in arrival order (all of
+// them when n <= 0 or exceeds the retained count).  This is the flight
+// recorder's "recent journal window".
+func (r *Recorder) Tail(n int) []Event {
+	evs := r.Events()
+	if n > 0 && len(evs) > n {
+		evs = evs[len(evs)-n:]
+	}
+	return evs
+}
+
+// Len reports the retained event count.
+func (r *Recorder) Len() int {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.events)
+}
+
 // Dropped reports how many events a capped recorder has overwritten (always
 // 0 for an unbounded recorder).
 func (r *Recorder) Dropped() int64 {
+	if r == nil {
+		return 0
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.dropped
 }
 
-// Events returns a copy of the recorded events sorted by start time, with
-// ties broken by (Node, Phase, Kernel, Detail).  Events arrive in goroutine
-// scheduling order, and many share a simulated start time (every rank's
-// partial phase starts at 0), so sorting by StartSec alone would leave the
-// export order — and hence the serialized trace — nondeterministic across
-// identical runs.  The full key makes the order a pure function of the
-// recorded set.
-func (r *Recorder) Events() []Event {
-	r.mu.Lock()
-	out := make([]Event, len(r.events))
-	copy(out, r.events)
-	r.mu.Unlock()
-	SortEvents(out)
-	return out
-}
-
-// SortEvents sorts events in place by the deterministic export order (start
-// time, ties broken by Node, Phase, Kernel, Detail).
+// SortEvents sorts events in place by the deterministic timeline order:
+// start time, ties broken by (Node, Phase, Kernel, Detail).  Spans arrive
+// in goroutine scheduling order, and many share a simulated start time
+// (every rank's partial phase starts at 0), so sorting by StartSec alone
+// would leave the export order — and hence the serialized trace —
+// nondeterministic across identical runs.  The full key makes the order a
+// pure function of the recorded set.
 func SortEvents(out []Event) {
 	sort.SliceStable(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -138,13 +189,43 @@ func SortEvents(out []Event) {
 	})
 }
 
-// Reset clears the recorder (including the dropped-event count).
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.events = nil
-	r.next = 0
-	r.dropped = 0
+// JSON exports the retained events in arrival order (fixed field order, no
+// wall-clock timestamps): identical journals yield identical bytes.
+func (r *Recorder) JSON() ([]byte, error) { return ExportJSON(r.Events()) }
+
+// Text exports the retained events as the deterministic text table.
+func (r *Recorder) Text() string { return ExportText(r.Events()) }
+
+// ExportJSON serializes events (already in the desired order) as indented
+// JSON.  The Event struct's fixed field order makes the output a pure
+// function of the event list.
+func ExportJSON(events []Event) ([]byte, error) {
+	if events == nil {
+		events = []Event{}
+	}
+	return json.MarshalIndent(events, "", "  ")
+}
+
+// ParseEvents loads events serialized by ExportJSON.
+func ParseEvents(data []byte) ([]Event, error) {
+	var evs []Event
+	if err := json.Unmarshal(data, &evs); err != nil {
+		return nil, fmt.Errorf("trace: not an event log: %w", err)
+	}
+	return evs, nil
+}
+
+// ExportText renders events as a deterministic text table, one event per
+// line in the given order.
+func ExportText(events []Event) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%6s  %-12s  %-12s  %5s  %4s  %-18s  %s\n",
+		"seq", "type", "tenant", "job", "rank", "kernel", "detail")
+	for _, ev := range events {
+		fmt.Fprintf(&b, "%6d  %-12s  %-12s  %5d  %4d  %-18s  %s\n",
+			ev.Seq, ev.Phase, ev.Tenant, ev.Job, ev.Node, ev.Kernel, ev.Detail)
+	}
+	return b.String()
 }
 
 // clusterTID is the Chrome-trace thread id of the cluster-wide lane (the
@@ -184,9 +265,10 @@ type chromeEvent struct {
 // cluster") and every thread lane ("rank 0".."rank N-1", plus "cluster" for
 // the cluster-wide lane), so Perfetto shows rank names instead of bare tids.
 // Metadata events are emitted in sorted tid order and span events in
-// Events() order, keeping the output byte-deterministic for identical runs.
+// SortEvents order, keeping the output byte-deterministic for identical runs.
 func (r *Recorder) ChromeTrace() ([]byte, error) {
 	evs := r.Events()
+	SortEvents(evs)
 	// Collect the lanes in use, sorted.
 	tidSet := map[int]bool{}
 	for _, ev := range evs {
@@ -246,19 +328,14 @@ func laneTID(node int) int {
 	return node
 }
 
-// ParseChrome imports a trace serialized by ChromeTrace back into events,
-// the input side of trace-file analysis (cuccprof).  Metadata events are
-// skipped; unknown extra fields are ignored, so traces from newer writers
-// still load.
-func ParseChrome(data []byte) ([]Event, error) {
-	evs, _, err := ParseChromeDropped(data)
-	return evs, err
-}
-
-// ParseChromeDropped is ParseChrome plus the recorder's dropped-event count
-// (from the cucc_dropped_events metadata event, 0 when absent).  A nonzero
-// count means the trace was written from a capped recorder that overwrote
-// events: the timeline is incomplete and analyses over it are unreliable.
+// ParseChromeDropped imports a trace serialized by ChromeTrace back into
+// events in SortEvents order, the input side of trace-file analysis
+// (cuccprof), plus the recorder's dropped-event count (from the
+// cucc_dropped_events metadata event, 0 when absent).  A nonzero count means
+// the trace was written from a capped recorder that overwrote events: the
+// timeline is incomplete and analyses over it are unreliable.  Other
+// metadata events are skipped; unknown extra fields are ignored, so traces
+// from newer writers still load.
 func ParseChromeDropped(data []byte) ([]Event, int64, error) {
 	var raw []chromeEvent
 	if err := json.Unmarshal(data, &raw); err != nil {
@@ -299,6 +376,7 @@ func ParseChromeDropped(data []byte) ([]Event, int64, error) {
 // Summary renders a per-phase aggregate table.
 func (r *Recorder) Summary() string {
 	evs := r.Events()
+	SortEvents(evs)
 	type agg struct {
 		total float64
 		count int

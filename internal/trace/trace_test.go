@@ -20,20 +20,53 @@ func sample() *Recorder {
 	return r
 }
 
+// spans decodes a Chrome export's span events in the order it wrote them.
+func spans(t *testing.T, r *Recorder) []Event {
+	t.Helper()
+	raw, err := r.ChromeTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ces []chromeEvent
+	if err := json.Unmarshal(raw, &ces); err != nil {
+		t.Fatal(err)
+	}
+	var out []Event
+	for _, ce := range ces {
+		if ce.Ph == "X" {
+			out = append(out, Event{StartSec: ce.TS / 1e6, DurSec: ce.Dur / 1e6, Node: ce.TID,
+				Phase: ce.Name, Kernel: ce.Args.Kernel, Detail: ce.Args.Detail})
+			if ce.TID == clusterTID {
+				out[len(out)-1].Node = -1
+			}
+		}
+	}
+	return out
+}
+
+// TestEventsSorted: Events keeps arrival order, stamped by Seq, and the
+// timeline export sorts by start time.
 func TestEventsSorted(t *testing.T) {
-	evs := sample().Events()
+	r := sample()
+	evs := r.Events()
 	if len(evs) != 3 {
 		t.Fatalf("got %d events", len(evs))
 	}
-	for i := 1; i < len(evs); i++ {
-		if evs[i].StartSec < evs[i-1].StartSec {
-			t.Fatal("events not sorted by start time")
+	for i, ev := range evs {
+		if ev.Seq != uint64(i) {
+			t.Errorf("event %d: Seq = %d, want arrival order", i, ev.Seq)
+		}
+	}
+	exp := spans(t, r)
+	for i := 1; i < len(exp); i++ {
+		if exp[i].StartSec < exp[i-1].StartSec {
+			t.Fatal("exported spans not sorted by start time")
 		}
 	}
 }
 
-// TestEventsTieBreakDeterministic: events sharing a start time sort by
-// (Node, Phase, Kernel, Detail), so insertion order — which follows
+// TestEventsTieBreakDeterministic: events sharing a start time export in
+// (Node, Phase, Kernel, Detail) order, so insertion order — which follows
 // goroutine scheduling during a run — never leaks into the export.
 func TestEventsTieBreakDeterministic(t *testing.T) {
 	evs := []Event{
@@ -62,11 +95,11 @@ func TestEventsTieBreakDeterministic(t *testing.T) {
 	if string(ja) != string(jb) {
 		t.Errorf("export depends on insertion order:\n%s\nvs\n%s", ja, jb)
 	}
-	got := a.Events()
+	got := spans(t, a)
 	want := []Event{evs[4], evs[3], evs[2], evs[1], evs[0]}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Errorf("event %d = %+v, want %+v", i, got[i], want[i])
+			t.Errorf("span %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
 }
@@ -191,7 +224,7 @@ func TestSummaryGolden(t *testing.T) {
 	golden(t, "summary.golden", []byte(sample().Summary()))
 }
 
-// TestParseChromeRoundTrip: ChromeTrace -> ParseChrome reproduces the
+// TestParseChromeRoundTrip: ChromeTrace -> ParseChromeDropped reproduces the
 // recorded events exactly (values chosen to be binary-exact in
 // microseconds).
 func TestParseChromeRoundTrip(t *testing.T) {
@@ -208,9 +241,12 @@ func TestParseChromeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParseChrome(raw)
+	got, dropped, err := ParseChromeDropped(raw)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if dropped != 0 {
+		t.Errorf("unbounded recorder exported %d dropped events", dropped)
 	}
 	if len(got) != len(in) {
 		t.Fatalf("round-tripped %d events, want %d", len(got), len(in))
@@ -223,7 +259,7 @@ func TestParseChromeRoundTrip(t *testing.T) {
 }
 
 func TestParseChromeRejectsGarbage(t *testing.T) {
-	if _, err := ParseChrome([]byte("not json")); err == nil {
+	if _, _, err := ParseChromeDropped([]byte("not json")); err == nil {
 		t.Error("expected an error for non-JSON input")
 	}
 }
@@ -251,10 +287,10 @@ func TestCappedRecorder(t *testing.T) {
 	if len(evs) != 4 {
 		t.Fatalf("retained %d events, want 4", len(evs))
 	}
-	// The most recent four are 6..9 (sorted by start).
+	// The most recent four are 6..9, in arrival order.
 	for i, ev := range evs {
-		if want := float64(6 + i); ev.StartSec != want {
-			t.Errorf("event %d start = %g, want %g", i, ev.StartSec, want)
+		if want := float64(6 + i); ev.StartSec != want || ev.Seq != uint64(6+i) {
+			t.Errorf("event %d start = %g seq = %d, want %g", i, ev.StartSec, ev.Seq, want)
 		}
 	}
 	if d := r.Dropped(); d != 6 {
@@ -275,22 +311,6 @@ func TestCappedRecorderUnderCap(t *testing.T) {
 	}
 	if NewCapped(0).cap != 0 {
 		t.Error("NewCapped(0) should be unbounded")
-	}
-}
-
-func TestReset(t *testing.T) {
-	r := NewCapped(2)
-	r.Add(Event{})
-	r.Add(Event{})
-	r.Add(Event{})
-	r.Reset()
-	if len(r.Events()) != 0 || r.Dropped() != 0 {
-		t.Error("reset did not clear events and drop count")
-	}
-	// A reset ring starts filling from scratch.
-	r.Add(Event{StartSec: 7})
-	if evs := r.Events(); len(evs) != 1 || evs[0].StartSec != 7 {
-		t.Errorf("post-reset events = %+v", evs)
 	}
 }
 
