@@ -8,7 +8,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"cucc/internal/cluster"
@@ -484,9 +483,4 @@ func Table1String() string {
 		fmt.Fprintf(&b, "  %-15s %-28s %5d %6d %7.2f\n", g.Name, g.Name, g.Year, g.SMs, g.PeakTFLOPs)
 	}
 	return b.String()
-}
-
-// SortRowsByName orders scaling rows deterministically.
-func SortRowsByName(rows []ScalingRow) {
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Program < rows[j].Program })
 }

@@ -104,6 +104,3 @@ func stmtHead(s Stmt) string {
 	}
 	return "?;"
 }
-
-// ExprString renders an expression in C-like syntax.
-func ExprString(e Expr) string { return exprString(e) }
