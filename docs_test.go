@@ -217,3 +217,38 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		}
 	}
 }
+
+// TestAblationBenchesExist resolves the Bench column of EXPERIMENTS.md's
+// "Ablations" table: each row names the test or benchmark that reproduces
+// its result, so every name there must exist.  The rest of EXPERIMENTS.md
+// narrates history and may name what is gone.
+func TestAblationBenchesExist(t *testing.T) {
+	idx := indexRepo(t)
+	data, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	inTable := false
+	for i, line := range strings.Split(string(data), "\n") {
+		if strings.HasPrefix(line, "## ") {
+			inTable = strings.HasPrefix(line, "## Ablations")
+			continue
+		}
+		if !inTable || !strings.HasPrefix(line, "|") {
+			continue
+		}
+		cells := strings.Split(strings.Trim(line, "| "), "|")
+		for _, m := range codeSpan.FindAllStringSubmatch(cells[len(cells)-1], -1) {
+			rows++
+			if !testName.MatchString(m[1]) {
+				t.Errorf("EXPERIMENTS.md:%d: `%s` is not a test or benchmark name", i+1, m[1])
+			} else if why := idx.unresolved(m[1]); why != "" {
+				t.Errorf("EXPERIMENTS.md:%d: `%s` %s", i+1, m[1], why)
+			}
+		}
+	}
+	if rows == 0 {
+		t.Error("EXPERIMENTS.md has no Ablations table with a Bench column")
+	}
+}
