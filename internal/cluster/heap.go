@@ -36,6 +36,20 @@ func putSlab(slab *[]byte) {
 	slabPools[bits.Len(uint(cap(*slab)-1))].Put(slab)
 }
 
+// LendArena lends n >= 1 bytes of scratch from the slab free list the node
+// heaps recycle through, as a slab of at least n bytes whose contents are
+// arbitrary.  Give it back with ReturnArena once nothing can read it any
+// more; a slab that is never returned is left to the collector.  A heap that
+// later commits the slab clears what it exposes, as it does for any
+// recycled slab.
+func (c *Cluster) LendArena(n int) *[]byte {
+	slab, _ := getSlab(n)
+	return slab
+}
+
+// ReturnArena puts a slab LendArena lent back on the free list.
+func (c *Cluster) ReturnArena(slab *[]byte) { putSlab(slab) }
+
 // heap returns node r's committed memory, with length and capacity exactly
 // heapEnd, so indexing or slicing past the last allocation panics instead of
 // reaching the uncleared rest of the slab.  Ranks call this concurrently

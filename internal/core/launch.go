@@ -256,13 +256,28 @@ func (s *Session) runPhases(st *launchState, stats *Stats, g *cluster.Group) err
 	}
 	// gather runs member m's side of every planned Allgather in plan order,
 	// so each peer's messages arrive in the same order on both paths below.
+	// Each member copies its sends out of one arena lent from the cluster's
+	// slab free list, cut in plan order; arenas[m] goes back once the
+	// RunParallel below has returned nil.
+	arenas := make([]*[]byte, g.Size())
 	gather := func(m int, conn transport.Conn) error {
 		node := g.NodeOf(m)
+		need := 0
 		for _, op := range plan.ops {
-			cs, err := csched.Execute(conn, c.HeapBytes(node, op.regionStart, op.regionLen), op.sel.Offs, op.sel.Schedule)
+			need += op.sel.Schedule.ArenaLen(m, op.sel.Offs)
+		}
+		var arena []byte
+		if need > 0 {
+			arenas[m] = c.LendArena(need)
+			arena = *arenas[m]
+		}
+		for _, op := range plan.ops {
+			n := op.sel.Schedule.ArenaLen(m, op.sel.Offs)
+			cs, err := csched.ExecuteArena(conn, c.HeapBytes(node, op.regionStart, op.regionLen), op.sel.Offs, op.sel.Schedule, arena[:n:n])
 			if err != nil {
 				return err
 			}
+			arena = arena[n:]
 			c.Node(node).Comm.Add(cs)
 		}
 		return nil
@@ -296,7 +311,16 @@ func (s *Session) runPhases(st *launchState, stats *Stats, g *cluster.Group) err
 		err = g.RunParallel(gather)
 	}
 	if err != nil {
+		// A message cut from an arena may still be in flight: the
+		// collector takes the arenas.
 		return err
+	}
+	// Every rank's executor has returned, so every message cut from an
+	// arena has been received, forwarded ones included.
+	for _, a := range arenas {
+		if a != nil {
+			c.ReturnArena(a)
+		}
 	}
 	detail := fmt.Sprintf("%d bytes/node, %d msgs", stats.CommBytesPerNode, stats.CommMsgs)
 	if stats.CollectiveAlgo != "" {

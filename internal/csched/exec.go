@@ -31,12 +31,72 @@ func execOp(algo string) *comm.Op {
 
 // Execute runs this rank's program of the schedule over the transport,
 // gathering into buf in place: chunk c is buf[offs[c]:offs[c+1]], and on
-// entry the caller's own chunks (rank*ChunksPerRank ... ) are valid.
+// entry the caller's own chunks (rank*ChunksPerRank ... ) are valid.  It
+// copies its sends out of a send arena it allocates for the call;
+// ExecuteArena is the same executor over an arena the caller lends.
 //
 // Accounting matches comm's collectives: a send counts only
 // once the transport accepted it, every receive counts its actual bytes,
 // so summed over ranks Msgs == Recvs and BytesSent == BytesRecvd.
-func Execute(c transport.Conn, buf []byte, offs []int, s *Schedule) (st comm.Stats, err error) {
+func Execute(c transport.Conn, buf []byte, offs []int, s *Schedule) (comm.Stats, error) {
+	return ExecuteArena(c, buf, offs, s, make([]byte, s.ArenaLen(c.Rank(), offs)))
+}
+
+// forwarder tracks, step by step through a rank's program, the latest Recv
+// whose slice a send can still forward: a send of exactly the range the rank
+// last received passes on the slice that Recv returned instead of copying it
+// out of buf again.  It is already in place, nothing writes to it, and
+// ownership passes on with the Send as Conn's contract says.  (This is the
+// ring's whole steady state.)  Once forwarded the slice is gone, so a second
+// send of the same range copies, as does every other send.  An OpCopy may
+// rewrite the received range in buf, after which the slice no longer stands
+// for it.
+type forwarder struct {
+	lo, hi int
+	ok     bool
+}
+
+// step advances over one program step and reports whether it is a send that
+// forwards.
+func (f *forwarder) step(st Step) bool {
+	switch st.Op {
+	case OpRecv:
+		f.lo, f.hi, f.ok = st.Lo, st.Hi, true
+	case OpCopy:
+		f.ok = false
+	case OpSend:
+		if f.ok && st.Lo == f.lo && st.Hi == f.hi {
+			f.ok = false
+			return true
+		}
+	}
+	return false
+}
+
+// ArenaLen is the send arena rank's program needs over offs: the bytes of
+// every send that copies rather than forwards.  It is 0 when rank or offs
+// do not fit the schedule (the executor then rejects the call).
+func (s *Schedule) ArenaLen(rank int, offs []int) int {
+	if rank < 0 || rank >= len(s.Steps) || len(offs) != s.NChunks()+1 {
+		return 0
+	}
+	var f forwarder
+	n := 0
+	for _, step := range s.Steps[rank] {
+		if !f.step(step) && step.Op == OpSend {
+			n += max(0, offs[step.Hi]-offs[step.Lo])
+		}
+	}
+	return n
+}
+
+// ExecuteArena is Execute with the send arena supplied by the caller, who
+// must hold at least s.ArenaLen(c.Rank(), offs) bytes; their contents are
+// arbitrary, since every byte sent is written first.  The slices cut from
+// it travel as messages, and the ring forwards them through every other
+// rank, so the caller may reuse the arena only once every rank's executor
+// has returned without error.
+func ExecuteArena(c transport.Conn, buf []byte, offs []int, s *Schedule, arena []byte) (st comm.Stats, err error) {
 	defer execOp(s.Algo).Record(c, time.Now(), &st, &err)
 	n := c.Size()
 	if s.NRanks != n {
@@ -58,46 +118,22 @@ func Execute(c transport.Conn, buf []byte, offs []int, s *Schedule) (st comm.Sta
 		return st, fmt.Errorf("csched: offsets exceed buffer (%d > %d)", offs[nc], len(buf))
 	}
 	r := c.Rank()
-	prog := s.Steps[r]
-
-	// A send of exactly the range the rank last received forwards the slice
-	// that Recv returned instead of copying it out of buf again: it is
-	// already in place, nothing writes to it, and ownership passes on with
-	// the Send as Conn's contract says.  (This is the ring's whole steady
-	// state.)  Once forwarded the slice is gone, so a second send of the same
-	// range copies, as does every other send, out of one arena per call —
-	// in-flight messages are owned by the transport, so slots are never
-	// reused.  An OpCopy may rewrite the received range in buf, after which
-	// the slice no longer stands for it.
-	forward := make([]bool, len(prog))
-	arenaLen := 0
-	last := -1 // the latest Recv whose slice can still be forwarded
-	for i, step := range prog {
-		switch step.Op {
-		case OpRecv:
-			last = i
-		case OpCopy:
-			last = -1
-		case OpSend:
-			if last >= 0 && step.Lo == prog[last].Lo && step.Hi == prog[last].Hi {
-				forward[i], last = true, -1
-			} else {
-				arenaLen += offs[step.Hi] - offs[step.Lo]
-			}
-		}
+	if need := s.ArenaLen(r, offs); len(arena) < need {
+		return st, fmt.Errorf("csched: send arena holds %d bytes, rank %d needs %d", len(arena), r, need)
 	}
-	arena := make([]byte, arenaLen)
 	pos := 0
 
 	var in []byte // what the latest Recv returned
-	for i, step := range prog {
+	var f forwarder
+	for _, step := range s.Steps[r] {
+		forward := f.step(step)
 		switch step.Op {
 		case OpSend:
 			out := in
-			if !forward[i] {
+			if !forward {
 				chunk := buf[offs[step.Lo]:offs[step.Hi]]
-				out = arena[pos : pos+len(chunk)]
-				pos += len(chunk)
+				end := pos + len(chunk)
+				out, pos = arena[pos:end:end], end
 				copy(out, chunk)
 			}
 			if err = c.Send(step.Peer, tagSched, out); err != nil {

@@ -19,6 +19,13 @@ import (
 // final buffers and stats.
 func runSchedule(t *testing.T, net transport.Network, s *Schedule, offs []int, seed func(rank int) []byte) ([][]byte, []comm.Stats) {
 	t.Helper()
+	return runScheduleArenas(t, net, s, offs, seed, nil)
+}
+
+// runScheduleArenas is runSchedule with rank r copying its sends out of
+// arenas[r] through ExecuteArena; nil arenas runs Execute.
+func runScheduleArenas(t *testing.T, net transport.Network, s *Schedule, offs []int, seed func(rank int) []byte, arenas [][]byte) ([][]byte, []comm.Stats) {
+	t.Helper()
 	n := net.Size()
 	bufs := make([][]byte, n)
 	stats := make([]comm.Stats, n)
@@ -29,7 +36,11 @@ func runSchedule(t *testing.T, net transport.Network, s *Schedule, offs []int, s
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			stats[r], errs[r] = Execute(net.Conn(r), bufs[r], offs, s)
+			if arenas == nil {
+				stats[r], errs[r] = Execute(net.Conn(r), bufs[r], offs, s)
+			} else {
+				stats[r], errs[r] = ExecuteArena(net.Conn(r), bufs[r], offs, s, arenas[r])
+			}
 		}(r)
 	}
 	wg.Wait()
@@ -313,5 +324,104 @@ func TestExecuteForwardsReceivedSlice(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if perRank := (after.TotalAlloc - before.TotalAlloc) / (calls * n); perRank > chunk+chunk/8 {
 		t.Errorf("ring schedule: %d bytes allocated per rank per call, want one %d-byte chunk and a small constant", perRank, chunk)
+	}
+}
+
+// dirtyArenas lends each rank of s an arena of exactly the size its program
+// needs over offs, filled with 0xA5 as a recycled slab might be.
+func dirtyArenas(s *Schedule, offs []int) [][]byte {
+	arenas := make([][]byte, s.NRanks)
+	for r := range arenas {
+		arenas[r] = bytes.Repeat([]byte{0xA5}, s.ArenaLen(r, offs))
+	}
+	return arenas
+}
+
+// TestExecuteArenaDirtyMatchesExecute: an arena's contents on loan are
+// arbitrary, because every byte a rank sends is written first.  A lent arena
+// full of 0xA5 must leave every buffer and every rank's Stats exactly as
+// Execute's fresh one does, on every generated schedule, balanced and
+// imbalanced.
+func TestExecuteArenaDirtyMatchesExecute(t *testing.T) {
+	gens := []struct {
+		name  string
+		build func(n int) *Schedule
+	}{
+		{"ring", func(n int) *Schedule { return GenRing(n, 1) }},
+		{"recdouble", GenRecDouble},
+		{"twolevel", GenTwoLevel},
+		{"pipeline2", func(n int) *Schedule { return GenRing(n, 2) }},
+		{"pipeline4", func(n int) *Schedule { return GenRing(n, 4) }},
+		{"pipeline8", func(n int) *Schedule { return GenRing(n, 8) }},
+	}
+	for _, n := range []int{2, 8} {
+		imb := make([]int, n+1)
+		for r := 0; r < n; r++ {
+			imb[r+1] = imb[r] + 40 + (r%3)*37
+		}
+		for _, g := range gens {
+			s := g.build(n)
+			if s == nil {
+				continue
+			}
+			for tname, rankOffs := range map[string][]int{"balanced": uniformOffsets(n, 96), "imbalanced": imb} {
+				t.Run(fmt.Sprintf("%s/n=%d/%s", g.name, n, tname), func(t *testing.T) {
+					offs := SplitOffsets(rankOffs, s.ChunksPerRank)
+					seed := func(r int) []byte { return fill(rankOffs, r) }
+					fresh := transport.NewInproc(n)
+					defer fresh.Close()
+					want, wantStats := runSchedule(t, fresh, s, offs, seed)
+					lent := transport.NewInproc(n)
+					defer lent.Close()
+					arenas := dirtyArenas(s, offs)
+					got, gotStats := runScheduleArenas(t, lent, s, offs, seed, arenas)
+					for r := 0; r < n; r++ {
+						if !bytes.Equal(got[r], want[r]) {
+							t.Errorf("rank %d: buffer over a dirty arena differs from Execute's", r)
+						}
+						if gotStats[r] != wantStats[r] {
+							t.Errorf("rank %d: stats %+v over a dirty arena, Execute %+v", r, gotStats[r], wantStats[r])
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestExecuteArenaTooShort: an arena shorter than the rank's program needs
+// fails the call before anything is sent.
+func TestExecuteArenaTooShort(t *testing.T) {
+	s := GenRing(2, 1)
+	offs := uniformOffsets(2, 16)
+	net := transport.NewInproc(2)
+	defer net.Close()
+	if _, err := ExecuteArena(net.Conn(0), make([]byte, 32), offs, s, make([]byte, 15)); err == nil {
+		t.Fatal("a 15-byte arena for a 16-byte send must be rejected")
+	}
+}
+
+// TestExecuteArenaRingAllocatesNoChunk: with the arena lent and reused
+// across calls, the ring's steady state allocates nothing the size of a
+// chunk: what Execute spends on its own chunk is gone.
+func TestExecuteArenaRingAllocatesNoChunk(t *testing.T) {
+	const n, chunk, calls = 8, 64 << 10, 10
+	ring := GenRing(n, 1)
+	offs := uniformOffsets(n, chunk)
+	net := transport.NewInproc(n)
+	defer net.Close()
+	seeds := make([][]byte, n)
+	for r := range seeds {
+		seeds[r] = make([]byte, n*chunk)
+	}
+	arenas := dirtyArenas(ring, offs)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		runScheduleArenas(t, net, ring, offs, func(r int) []byte { return seeds[r] }, arenas)
+	}
+	runtime.ReadMemStats(&after)
+	if perRank := (after.TotalAlloc - before.TotalAlloc) / (calls * n); perRank >= chunk/8 {
+		t.Errorf("ring over a lent arena: %d bytes allocated per rank per call, want under %d", perRank, chunk/8)
 	}
 }

@@ -17,6 +17,7 @@
 package recovery
 
 import (
+	"bytes"
 	"errors"
 	"sort"
 
@@ -94,6 +95,10 @@ type Region struct {
 // every written buffer's heap region, taken at a barrier where all
 // participating nodes agree, plus the launch cursor.  One copy serves every
 // node precisely because it is captured at a barrier.
+//
+// A region that reads all zero at capture keeps no data: its length alone
+// records it, and Restore writes zeros back.  An output buffer no launch has
+// written yet is exactly that.
 type Checkpoint struct {
 	// Cursor is the barrier this checkpoint represents.
 	Cursor Cursor
@@ -102,12 +107,30 @@ type Checkpoint struct {
 	DistEnd int
 
 	regions []Region
-	data    [][]byte
+	data    [][]byte // nil for a region that was all zero
+}
+
+// zeroPage is what Capture compares regions against and what Restore writes
+// over an elided one, a page at a time, so neither allocates for zeros.
+var zeroPage [4096]byte
+
+// allZero reports whether b holds only zero bytes; it stops at the first
+// page that does not.
+func allZero(b []byte) bool {
+	for len(b) > 0 {
+		n := min(len(b), len(zeroPage))
+		if !bytes.Equal(b[:n], zeroPage[:n]) {
+			return false
+		}
+		b = b[n:]
+	}
+	return true
 }
 
 // Capture snapshots the given regions through read, which must return the
 // region's current bytes on any one participating node (they are identical
-// across nodes at a barrier).  The returned bytes are copied.
+// across nodes at a barrier).  The returned bytes are copied, except those
+// of an all-zero region, which is recorded by its length alone.
 func Capture(cur Cursor, distEnd int, regions []Region, read func(Region) []byte) *Checkpoint {
 	cp := &Checkpoint{
 		Cursor:  cur,
@@ -116,7 +139,9 @@ func Capture(cur Cursor, distEnd int, regions []Region, read func(Region) []byte
 		data:    make([][]byte, len(regions)),
 	}
 	for i, rg := range cp.regions {
-		cp.data[i] = append([]byte(nil), read(rg)...)
+		if b := read(rg); !allZero(b) {
+			cp.data[i] = append([]byte(nil), b...)
+		}
 	}
 	return cp
 }
@@ -124,20 +149,30 @@ func Capture(cur Cursor, distEnd int, regions []Region, read func(Region) []byte
 // Regions returns the checkpointed heap spans.
 func (cp *Checkpoint) Regions() []Region { return cp.regions }
 
-// Bytes is the checkpoint's payload size.
+// Bytes is the checkpoint's logical size, the sum of its region lengths:
+// what Restore writes, whether or not a region's zeros were stored.
 func (cp *Checkpoint) Bytes() int {
 	total := 0
-	for _, d := range cp.data {
-		total += len(d)
+	for _, rg := range cp.regions {
+		total += rg.Len
 	}
 	return total
 }
 
 // Restore writes every checkpointed region back through write, which the
-// caller points at each node being restored in turn.
+// caller points at each node being restored in turn.  An all-zero region is
+// written as consecutive page-sized sub-regions of zeros, so write may see
+// more calls than there are regions, and Restore allocates nothing.
 func (cp *Checkpoint) Restore(write func(Region, []byte)) {
 	for i, rg := range cp.regions {
-		write(rg, cp.data[i])
+		if cp.data[i] != nil {
+			write(rg, cp.data[i])
+			continue
+		}
+		for off := 0; off < rg.Len; off += len(zeroPage) {
+			n := min(rg.Len-off, len(zeroPage))
+			write(Region{Off: rg.Off + off, Len: n}, zeroPage[:n])
+		}
 	}
 }
 

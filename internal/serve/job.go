@@ -170,21 +170,23 @@ func (s *Server) runJob(j *job) *Response {
 	resp.RunMs = time.Since(start).Seconds() * 1e3
 	s.reg.Histogram(MetricRunSec).Observe(time.Since(start).Seconds())
 	resp.Stats = stats
-	resp.Counters = jobReg.Snapshot().Counters
+	// Nothing writes to jobReg once the launch has joined, so one snapshot
+	// serves the response, the server merge and the flight recorder.
+	jobSnap := jobReg.Snapshot()
+	resp.Counters = jobSnap.Counters
 	resp.TraceEvents = rec.Len()
 	resp.TraceDropped = rec.Dropped()
 	if fs := c.Faults(); fs != nil {
 		resp.FaultsInjected = fs.Drops + fs.Delays + fs.Duplicates + fs.Corruptions + fs.SendFailures
 	}
 	// The per-job registry's counters and histograms fold into the server
-	// aggregate; merging after the snapshot keeps resp.Counters exactly
-	// the job's own view.
-	s.reg.Merge(jobReg.Snapshot())
+	// aggregate; resp.Counters stays exactly the job's own view.
+	s.reg.Merge(jobSnap)
 
 	// Flight recorder: a failed job — or one that only completed by
 	// restoring from a checkpoint — leaves a post-mortem bundle.
 	if runErr != nil || (stats != nil && stats.Restores > 0) {
-		s.flightRecord(j, runErr, stats, jobReg, rec)
+		s.flightRecord(j, runErr, stats, jobSnap, rec)
 	}
 
 	if runErr != nil {
@@ -219,7 +221,7 @@ const dumpJournalWindow = 256
 // metrics snapshot, and its capped trace into a post-mortem dump: retained
 // in memory (LastDump) and, when PostmortemDir is set, written to
 // postmortem-job<id>.json for cuccprof -postmortem.
-func (s *Server) flightRecord(j *job, runErr error, stats *core.Stats, jobReg *metrics.Registry, rec *trace.Recorder) {
+func (s *Server) flightRecord(j *job, runErr error, stats *core.Stats, jobSnap metrics.Snapshot, rec *trace.Recorder) {
 	if s.journal == nil && s.cfg.PostmortemDir == "" {
 		return
 	}
@@ -230,7 +232,7 @@ func (s *Server) flightRecord(j *job, runErr error, stats *core.Stats, jobReg *m
 		Job:          j.id,
 		What:         describe(j.req),
 		Journal:      s.journal.Tail(dumpJournalWindow),
-		Metrics:      jobReg.Snapshot(),
+		Metrics:      jobSnap,
 		Trace:        rec.Events(),
 		TraceDropped: rec.Dropped(),
 	}

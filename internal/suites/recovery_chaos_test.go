@@ -8,6 +8,7 @@ import (
 
 	"cucc/internal/cluster"
 	"cucc/internal/core"
+	"cucc/internal/interp"
 	"cucc/internal/kir"
 	"cucc/internal/machine"
 	"cucc/internal/metrics"
@@ -246,5 +247,76 @@ func TestChaosRankLossPolicyLimits(t *testing.T) {
 	}
 	if got.snap.Counters[recovery.MetricRestores] != 0 {
 		t.Error("restore counted despite MinRanks floor")
+	}
+}
+
+// accumSrc reads the buffer it writes: y[i] += x[i] over a y that starts all
+// zero, so the start checkpoint records y by its length alone.
+const accumSrc = `
+__global__ void accum(float* x, float* y, int n) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    if (i < n)
+        y[i] = y[i] + x[i];
+}
+`
+
+// TestChaosRankLossRestoresElidedRegion: the replay of a read-modify-write
+// kernel sees whatever the restore left in y, so rank loss mid-Allgather
+// recovers to the fault-free heaps only if the restore writes the zeros the
+// checkpoint elided.  The suite kernels overwrite their whole output, so a
+// replay of theirs would hide a restore that skipped the region.
+func TestChaosRankLossRestoresElidedRegion(t *testing.T) {
+	prog := core.MustCompile(accumSrc)
+	const nodes, n = 4, 4000
+	run := func(fc *transport.FaultConfig) ([][]byte, *core.Stats, int64) {
+		c, err := cluster.New(cluster.Config{
+			Nodes: nodes, Machine: machine.Intel6226(), Net: simnet.IB100(),
+			RecvTimeout: 5 * time.Second, Fault: fc, Recovery: recovery.Policy{Enabled: true},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		xs := make([]float32, n)
+		for i := range xs {
+			xs[i] = float32(i%97) + 0.5
+		}
+		x, y := c.Alloc(kir.F32, n), c.Alloc(kir.F32, n)
+		if err := c.WriteAllF32(x, xs); err != nil {
+			t.Fatal(err)
+		}
+		stats, err := core.NewSession(c, prog).Launch(core.LaunchSpec{
+			Kernel: "accum", Grid: interp.Dim1(16), Block: interp.Dim1(256),
+			Args: []core.Arg{core.BufArg(x), core.BufArg(y), core.IntArg(n)},
+		})
+		if err != nil {
+			t.Fatalf("launch: %v", err)
+		}
+		for r := 0; r < nodes; r++ {
+			for i, v := range c.ReadF32(r, y) {
+				if v != xs[i] {
+					t.Fatalf("node %d: y[%d] = %v, want %v", r, i, v, xs[i])
+				}
+			}
+		}
+		var heaps [][]byte
+		for r := 0; r < nodes; r++ {
+			all := cluster.Buffer{Off: 0, Elem: kir.U8, Count: c.BytesPerNode()}
+			heaps = append(heaps, append([]byte(nil), c.Region(r, all)...))
+		}
+		return heaps, stats, c.Faults().Kills
+	}
+	ref, refStats, _ := run(&transport.FaultConfig{Seed: 1})
+	if !refStats.Distributed || refStats.CommMsgs == 0 {
+		t.Fatal("accum must gather y across the nodes")
+	}
+	got, stats, kills := run(killAt(2))
+	if kills == 0 || stats.Restores < 1 {
+		t.Fatalf("recovery path not exercised: %d kills, %d restores", kills, stats.Restores)
+	}
+	for r := range got {
+		if !bytes.Equal(ref[r], got[r]) {
+			t.Errorf("node %d heap differs from fault-free run after recovery", r)
+		}
 	}
 }
