@@ -17,9 +17,11 @@ vet:
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
 # -timeout 120s: a reintroduced collective deadlock must fail CI with a
-# goroutine dump instead of wedging it.
+# goroutine dump instead of wedging it.  The job benchmarks of the serving
+# layer run once each, so that neither stops compiling or completing unseen.
 test:
 	go test -timeout 120s ./...
+	go test -timeout 120s -run '^$$' -bench 'Benchmark(Gather|Small)Job' -benchtime 1x ./internal/serve
 
 # bench/ is its own module (cucc/bench), so root `go test ./...` skips it.
 bench-test:

@@ -12,6 +12,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -289,7 +290,8 @@ func (c *Cluster) registerGauges() {
 // and returns every node's memory to the process-wide free list, from which
 // a later cluster may take it: results must be read before Close, and slices
 // obtained from Region or HeapBytes must not be used after it.  Closing
-// twice is harmless; Alloc, Region, Mem and HeapBytes panic afterwards.
+// twice is harmless; Alloc, Region, Mem and HeapBytes panic afterwards, and
+// TryAlloc returns an error.
 func (c *Cluster) Close() {
 	if !c.releaseHeaps() {
 		return
@@ -307,21 +309,33 @@ func (c *Cluster) Close() {
 // node (zero-initialized), the analogue of cudaMalloc in the CuCC host API.
 // It only advances the heap end; memory is committed by the first access
 // (see heap.go).  Like every host-API call it must not run concurrently
-// with accesses to the cluster's memory.
+// with accesses to the cluster's memory.  It panics where TryAlloc returns
+// an error.
 func (c *Cluster) Alloc(elem kir.ScalarType, count int) Buffer {
+	b, err := c.TryAlloc(elem, count)
+	if err != nil {
+		panic(err.Error())
+	}
+	return b
+}
+
+// TryAlloc is Alloc for a count that comes from a request: a negative count,
+// one whose byte size overflows the heap, one that runs past
+// MaxBytesPerNode and a closed cluster are errors, and nothing is reserved.
+func (c *Cluster) TryAlloc(elem kir.ScalarType, count int) (Buffer, error) {
 	if c.backed.Load() < 0 {
-		panic(errUseAfterClose)
+		return Buffer{}, errors.New(errUseAfterClose)
 	}
 	if size := elem.Size(); size == 0 || count < 0 || count > (math.MaxInt-c.heapEnd)/size {
-		panic(fmt.Sprintf("cluster: invalid allocation of %d %v elements at heap end %d", count, elem, c.heapEnd))
+		return Buffer{}, fmt.Errorf("cluster: invalid allocation of %d %v elements at heap end %d", count, elem, c.heapEnd)
 	}
 	b := Buffer{Off: c.heapEnd, Elem: elem, Count: count}
 	if end := c.heapEnd + b.Bytes(); c.cfg.MaxBytesPerNode > 0 && end > c.cfg.MaxBytesPerNode {
-		panic(fmt.Sprintf("cluster: allocation exceeds %d bytes per node (%d requested); use virtual buffers with Session.Estimate for paper-scale sweeps",
-			c.cfg.MaxBytesPerNode, end))
+		return Buffer{}, fmt.Errorf("cluster: allocation exceeds %d bytes per node (%d requested); use virtual buffers with Session.Estimate for paper-scale sweeps",
+			c.cfg.MaxBytesPerNode, end)
 	}
 	c.heapEnd += b.Bytes()
-	return b
+	return b, nil
 }
 
 // Region returns node r's bytes for the buffer (aliasing the node memory).

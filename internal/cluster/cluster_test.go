@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -192,6 +193,42 @@ func TestMemoryCapEnforced(t *testing.T) {
 		}
 	}()
 	c.Alloc(kir.F32, 1024) // 4 KiB, over the 1 KiB cap
+}
+
+// TestTryAllocRefuses: the error form refuses an over-cap, a negative and an
+// overflowing count and reserves nothing when it does; Alloc panics with the
+// same text, and after Close both refuse.
+func TestTryAllocRefuses(t *testing.T) {
+	c, err := New(Config{Nodes: 2, Machine: machine.Intel6226(), Net: simnet.IB100(), MaxBytesPerNode: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.Alloc(kir.F32, 128) // 512 bytes, fine
+	for _, tc := range []struct {
+		count int
+		want  string
+	}{
+		{1024, "exceeds 1024 bytes per node"},
+		{-1, "invalid allocation"},
+		{math.MaxInt / 2, "invalid allocation"}, // count x 4 overflows
+	} {
+		if _, err := c.TryAlloc(kir.F32, tc.count); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("TryAlloc(%d) = %v, want an error containing %q", tc.count, err, tc.want)
+		}
+		mustPanic(t, fmt.Sprintf("Alloc(%d)", tc.count), tc.want, func() { c.Alloc(kir.F32, tc.count) })
+		if got := c.BytesPerNode(); got != 512 {
+			t.Errorf("after a refused count of %d, BytesPerNode = %d, want 512", tc.count, got)
+		}
+	}
+	if b, err := c.TryAlloc(kir.F32, 128); err != nil || b.Off != 512 {
+		t.Errorf("TryAlloc up to the cap = %+v, %v; want offset 512 and no error", b, err)
+	}
+	c.Close()
+	if _, err := c.TryAlloc(kir.U8, 1); err == nil || err.Error() != errUseAfterClose {
+		t.Errorf("TryAlloc after Close = %v, want %q", err, errUseAfterClose)
+	}
+	mustPanic(t, "Alloc after Close", errUseAfterClose, func() { c.Alloc(kir.U8, 1) })
 }
 
 func TestRunParallelJoinsAllErrors(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -303,59 +302,41 @@ func (s *Server) runSourceJob(j *job, sess *core.Session, resp *Response) (*core
 		return nil, fmt.Errorf("serve: source has no kernel %q", j.req.Kernel)
 	}
 
-	// Every argument is validated before the first Alloc: cluster.Alloc
-	// panics past the per-node cap, and a tenant's count must fail its own
-	// job, not the daemon.  The running sum is compared by division so that
-	// count x element size cannot overflow on the way to the check.
-	limit := s.cfg.MaxBytesPerNode
-	if limit <= 0 {
-		limit = math.MaxInt
-	}
-	elems := make([]kir.ScalarType, len(j.req.Args))
-	total := 0
-	for i, as := range j.req.Args {
-		switch as.Kind {
-		case "buf":
-			switch as.Elem {
-			case "f32":
-				elems[i] = kir.F32
-			case "i32":
-				elems[i] = kir.I32
-			case "u8":
-				elems[i] = kir.U8
-			default:
-				return nil, fmt.Errorf("serve: arg %d: unknown buffer elem %q", i, as.Elem)
-			}
-			if as.Count <= 0 {
-				return nil, fmt.Errorf("serve: arg %d: buffer needs a positive count", i)
-			}
-			size := elems[i].Size()
-			if as.Count > (limit-total)/size {
-				return nil, fmt.Errorf("serve: arg %d: %d %s elements on top of %d bytes exceed the per-node limit of %d bytes",
-					i, as.Count, as.Elem, total, limit)
-			}
-			total += as.Count * size
-		case "int", "float":
-		default:
-			return nil, fmt.Errorf("serve: arg %d: unknown kind %q", i, as.Kind)
-		}
-	}
-
 	// Allocate every buffer, then fill: the first fill commits the node
-	// heaps once, at their final size.
+	// heaps once, at their final size.  The job's cluster enforces the
+	// per-node cap, so a tenant's count fails its own job, not the daemon.
 	var args []core.Arg
 	var bufs []cluster.Buffer
 	var bufAt []int // bufs[k] is argument bufAt[k]
 	for i, as := range j.req.Args {
 		switch as.Kind {
 		case "buf":
-			b := c.Alloc(elems[i], as.Count)
+			var elem kir.ScalarType
+			switch as.Elem {
+			case "f32":
+				elem = kir.F32
+			case "i32":
+				elem = kir.I32
+			case "u8":
+				elem = kir.U8
+			default:
+				return nil, fmt.Errorf("serve: arg %d: unknown buffer elem %q", i, as.Elem)
+			}
+			if as.Count <= 0 {
+				return nil, fmt.Errorf("serve: arg %d: buffer needs a positive count", i)
+			}
+			b, err := c.TryAlloc(elem, as.Count)
+			if err != nil {
+				return nil, fmt.Errorf("serve: arg %d: %d %s elements exceed the per-node limit: %w", i, as.Count, as.Elem, err)
+			}
 			bufs, bufAt = append(bufs, b), append(bufAt, i)
 			args = append(args, core.BufArg(b))
 		case "int":
 			args = append(args, core.IntArg(as.Int))
 		case "float":
 			args = append(args, core.FloatArg(as.Float))
+		default:
+			return nil, fmt.Errorf("serve: arg %d: unknown kind %q", i, as.Kind)
 		}
 	}
 	for k, b := range bufs {

@@ -686,8 +686,8 @@ func TestHostileLaunchDims(t *testing.T) {
 
 // TestHostileBufferCounts: a buffer count whose byte size exceeds the
 // per-node cap, one whose byte size overflows int, and a set of buffers
-// that only exceeds the cap in sum each fail their own job before any
-// allocation; the executor survives to run the next job.
+// that only exceeds the cap in sum each fail their own job before any node
+// memory is committed; the executor survives to run the next job.
 func TestHostileBufferCounts(t *testing.T) {
 	const maxBytes = 1 << 20
 	srv := NewServer(Config{Executors: 1, Nodes: 2, Workers: 1, MaxBytesPerNode: maxBytes})
@@ -740,5 +740,21 @@ func TestTenantCollectives(t *testing.T) {
 	}
 	if resp := srv.Submit(vecAddSourceReq("t1")); resp.Status != StatusOK {
 		t.Fatalf("well-formed job after the others: status %q err %q", resp.Status, resp.Err)
+	}
+}
+
+// TestSuiteJobOverCap: a suite job whose buffers exceed the per-node cap
+// fails its own job with an error naming the cap, and the executor survives
+// to run the next job.
+func TestSuiteJobOverCap(t *testing.T) {
+	const maxBytes = 1 << 20 // Transpose's Small buffers are 1 MiB each
+	srv := NewServer(Config{Executors: 1, Workers: 1, MaxBytesPerNode: maxBytes})
+	defer srv.Drain()
+	resp := srv.Submit(&Request{Tenant: "t1", Program: "Transpose", Nodes: 2})
+	if resp.Status != StatusError || !strings.Contains(resp.Err, strconv.Itoa(maxBytes)) {
+		t.Errorf("over-cap Transpose: status %q err %q, want an error naming the %d-byte cap", resp.Status, resp.Err, maxBytes)
+	}
+	if resp := srv.Submit(&Request{Tenant: "t1", Program: "VecAdd", Nodes: 2}); resp.Status != StatusOK {
+		t.Fatalf("VecAdd after the over-cap job: status %q err %q", resp.Status, resp.Err)
 	}
 }

@@ -24,6 +24,11 @@ __global__ void fir(float* in, float* out, float* coeff, int n, int taps) {
 
 const firBlock = 256
 
+// firLanes is how many threads the native runs side by side, each with its
+// own running sum; the threads after a block's last full group run one at a
+// time.
+const firLanes = 8
+
 // FIR is the finite-impulse-response filter: the paper's showcase for
 // near-linear scalability (heavy per-thread computation, small
 // communication relative to compute; §7.2).
@@ -34,11 +39,29 @@ func FIR() *Program {
 			in, out, coeff := b[0], b[1], b[2]
 			n := int(args[3].I)
 			taps := int(args[4].I)
-			for tx := 0; tx < block.X; tx++ {
-				id := block.X*bx + tx
-				if id >= n {
-					continue
+			id, end := block.X*bx, min(block.X*(bx+1), n)
+			// firLanes threads at a time, one running sum each: every
+			// coefficient is loaded once per group, and the lanes' add
+			// chains are independent.
+			for ; id+firLanes <= end; id += firLanes {
+				var s0, s1, s2, s3, s4, s5, s6, s7 float32
+				for t := 0; t < taps; t++ {
+					c := f32(coeff, t)
+					x := (*[4 * firLanes]byte)(in[4*(id+t):])[:]
+					s0 += c * f32(x, 0)
+					s1 += c * f32(x, 1)
+					s2 += c * f32(x, 2)
+					s3 += c * f32(x, 3)
+					s4 += c * f32(x, 4)
+					s5 += c * f32(x, 5)
+					s6 += c * f32(x, 6)
+					s7 += c * f32(x, 7)
 				}
+				for l, sum := range [firLanes]float32{s0, s1, s2, s3, s4, s5, s6, s7} {
+					setF32(out, id+l, sum)
+				}
+			}
+			for ; id < end; id++ {
 				var sum float32
 				for t := 0; t < taps; t++ {
 					sum += f32(coeff, t) * f32(in, id+t)

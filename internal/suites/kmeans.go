@@ -34,6 +34,9 @@ __global__ void kmeans(float* points, float* centroids, int* membership, int n, 
 
 const kmeansBlock = 256
 
+// kmeansLanes is how many threads the native runs side by side.
+const kmeansLanes = 4
+
 // Kmeans is the cluster-assignment kernel of k-means.  The paper launches
 // it with 313 blocks, the configuration behind the §7.2 wave-scheduling
 // anomaly (16 -> 32 node slowdown).
@@ -45,25 +48,38 @@ func Kmeans() *Program {
 			n := int(args[3].I)
 			k := int(args[4].I)
 			dim := int(args[5].I)
-			for tx := 0; tx < block.X; tx++ {
-				id := bx*block.X + tx
-				if id >= n {
-					continue
-				}
-				best := int32(0)
-				bestDist := float32(1e30)
+			end := min((bx+1)*block.X, n)
+			// kmeansLanes threads at a time, each with its own distance and
+			// argmin: every centroid element is loaded once per group.  A
+			// group that runs past end repeats its last live thread in the
+			// dead lanes and stores only the live ones.
+			for id := bx * block.X; id < end; id += kmeansLanes {
+				row := func(l int) []byte { return points[4*dim*min(id+l, end-1):] }
+				p0, p1, p2, p3 := row(0), row(1), row(2), row(3)
+				var best [kmeansLanes]int32
+				bestDist := [kmeansLanes]float32{1e30, 1e30, 1e30, 1e30}
 				for c := 0; c < k; c++ {
-					var d float32
+					var d0, d1, d2, d3 float32
 					for j := 0; j < dim; j++ {
-						diff := f32(points, id*dim+j) - f32(centroids, c*dim+j)
-						d += diff * diff
+						cj := f32(centroids, c*dim+j)
+						diff0 := f32(p0, j) - cj
+						d0 += diff0 * diff0
+						diff1 := f32(p1, j) - cj
+						d1 += diff1 * diff1
+						diff2 := f32(p2, j) - cj
+						d2 += diff2 * diff2
+						diff3 := f32(p3, j) - cj
+						d3 += diff3 * diff3
 					}
-					if d < bestDist {
-						bestDist = d
-						best = int32(c)
+					for l, d := range [kmeansLanes]float32{d0, d1, d2, d3} {
+						if d < bestDist[l] {
+							bestDist[l], best[l] = d, int32(c)
+						}
 					}
 				}
-				setI32(membership, id, best)
+				for l, m := range best[:min(kmeansLanes, end-id)] {
+					setI32(membership, id+l, m)
+				}
 			}
 		},
 		func(args []interp.Value, grid, block interp.Dim3) machine.BlockWork {

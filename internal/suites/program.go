@@ -124,14 +124,18 @@ func (p *Program) data(pr Params) dataSet {
 
 // Build allocates the program's buffers on the cluster in argument order,
 // broadcasts the inputs, and returns the launch spec over the real buffers
-// with a check of node 0's output.
+// with a check of node 0's output.  Buffers the cluster cannot hold (past
+// its MaxBytesPerNode) are an error.
 func (p *Program) Build(c *cluster.Cluster, pr Params) (*Instance, error) {
 	d := p.data(pr)
 	spec := p.Spec(pr)
 	var bufs []cluster.Buffer
 	for i, a := range spec.Args {
 		if a.IsBuf {
-			b := c.Alloc(a.Buf.Elem, a.Buf.Count)
+			b, err := c.TryAlloc(a.Buf.Elem, a.Buf.Count)
+			if err != nil {
+				return nil, err
+			}
 			spec.Args[i] = core.BufArg(b)
 			bufs = append(bufs, b)
 		}
